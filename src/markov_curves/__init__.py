@@ -15,8 +15,6 @@ from .curve_model import (BUILTIN_GERM_IDS, CurveGerm, DomainError,
                           geodesic_distance, load_germ, multiplicity,
                           norm_lower_bound_check, parse_germ_text,
                           sample_real_trace, tangent_vector)
-from .experiments_cli import (ConfigError, ReportRow, Scenario, emit_csv,
-                              main, parse_config_text, run_scenario)
 from .extremal_green import (BernsteinWalshReport, DegenerateSegmentError,
                              DiskBoundReport, GreenEvaluation, HcpFit,
                              ProbeGridError, ProbeRuleError,
@@ -30,9 +28,9 @@ from .lp import (PivotLimitError, SimplexError, SupNormSolution,
 from .markov_lp import (CauchyDerivativeReport, ConditioningError, FitResult,
                         LpStats, MarkovProblem, MarkovResult, PolynomialBasis,
                         ScalingStudy, TooFewSamplesError,
-                        cauchy_derivative_check,
-                        directional_derivative_functional, markov_factor,
+                        cauchy_derivative_check, markov_factor,
                         scaling_study)
+from .reports import ReportRow, emit_csv
 from .rng import Lcg, random_bivariate, random_polynomial
 
 __version__ = "0.1.0"

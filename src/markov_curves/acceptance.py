@@ -12,20 +12,19 @@ be byte-identical across reruns.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve_model import (builtin_germs, chebyshev_grid, geodesic_distance,
-                          multiplicity, norm_lower_bound_check)
-from .experiments_cli import ReportRow
+from .curve_model import (builtin_germs, chebyshev_grid, multiplicity,
+                          norm_lower_bound_check)
 from .extremal_green import (bernstein_walsh_check, green_interval, hcp_fit,
                              segment_disk_bound_check, siciak_lp,
                              star_domination_check)
 from .markov_lp import (MarkovProblem, cauchy_derivative_check, markov_factor,
                         scaling_study)
+from .reports import ReportRow, geodesic_rows, hcp_rows, scan_rows
 from .rng import Lcg, random_bivariate, random_polynomial
 
 STUDY = "verify_all"
@@ -43,8 +42,6 @@ CUSP_DEGREES = (2, 3, 4, 6, 8, 12)
 CUSP_DENSITY = 120
 
 HCP_DELTAS = tuple(np.logspace(-4.0, -1.0, 10))
-
-GEODESIC_RADII = tuple(2.0 ** -m for m in range(3, 11))
 
 SICIAK_DEGREE = 16
 SICIAK_FACETS = 16
@@ -97,58 +94,48 @@ def criterion_endpoint_markov(mapper=map):
                            tuple(rows))
 
 
-def _scan_rows(scenario, study, mapper, degrees, density):
-    result = scaling_study(builtin_germs()[scenario], degrees, SCAN_EPSILONS,
-                           density, mapper)
-    largest = max(SCAN_EPSILONS)
-    rows = [ReportRow(study, STUDY, degree, eps, factor,
-                      status="excluded" if eps == largest else "ok")
-            for degree, eps, factor in result.rows]
-    return result.fit, rows
+def _scaling_fit(germ_id, mapper, degrees, density):
+    return scaling_study(builtin_germs()[germ_id], degrees, SCAN_EPSILONS,
+                         density, mapper).fit
 
 
 def criterion_interior_scaling(mapper=map):
     """Interior interval scaling exponent sits near 1."""
-    fit, rows = _scan_rows("interval_interior", "c02_interior_scaling",
-                           mapper, INTERIOR_DEGREES, INTERVAL_DENSITY)
+    fit = _scaling_fit("interval_interior", mapper, INTERIOR_DEGREES,
+                       INTERVAL_DENSITY)
     passed = 0.9 <= fit.alpha_deg <= 1.1
-    rows.append(ReportRow("c02_interior_scaling", STUDY, None, None,
-                          fit.alpha_eps, fitted_exponent=fit.alpha_deg,
-                          slack=fit.residual_norm, status=_status(passed)))
+    rows, fit_rows = scan_rows("c02_interior_scaling", STUDY, fit,
+                               _status(passed))
     detail = f"alpha_deg = {fit.alpha_deg:.4f} (window [0.9, 1.1])"
     return CriterionResult(2, "interior scaling exponent", passed, detail,
-                           tuple(rows))
+                           (*rows, *fit_rows))
 
 
 def criterion_boundary_scaling(mapper=map):
     """Boundary scaling exponent sits near 2."""
-    fit, rows = _scan_rows("interval_boundary", "c03_boundary_scaling",
-                           mapper, INTERIOR_DEGREES, INTERVAL_DENSITY)
+    fit = _scaling_fit("interval_boundary", mapper, INTERIOR_DEGREES,
+                       INTERVAL_DENSITY)
     passed = 1.9 <= fit.alpha_deg <= 2.1
-    rows.append(ReportRow("c03_boundary_scaling", STUDY, None, None,
-                          fit.alpha_eps, fitted_exponent=fit.alpha_deg,
-                          slack=fit.residual_norm, status=_status(passed)))
+    rows, fit_rows = scan_rows("c03_boundary_scaling", STUDY, fit,
+                               _status(passed))
     detail = f"alpha_deg = {fit.alpha_deg:.4f} (window [1.9, 2.1])"
     return CriterionResult(3, "boundary scaling exponent", passed, detail,
-                           tuple(rows))
+                           (*rows, *fit_rows))
 
 
 def criterion_cusp_scaling(mapper=map):
     """Cusp (2,3): exact multiplicity plus scaling exponent windows."""
     germ = builtin_germs()["cusp_2_3"]
     order = multiplicity(germ.branch)
-    fit, rows = _scan_rows("cusp_2_3", "c04_cusp_scaling", mapper,
-                           CUSP_DEGREES, CUSP_DENSITY)
+    fit = _scaling_fit("cusp_2_3", mapper, CUSP_DEGREES, CUSP_DENSITY)
     mult_ok = order == 2
     deg_ok = 2.0 <= fit.alpha_deg <= 4.2
     eps_ok = fit.alpha_eps <= 2.3
     passed = mult_ok and deg_ok and eps_ok
-    rows.append(ReportRow("c04_cusp_scaling", STUDY, None, None,
-                          fit.alpha_eps, fitted_exponent=fit.alpha_deg,
-                          slack=fit.residual_norm,
-                          status=_status(deg_ok and eps_ok)))
-    rows.append(ReportRow("c04_cusp_scaling", STUDY, 0, None, float(order),
-                          status=_status(mult_ok)))
+    rows, fit_rows = scan_rows("c04_cusp_scaling", STUDY, fit,
+                               _status(deg_ok and eps_ok))
+    rows += fit_rows + [ReportRow("c04_cusp_scaling", STUDY, 0, None,
+                                  float(order), status=_status(mult_ok))]
     detail = (f"multiplicity = {order}, alpha_deg = {fit.alpha_deg:.4f} "
               f"(window [2.0, 4.2]), alpha_eps = {fit.alpha_eps:.4f} "
               f"(cap 2.3)")
@@ -161,14 +148,11 @@ def criterion_interval_hcp():
     fit = hcp_fit(green_interval, "interval endpoint", HCP_DELTAS,
                   lambda d: 1.0 + d)
     passed = abs(fit.alpha - 0.5) <= 0.03
-    rows = [ReportRow("c05_interval_hcp", STUDY, None, delta, value)
-            for delta, value in zip(fit.deltas, fit.values)]
-    rows.append(ReportRow("c05_interval_hcp", STUDY, None, None,
-                          fit.constant, fitted_exponent=fit.alpha,
-                          slack=fit.r_squared, status=_status(passed)))
+    rows, fit_rows = hcp_rows("c05_interval_hcp", STUDY, fit,
+                              _status(passed))
     detail = f"alpha = {fit.alpha:.4f} (target 0.50 +/- 0.03)"
     return CriterionResult(5, "interval endpoint HCP exponent", passed,
-                           detail, tuple(rows))
+                           detail, (*rows, *fit_rows))
 
 
 def criterion_geodesic_exponent(mapper=map):
@@ -177,22 +161,15 @@ def criterion_geodesic_exponent(mapper=map):
     details = []
     passed = True
     for germ_id in ("cusp_2_3", "cusp_3_4"):
-        germ = builtin_germs()[germ_id]
-        order = multiplicity(germ.branch)
-        distances = list(mapper(
-            lambda r: geodesic_distance(germ.branch, 0.0, r),
-            GEODESIC_RADII))
-        design = np.column_stack([np.log(GEODESIC_RADII),
-                                  np.ones(len(GEODESIC_RADII))])
-        (slope, _), *_ = np.linalg.lstsq(design, np.log(distances),
-                                         rcond=None)
-        deviation = abs(float(slope) - order)
-        ok = deviation <= 0.05
-        passed = passed and ok
+        branch = builtin_germs()[germ_id].branch
+        order = multiplicity(branch)
+        _, (fit,) = geodesic_rows(f"c06_geodesic_{germ_id}", STUDY, branch,
+                                  mapper)
+        slope = fit.fitted_exponent
+        passed = passed and fit.status == "ok"
         details.append(f"{germ_id}: slope {slope:.4f} vs k = {order}")
-        rows.append(ReportRow(f"c06_geodesic_{germ_id}", STUDY, order, None,
-                              float(slope), fitted_exponent=float(slope),
-                              slack=deviation, status=_status(ok)))
+        # The verify row reports the slope against the multiplicity.
+        rows.append(replace(fit, degree=order, value=slope))
     return CriterionResult(6, "geodesic distance exponents", passed,
                            "; ".join(details), tuple(rows))
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -258,12 +258,7 @@ class SampleSet:
 
     parameters: np.ndarray
     images: np.ndarray
-    real_only: bool
     generator: GeneratorRecord
-
-    @property
-    def points(self):
-        return list(zip(self.parameters, self.images))
 
     def __len__(self):
         return len(self.parameters)
@@ -363,7 +358,7 @@ def sample_real_trace(germ, epsilon, density):
     if epsilon == 0.0:
         params = np.zeros(1, dtype=complex)
         images = np.asarray([germ.basepoint], dtype=float)
-        return SampleSet(params, images, True, record)
+        return SampleSet(params, images, record)
 
     grid = chebyshev_grid(0.0, epsilon, density)
     params = []
@@ -380,7 +375,7 @@ def sample_real_trace(germ, epsilon, density):
         params.append(ray)
         rows.append(values.real)
     return SampleSet(np.concatenate(params),
-                     np.vstack(rows).astype(float), True, record)
+                     np.vstack(rows).astype(float), record)
 
 
 def _adaptive_simpson(f, tol, max_subdivisions):
@@ -443,7 +438,6 @@ class NormBoundReport:
 
     infimum: float
     coarse_infimum: float
-    constant: float
     violations: int
     rho: float
 
@@ -474,7 +468,6 @@ def norm_lower_bound_check(branch, rho=0.5, radial=8, angular=16):
     return NormBoundReport(
         infimum=fine,
         coarse_infimum=coarse,
-        constant=fine,
         violations=int(degraded),
         rho=float(rho),
     )

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import math
 import os
 import re
@@ -35,24 +34,22 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
+from .acceptance import run_all
 from .curve_model import (BUILTIN_GERM_IDS, DomainError, GermFormatError,
-                          NumericError, builtin_germs, geodesic_distance,
-                          load_germ, multiplicity, sample_real_trace)
+                          NumericError, builtin_germs, load_germ,
+                          multiplicity, sample_real_trace)
 from .extremal_green import (DEFAULT_FACETS, ProbeRuleError, TooFewPointsError,
-                             green_interval, green_segment, hcp_fit, siciak_lp,
-                             star_points)
+                             green_interval, hcp_fit, segment_closed_form,
+                             siciak_lp, star_points)
 from .lp import SimplexError
 from .markov_lp import ConditioningError, TooFewSamplesError, scaling_study
+from .reports import ReportRow, emit_csv, geodesic_rows, hcp_rows, scan_rows
 
-CSV_HEADER = ("scenario", "study", "degree", "epsilon", "value",
-              "fitted_exponent", "slack", "status")
 STUDIES = ("markov_scan", "green_eval", "geodesic_fit", "hcp_fit",
            "verify_all")
-STATUSES = ("ok", "violation", "excluded")
 
 #: Default probe distances for HCP fits: 1e-4 .. 1e-1, log-spaced.
 DEFAULT_DELTAS = tuple(np.logspace(-4.0, -1.0, 10))
@@ -74,24 +71,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    """One CSV line; optional fields render as empty cells."""
-
-    scenario: str
-    study: str
-    degree: Optional[int] = None
-    epsilon: Optional[float] = None
-    value: Optional[float] = None
-    fitted_exponent: Optional[float] = None
-    slack: Optional[float] = None
-    status: str = "ok"
-
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise DomainError(f"unknown row status '{self.status}'")
-
-
-@dataclass(frozen=True)
 class Scenario:
     """One configured study run."""
 
@@ -103,44 +82,7 @@ class Scenario:
     epsilons: tuple = ()
     density: int = 120
     deltas: tuple = DEFAULT_DELTAS
-    grid: int = 8
     facets: int = DEFAULT_FACETS
-    count: int = 50
-    seed: Optional[int] = None
-
-
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
-def _sort_key(row):
-    return (row.scenario,
-            row.degree is None, row.degree if row.degree is not None else 0,
-            row.epsilon is None,
-            row.epsilon if row.epsilon is not None else 0.0)
-
-
-def emit_csv(rows, path):
-    """Write rows sorted by (scenario, degree, epsilon), RFC-4180 style."""
-    ordered = sorted(rows, key=_sort_key)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\r\n")
-        writer.writerow(CSV_HEADER)
-        for row in ordered:
-            writer.writerow([row.scenario, row.study,
-                             _format_cell(row.degree),
-                             _format_cell(row.epsilon),
-                             _format_cell(row.value),
-                             _format_cell(row.fitted_exponent),
-                             _format_cell(row.slack),
-                             row.status])
-    return path
 
 
 def thread_count():
@@ -197,9 +139,7 @@ def _parse_list(text, kind, key, line, source):
 _KEY_KINDS = {
     "study": "str", "germ": "str",
     "degrees": "int_list", "epsilons": "float_list",
-    "deltas": "float_list",
-    "density": "int", "grid": "int", "facets": "int", "count": "int",
-    "seed": "int",
+    "deltas": "float_list", "density": "int", "facets": "int",
 }
 
 
@@ -296,8 +236,8 @@ def _build_scenario(section, source, base_dir):
             raise ConfigError(f"scenario '{name}' needs a nonempty epsilon "
                               "list", line, column, source)
     fields = {key: parsed[key] for key in
-              ("degrees", "epsilons", "density", "deltas", "grid",
-               "facets", "count", "seed") if key in parsed}
+              ("degrees", "epsilons", "density", "deltas", "facets")
+              if key in parsed}
     return Scenario(name=name, study=study, germ_id=germ_id, germ=germ,
                     **fields)
 
@@ -335,15 +275,7 @@ def load_config(path):
 def _markov_scan(scenario, mapper):
     study = scaling_study(scenario.germ, scenario.degrees, scenario.epsilons,
                           scenario.density, mapper)
-    largest = max(scenario.epsilons)
-    raw = [ReportRow(scenario.name, "markov_scan", degree, eps, factor,
-                     status="excluded" if eps == largest else "ok")
-           for degree, eps, factor in study.rows]
-    fit = [ReportRow(scenario.name, "markov_scan", None, None,
-                     value=study.fit.alpha_eps,
-                     fitted_exponent=study.fit.alpha_deg,
-                     slack=study.fit.residual_norm)]
-    return raw, fit
+    return scan_rows(scenario.name, "markov_scan", study.fit)
 
 
 #: Probe points for green_eval, in units of the star scale.
@@ -354,24 +286,12 @@ GREEN_PROBES = (2.0, 1.0 + 1.0j, -3.0)
 GREEN_TOLERANCE = 0.02
 
 
-def _segment_form(angles, epsilon):
-    """Closed-form evaluator when the star is one segment, else None."""
-    if len(angles) == 1:
-        end = epsilon * complex(math.cos(angles[0]), math.sin(angles[0]))
-        return lambda z: green_segment(z, 0.0, end)
-    if len(angles) == 2 and math.isclose(angles[1] - angles[0], math.pi,
-                                         rel_tol=0.0, abs_tol=1e-12):
-        end = epsilon * complex(math.cos(angles[0]), math.sin(angles[0]))
-        return lambda z: green_segment(z, -end, end)
-    return None
-
-
 def _green_eval(scenario, mapper):
     angles = sorted(a % (2.0 * math.pi) for a in scenario.germ.ray_angles())
     raw = []
     for epsilon in scenario.epsilons:
         points = star_points(angles, epsilon, scenario.density)
-        closed = _segment_form(angles, epsilon)
+        closed = segment_closed_form(angles, epsilon)
         cells = [(degree, probe) for degree in scenario.degrees
                  for probe in GREEN_PROBES]
 
@@ -394,29 +314,9 @@ def _green_eval(scenario, mapper):
     return raw, []
 
 
-#: Geodesic probe radii 2^-3 .. 2^-10.
-GEODESIC_EXPONENTS = tuple(range(3, 11))
-GEODESIC_TOLERANCE = 0.05
-
-
 def _geodesic_fit(scenario, mapper):
-    branch = scenario.germ.branch
-    order = multiplicity(branch)
-    radii = [2.0 ** -m for m in GEODESIC_EXPONENTS]
-    distances = list(mapper(
-        lambda r: geodesic_distance(branch, 0.0, r), radii))
-    raw = [ReportRow(scenario.name, "geodesic_fit", None, radius, distance)
-           for radius, distance in zip(radii, distances)]
-    design = np.column_stack([np.log(radii), np.ones(len(radii))])
-    (slope, intercept), *_ = np.linalg.lstsq(design, np.log(distances),
-                                             rcond=None)
-    deviation = abs(float(slope) - order)
-    fit = [ReportRow(scenario.name, "geodesic_fit", None, None,
-                     value=float(math.exp(intercept)),
-                     fitted_exponent=float(slope), slack=deviation,
-                     status="ok" if deviation <= GEODESIC_TOLERANCE
-                     else "violation")]
-    return raw, fit
+    return geodesic_rows(scenario.name, "geodesic_fit", scenario.germ.branch,
+                         mapper)
 
 
 HCP_ENDPOINT_TOLERANCE = 0.03
@@ -448,15 +348,10 @@ def _hcp_fit(scenario, mapper):
     evaluator, probe, window = _hcp_probe(scenario)
     fit = hcp_fit(evaluator, scenario.germ_id or scenario.name,
                   scenario.deltas, probe)
-    raw = [ReportRow(scenario.name, "hcp_fit", None, delta, value)
-           for delta, value in zip(fit.deltas, fit.values)]
     status = "ok"
     if window is not None and not (window[0] <= fit.alpha <= window[1]):
         status = "violation"
-    fit_rows = [ReportRow(scenario.name, "hcp_fit", None, None,
-                          value=fit.constant, fitted_exponent=fit.alpha,
-                          slack=fit.r_squared, status=status)]
-    return raw, fit_rows
+    return hcp_rows(scenario.name, "hcp_fit", fit, status)
 
 
 _STUDY_RUNNERS = {
@@ -468,7 +363,6 @@ _STUDY_RUNNERS = {
 
 
 def _run_verify_scenario(scenario, out_dir, seed, mapper):
-    from .acceptance import run_all
     results = run_all(seed=0 if seed is None else seed, mapper=mapper)
     raw = [row for result in results for row in result.rows]
     emit_csv(raw, Path(out_dir) / f"{scenario.name}_raw.csv")

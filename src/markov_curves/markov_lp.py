@@ -182,11 +182,6 @@ class PolynomialBasis:
         return row
 
 
-def directional_derivative_functional(basis, x0, v):
-    """Functional row of D_v at x0 in ``basis`` coordinates."""
-    return basis.derivative_row(x0, v)
-
-
 @dataclass(frozen=True)
 class MarkovProblem:
     """A discrete Markov extremal problem.
@@ -219,7 +214,6 @@ class MarkovProblem:
 class LpStats:
     iterations: int
     max_residual: float
-    solves: int
 
 
 @dataclass(frozen=True)
@@ -228,7 +222,7 @@ class MarkovResult:
 
     factor: float
     coefficients: np.ndarray
-    status: str  # 'optimal' | 'unbounded' | 'degenerate'
+    status: str  # 'optimal' | 'degenerate'
     lp_stats: LpStats
     basis: PolynomialBasis
     support_count: int
@@ -237,33 +231,40 @@ class MarkovResult:
 def _reduce_columns(matrix, functional):
     """Restrict (matrix, functional) to the numerically spanned columns.
 
-    Returns (reduced matrix, reduced functional, back map, effective
-    condition number); the back map lifts reduced coefficient vectors
-    to the full basis (minimal-norm representative).  Raises
-    TooFewSamplesError when the functional has a component the sampled
-    function space cannot see, since the discrete problem is then
-    effectively unbounded.
+    Returns (reduced matrix, reduced functional, back map); the back
+    map lifts reduced coefficient vectors to the full basis
+    (minimal-norm representative).  Raises TooFewSamplesError when the
+    functional has a component the sampled function space cannot see,
+    since the discrete problem is then effectively unbounded, and
+    ConditioningError when the effective condition number of the kept
+    columns exceeds CONDITION_LIMIT.
     """
     singular, vt = np.linalg.svd(matrix, full_matrices=False)[1:]
     if singular[0] == 0.0:
-        return matrix, functional, np.eye(matrix.shape[1]), 1.0
+        return matrix, functional, np.eye(matrix.shape[1])
     cutoff = singular[0] * max(matrix.shape) * np.finfo(float).eps
     rank = int(np.sum(singular > cutoff))
     condition = float(singular[0] / singular[rank - 1])
     if rank == matrix.shape[1]:
-        return matrix, functional, np.eye(matrix.shape[1]), condition
-    back_map = vt[:rank].T
-    reduced = back_map.T @ functional
-    leak = float(np.linalg.norm(functional - back_map @ reduced))
-    scale = float(np.linalg.norm(functional))
-    if leak > 1e-6 * max(1.0, scale):
-        raise TooFewSamplesError(
-            "samples do not resolve the derivative functional "
-            f"(unresolved component {leak:.3e}); add sample points")
-    return matrix @ back_map, reduced, back_map, condition
+        reduced = (matrix, functional, np.eye(matrix.shape[1]))
+    else:
+        back_map = vt[:rank].T
+        projected = back_map.T @ functional
+        leak = float(np.linalg.norm(functional - back_map @ projected))
+        scale = float(np.linalg.norm(functional))
+        if leak > 1e-6 * max(1.0, scale):
+            raise TooFewSamplesError(
+                "samples do not resolve the derivative functional "
+                f"(unresolved component {leak:.3e}); add sample points")
+        reduced = (matrix @ back_map, projected, back_map)
+    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+        raise ConditioningError(
+            f"basis condition estimate {condition:.3e} "
+            f"exceeds {CONDITION_LIMIT:.1e}; lower the degree or rescale")
+    return reduced
 
 
-def markov_factor(problem, *, condition_limit=CONDITION_LIMIT):
+def markov_factor(problem):
     """Solve the Markov LP; both objective orientations are taken.
 
     Raises TooFewSamplesError when the factor is unbounded (fewer
@@ -285,13 +286,15 @@ def markov_factor(problem, *, condition_limit=CONDITION_LIMIT):
     # Project onto the column space the samples actually span; curve
     # ideal members have zero tangential derivative, so the functional
     # survives the projection whenever the samples resolve it.
-    lp_matrix, lp_objective, back_map, condition = _reduce_columns(
-        matrix, functional)
-    if not np.isfinite(condition) or condition > condition_limit:
-        raise ConditioningError(
-            f"basis condition estimate {condition:.3e} exceeds "
-            f"{condition_limit:.1e}; lower the degree or rescale")
+    lp_matrix, lp_objective, back_map = _reduce_columns(matrix, functional)
     constraints = np.vstack([lp_matrix, -lp_matrix])
+    # {G; -G} is symmetric, so both orientations have the same value in
+    # exact arithmetic, yet one solve alone is not safe.  Artificials
+    # that stay basic at zero after phase one can grow in phase two
+    # (lp.solve_sup_norm_lp), leaving a wrong basis: on parabola_regular
+    # (n=12, eps=0.125, density 300) the forward solve returns 0.0 and
+    # the mirrored one 184.0444695071.  Taking the larger value hides
+    # that defect until the simplex is repaired.
     try:
         forward = solve_sup_norm_lp(constraints, lp_objective)
         backward = solve_sup_norm_lp(constraints, -lp_objective)
@@ -304,8 +307,7 @@ def markov_factor(problem, *, condition_limit=CONDITION_LIMIT):
     status = "degenerate" if chosen.degenerate else "optimal"
     stats = LpStats(iterations=forward.iterations + backward.iterations,
                     max_residual=max(forward.max_residual,
-                                     backward.max_residual),
-                    solves=2)
+                                     backward.max_residual))
     return MarkovResult(factor=chosen.value,
                         coefficients=coefficients,
                         status=status, lp_stats=stats, basis=basis,

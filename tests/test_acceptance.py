@@ -4,10 +4,12 @@ Every test asserts `result.passed` with `result.detail` as the message,
 so a failure shows the measured numbers, not just a boolean.
 """
 
+import subprocess
+import sys
 import time
+from pathlib import Path
 
-import pytest
-
+import markov_curves
 from markov_curves import acceptance
 from markov_curves.experiments_cli import main
 
@@ -70,6 +72,16 @@ def test_criterion_10_runtime_and_reproducibility(tmp_path, capsys):
         assert first_bytes.startswith(b"scenario,study,")
     print(f"criterion 10 runtime budget and reproducibility: verify ran in "
           f"{elapsed:.1f}s; both report files byte-identical across reruns")
+
+
+def test_acceptance_does_not_import_the_cli():
+    source = Path(markov_curves.__file__).resolve().parents[1]
+    probe = ("import sys, markov_curves.acceptance; "
+             "print('markov_curves.experiments_cli' in sys.modules)")
+    completed = subprocess.run([sys.executable, "-c", probe],
+                               cwd=source, capture_output=True, text=True,
+                               timeout=60, check=True)
+    assert completed.stdout.strip() == "False"
 
 
 def test_run_all_reports_every_criterion():

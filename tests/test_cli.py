@@ -294,6 +294,14 @@ class TestMain:
         assert main(["markov-scan", "--config", str(config)]) == 2
         assert "unknown study" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["grid", "count", "seed"])
+    def test_removed_key_exits_two_with_position(self, tmp_path, capsys,
+                                                 key):
+        config = tmp_path / "old.cfg"
+        config.write_text(SCAN_CONFIG + f"{key} = 8\n", encoding="utf-8")
+        assert main(["markov-scan", "--config", str(config)]) == 2
+        assert f"{config}:8:1: unknown key '{key}'" in capsys.readouterr().err
+
     def test_scan_through_entry_point(self, tmp_path):
         config = tmp_path / "scan.cfg"
         config.write_text(SCAN_CONFIG, encoding="utf-8")

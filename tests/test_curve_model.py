@@ -123,7 +123,6 @@ class TestSampleRealTrace:
         assert xs[0] == pytest.approx(-0.5)
         assert xs[-1] == pytest.approx(0.5)
         assert np.allclose(sample.images[:, 1], 0.0)
-        assert sample.real_only
 
     def test_cusp_realizes_both_branches(self):
         germ = builtin_germs()["cusp_2_3"]
