@@ -15,11 +15,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .curve_model import (builtin_germs, chebyshev_grid, multiplicity,
                           norm_lower_bound_check)
-from .extremal_green import (bernstein_walsh_check, green_interval, hcp_fit,
+from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE, HCP_DELTAS,
+                             bernstein_walsh_check, green_interval, hcp_fit,
                              segment_disk_bound_check, siciak_lp,
                              star_domination_check)
 from .markov_lp import (MarkovProblem, cauchy_derivative_check, markov_factor,
@@ -41,12 +40,7 @@ INTERVAL_DENSITY = 160
 CUSP_DEGREES = (2, 3, 4, 6, 8, 12)
 CUSP_DENSITY = 120
 
-HCP_DELTAS = tuple(np.logspace(-4.0, -1.0, 10))
-
 SICIAK_DEGREE = 16
-SICIAK_FACETS = 16
-SICIAK_POINTS = (2.0, 1.0 + 1.0j, -3.0)
-SICIAK_TOLERANCE = 0.02
 
 DISK_TRIPLES = ((0.0, 1.0, 0.5), (0.9, 1.0, 0.05), (-0.3, 0.5, 0.1))
 
@@ -66,17 +60,13 @@ def _status(ok):
     return "ok" if ok else "violation"
 
 
-def criterion_endpoint_markov(mapper=map):
+def criterion_endpoint_markov():
     """Discrete endpoint factors against the Chebyshev derivative n**2."""
     points = chebyshev_grid(-1.0, 1.0, ENDPOINT_SAMPLES)[:, None]
     started = time.perf_counter()
-
-    def solve(degree):
-        problem = MarkovProblem(samples=points, x0=(1.0,), v=(1.0,),
-                                degree=degree)
-        return markov_factor(problem).factor
-
-    factors = list(mapper(solve, ENDPOINT_DEGREES))
+    factors = [markov_factor(MarkovProblem(samples=points, x0=(1.0,),
+                                           v=(1.0,), degree=degree)).factor
+               for degree in ENDPOINT_DEGREES]
     elapsed = time.perf_counter() - started
     rows = []
     worst = 0.0
@@ -94,14 +84,14 @@ def criterion_endpoint_markov(mapper=map):
                            tuple(rows))
 
 
-def _scaling_fit(germ_id, mapper, degrees, density):
+def _scaling_fit(germ_id, degrees, density):
     return scaling_study(builtin_germs()[germ_id], degrees, SCAN_EPSILONS,
-                         density, mapper).fit
+                         density).fit
 
 
-def criterion_interior_scaling(mapper=map):
+def criterion_interior_scaling():
     """Interior interval scaling exponent sits near 1."""
-    fit = _scaling_fit("interval_interior", mapper, INTERIOR_DEGREES,
+    fit = _scaling_fit("interval_interior", INTERIOR_DEGREES,
                        INTERVAL_DENSITY)
     passed = 0.9 <= fit.alpha_deg <= 1.1
     rows, fit_rows = scan_rows("c02_interior_scaling", STUDY, fit,
@@ -111,9 +101,9 @@ def criterion_interior_scaling(mapper=map):
                            (*rows, *fit_rows))
 
 
-def criterion_boundary_scaling(mapper=map):
+def criterion_boundary_scaling():
     """Boundary scaling exponent sits near 2."""
-    fit = _scaling_fit("interval_boundary", mapper, INTERIOR_DEGREES,
+    fit = _scaling_fit("interval_boundary", INTERIOR_DEGREES,
                        INTERVAL_DENSITY)
     passed = 1.9 <= fit.alpha_deg <= 2.1
     rows, fit_rows = scan_rows("c03_boundary_scaling", STUDY, fit,
@@ -123,11 +113,11 @@ def criterion_boundary_scaling(mapper=map):
                            (*rows, *fit_rows))
 
 
-def criterion_cusp_scaling(mapper=map):
+def criterion_cusp_scaling():
     """Cusp (2,3): exact multiplicity plus scaling exponent windows."""
     germ = builtin_germs()["cusp_2_3"]
     order = multiplicity(germ.branch)
-    fit = _scaling_fit("cusp_2_3", mapper, CUSP_DEGREES, CUSP_DENSITY)
+    fit = _scaling_fit("cusp_2_3", CUSP_DEGREES, CUSP_DENSITY)
     mult_ok = order == 2
     deg_ok = 2.0 <= fit.alpha_deg <= 4.2
     eps_ok = fit.alpha_eps <= 2.3
@@ -155,7 +145,7 @@ def criterion_interval_hcp():
                            detail, (*rows, *fit_rows))
 
 
-def criterion_geodesic_exponent(mapper=map):
+def criterion_geodesic_exponent():
     """Geodesic distance grows like |z|^k at cusp basepoints."""
     rows = []
     details = []
@@ -163,8 +153,7 @@ def criterion_geodesic_exponent(mapper=map):
     for germ_id in ("cusp_2_3", "cusp_3_4"):
         branch = builtin_germs()[germ_id].branch
         order = multiplicity(branch)
-        _, (fit,) = geodesic_rows(f"c06_geodesic_{germ_id}", STUDY, branch,
-                                  mapper)
+        _, (fit,) = geodesic_rows(f"c06_geodesic_{germ_id}", STUDY, branch)
         slope = fit.fitted_exponent
         passed = passed and fit.status == "ok"
         details.append(f"{germ_id}: slope {slope:.4f} vs k = {order}")
@@ -174,25 +163,21 @@ def criterion_geodesic_exponent(mapper=map):
                            "; ".join(details), tuple(rows))
 
 
-def criterion_siciak_convergence(mapper=map):
+def criterion_siciak_convergence():
     """Discrete Green values on dense interval samples hit the closed form."""
     points = chebyshev_grid(-1.0, 1.0, ENDPOINT_SAMPLES)
-
-    def solve(z):
-        return siciak_lp(points, z, SICIAK_DEGREE, SICIAK_FACETS).value
-
-    values = list(mapper(solve, SICIAK_POINTS))
     rows = []
     worst = 0.0
-    for z, value in zip(SICIAK_POINTS, values):
+    for z in GREEN_PROBES:
+        value = siciak_lp(points, z, SICIAK_DEGREE).value
         error = abs(value - green_interval(z))
         worst = max(worst, error)
         rows.append(ReportRow("c07_siciak_convergence", STUDY, SICIAK_DEGREE,
                               None, value, slack=error,
-                              status=_status(error <= SICIAK_TOLERANCE)))
-    passed = worst <= SICIAK_TOLERANCE
+                              status=_status(error <= GREEN_TOLERANCE)))
+    passed = worst <= GREEN_TOLERANCE
     detail = (f"max absolute error {worst:.4f} at degree {SICIAK_DEGREE} "
-              f"(allowed {SICIAK_TOLERANCE})")
+              f"(allowed {GREEN_TOLERANCE})")
     return CriterionResult(7, "discrete Green convergence", passed, detail,
                            tuple(rows))
 
@@ -250,7 +235,7 @@ def criterion_zero_violation_suites(seed=0):
                            detail, tuple(rows))
 
 
-def criterion_star_domination(mapper=map):
+def criterion_star_domination():
     """Trace-to-star Green ratio is stable across two probe degrees."""
     report = star_domination_check(builtin_germs()["cusp_2_3"], 0.25, 8,
                                    grid=8, density=80)
@@ -266,19 +251,19 @@ def criterion_star_domination(mapper=map):
                            detail, tuple(rows))
 
 
-def run_all(seed=0, mapper=map):
+def run_all(seed=0):
     """Run every criterion; the last result is the runtime budget check."""
     started = time.perf_counter()
     results = [
-        criterion_endpoint_markov(mapper),
-        criterion_interior_scaling(mapper),
-        criterion_boundary_scaling(mapper),
-        criterion_cusp_scaling(mapper),
+        criterion_endpoint_markov(),
+        criterion_interior_scaling(),
+        criterion_boundary_scaling(),
+        criterion_cusp_scaling(),
         criterion_interval_hcp(),
-        criterion_geodesic_exponent(mapper),
-        criterion_siciak_convergence(mapper),
+        criterion_geodesic_exponent(),
+        criterion_siciak_convergence(),
         criterion_zero_violation_suites(seed),
-        criterion_star_domination(mapper),
+        criterion_star_domination(),
     ]
     elapsed = time.perf_counter() - started
     passed = elapsed <= SUITE_BUDGET_SECONDS

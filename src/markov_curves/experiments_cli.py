@@ -17,31 +17,25 @@ printed with 17 significant digits and rows are sorted, so a rerun
 with the same config byte-reproduces the files.
 
 Exit codes: 0 ok, 1 violation, 2 config error, 3 numeric failure.
-`MARKOV_CURVES_THREADS` caps how many scenario cells run concurrently
-(0 picks the machine's core count); results are collected in grid
-order either way.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import itertools
 import math
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .acceptance import run_all
 from .curve_model import (BUILTIN_GERM_IDS, DomainError, GermFormatError,
                           NumericError, builtin_germs, load_germ,
                           multiplicity, sample_real_trace)
-from .extremal_green import (DEFAULT_FACETS, ProbeRuleError, TooFewPointsError,
+from .extremal_green import (DEFAULT_FACETS, GREEN_PROBES, GREEN_TOLERANCE,
+                             HCP_DELTAS, ProbeRuleError, TooFewPointsError,
                              green_interval, hcp_fit, segment_closed_form,
                              siciak_lp, star_points)
 from .lp import SimplexError
@@ -50,9 +44,6 @@ from .reports import ReportRow, emit_csv, geodesic_rows, hcp_rows, scan_rows
 
 STUDIES = ("markov_scan", "green_eval", "geodesic_fit", "hcp_fit",
            "verify_all")
-
-#: Default probe distances for HCP fits: 1e-4 .. 1e-1, log-spaced.
-DEFAULT_DELTAS = tuple(np.logspace(-4.0, -1.0, 10))
 
 _SECTION = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 _NUMERIC_FAILURES = (NumericError, ConditioningError, TooFewSamplesError,
@@ -81,34 +72,8 @@ class Scenario:
     degrees: tuple = ()
     epsilons: tuple = ()
     density: int = 120
-    deltas: tuple = DEFAULT_DELTAS
+    deltas: tuple = HCP_DELTAS
     facets: int = DEFAULT_FACETS
-
-
-def thread_count():
-    """Resolve MARKOV_CURVES_THREADS; 0 or unset means one per core."""
-    raw = os.environ.get("MARKOV_CURVES_THREADS", "0").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"MARKOV_CURVES_THREADS must be a nonnegative integer, "
-            f"got '{raw}'", source="<environment>") from None
-    if value < 0:
-        raise ConfigError("MARKOV_CURVES_THREADS must be nonnegative",
-                          source="<environment>")
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
-@contextlib.contextmanager
-def cell_mapper():
-    """Ordered map over scenario cells, threaded when allowed."""
-    workers = thread_count()
-    if workers <= 1:
-        yield map
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            yield executor.map
 
 
 # ----------------------------------------------------------------------
@@ -272,35 +237,22 @@ def load_config(path):
 # Studies
 
 
-def _markov_scan(scenario, mapper):
+def _markov_scan(scenario):
     study = scaling_study(scenario.germ, scenario.degrees, scenario.epsilons,
-                          scenario.density, mapper)
+                          scenario.density)
     return scan_rows(scenario.name, "markov_scan", study.fit)
 
 
-#: Probe points for green_eval, in units of the star scale.
-GREEN_PROBES = (2.0, 1.0 + 1.0j, -3.0)
-
-#: A star value from the LP may sit below the closed form by at most
-#: the facet slack; beyond this margin the row is a violation.
-GREEN_TOLERANCE = 0.02
-
-
-def _green_eval(scenario, mapper):
+def _green_eval(scenario):
     angles = sorted(a % (2.0 * math.pi) for a in scenario.germ.ray_angles())
     raw = []
     for epsilon in scenario.epsilons:
         points = star_points(angles, epsilon, scenario.density)
         closed = segment_closed_form(angles, epsilon)
-        cells = [(degree, probe) for degree in scenario.degrees
-                 for probe in GREEN_PROBES]
-
-        def solve(cell):
-            degree, probe = cell
-            return siciak_lp(points, probe * epsilon, degree,
-                             scenario.facets)
-
-        for (degree, probe), result in zip(cells, mapper(solve, cells)):
+        for degree, probe in itertools.product(scenario.degrees,
+                                               GREEN_PROBES):
+            result = siciak_lp(points, probe * epsilon, degree,
+                               scenario.facets)
             slack = None
             status = "ok"
             if closed is not None:
@@ -314,9 +266,8 @@ def _green_eval(scenario, mapper):
     return raw, []
 
 
-def _geodesic_fit(scenario, mapper):
-    return geodesic_rows(scenario.name, "geodesic_fit", scenario.germ.branch,
-                         mapper)
+def _geodesic_fit(scenario):
+    return geodesic_rows(scenario.name, "geodesic_fit", scenario.germ.branch)
 
 
 HCP_ENDPOINT_TOLERANCE = 0.03
@@ -344,7 +295,7 @@ def _hcp_probe(scenario):
     return evaluator, probe, None
 
 
-def _hcp_fit(scenario, mapper):
+def _hcp_fit(scenario):
     evaluator, probe, window = _hcp_probe(scenario)
     fit = hcp_fit(evaluator, scenario.germ_id or scenario.name,
                   scenario.deltas, probe)
@@ -362,8 +313,8 @@ _STUDY_RUNNERS = {
 }
 
 
-def _run_verify_scenario(scenario, out_dir, seed, mapper):
-    results = run_all(seed=0 if seed is None else seed, mapper=mapper)
+def _run_verify_scenario(scenario, out_dir, seed):
+    results = run_all(seed=0 if seed is None else seed)
     raw = [row for result in results for row in result.rows]
     emit_csv(raw, Path(out_dir) / f"{scenario.name}_raw.csv")
     emit_csv([], Path(out_dir) / f"{scenario.name}_fit.csv")
@@ -388,23 +339,22 @@ def run_scenario(config_path, out_dir=".", seed=None, study_filter=None):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         exit_code = 0
-        with cell_mapper() as mapper:
-            for scenario in scenarios:
-                if scenario.study == "verify_all":
-                    code = _run_verify_scenario(scenario, out, seed, mapper)
-                    exit_code = max(exit_code, code)
-                    continue
-                runner = _STUDY_RUNNERS[scenario.study]
-                try:
-                    raw, fit = runner(scenario, mapper)
-                except _NUMERIC_FAILURES as exc:
-                    print(f"numeric failure in scenario '{scenario.name}' "
-                          f"({scenario.study}): {exc}", file=sys.stderr)
-                    return 3
-                emit_csv(raw, out / f"{scenario.name}_raw.csv")
-                emit_csv(fit, out / f"{scenario.name}_fit.csv")
-                if any(row.status == "violation" for row in raw + fit):
-                    exit_code = max(exit_code, 1)
+        for scenario in scenarios:
+            if scenario.study == "verify_all":
+                code = _run_verify_scenario(scenario, out, seed)
+                exit_code = max(exit_code, code)
+                continue
+            runner = _STUDY_RUNNERS[scenario.study]
+            try:
+                raw, fit = runner(scenario)
+            except _NUMERIC_FAILURES as exc:
+                print(f"numeric failure in scenario '{scenario.name}' "
+                      f"({scenario.study}): {exc}", file=sys.stderr)
+                return 3
+            emit_csv(raw, out / f"{scenario.name}_raw.csv")
+            emit_csv(fit, out / f"{scenario.name}_fit.csv")
+            if any(row.status == "violation" for row in raw + fit):
+                exit_code = max(exit_code, 1)
         return exit_code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -416,16 +366,11 @@ def _verify_command(out_dir, seed):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        with cell_mapper() as mapper:
-            code = _run_verify_scenario(
-                Scenario(name="verify", study="verify_all"), out, seed,
-                mapper)
+        code = _run_verify_scenario(
+            Scenario(name="verify", study="verify_all"), out, seed)
         elapsed = time.perf_counter() - started
         print(f"verify finished in {elapsed:.1f}s", file=sys.stderr)
         return code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except _NUMERIC_FAILURES as exc:
         print(f"numeric failure in verify: {exc}", file=sys.stderr)
         return 3

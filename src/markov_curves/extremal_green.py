@@ -37,6 +37,16 @@ RHS_TOLERANCE = 1e-6
 
 DEFAULT_FACETS = 16
 
+#: Probe points of the Siciak checks, in units of the set's scale.
+GREEN_PROBES = (2.0, 1.0 + 1.0j, -3.0)
+
+#: Largest accepted gap between a Siciak LP value and the closed form
+#: (plus the facet slack on star sets); beyond it a row is a violation.
+GREEN_TOLERANCE = 0.02
+
+#: Default probe distances for HCP fits: 1e-4 .. 1e-1, log-spaced.
+HCP_DELTAS = tuple(np.logspace(-4.0, -1.0, 10))
+
 
 class DegenerateSegmentError(ValueError):
     """Segment endpoints coincide; no Green function to pull back."""

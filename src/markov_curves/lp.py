@@ -116,8 +116,13 @@ def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
         column = tableau[:, enter]
         rows = np.flatnonzero(column > tol)
         if rows.size == 0:
-            # Unreachable for our bounded-below objectives; defensive.
-            raise UnboundedProblemError("entering column has no positive pivot")
+            # Both phases are bounded below, so this is tableau drift, not
+            # unboundedness.  Reached by markov_factor on cusp_2_3, n=12,
+            # eps=0.0625, density 1500 (HiGHS solves it: 165890.29).
+            raise SimplexError(
+                "entering column has no positive pivot: numerical "
+                "breakdown of the tableau; more sample points will not "
+                "fix it")
         ratios = tableau[rows, -1] / column[rows]
         best = ratios.min()
         ties = rows[ratios <= best + tol * (1.0 + abs(best))]

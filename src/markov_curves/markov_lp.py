@@ -354,7 +354,7 @@ def fit_scaling(design):
 
 
 def scaling_study(germ, degrees=DEFAULT_DEGREES, epsilons=(0.5, 0.25, 0.125, 0.0625),
-                  density=DEFAULT_DENSITY, mapper=map):
+                  density=DEFAULT_DENSITY):
     """Markov factors over a (degree, epsilon) grid with a joint fit.
 
     Samples realize the trace ball parametrically: parameters run to
@@ -362,9 +362,6 @@ def scaling_study(germ, degrees=DEFAULT_DEGREES, epsilons=(0.5, 0.25, 0.125, 0.0
     singular basepoint and eps otherwise (recorded per cell).  The
     largest epsilon is excluded from the fit; its cells see the most
     ball-boundary discretization bias.
-
-    ``mapper`` may be an executor map for concurrent cells; cells are
-    independent and reassembled in grid order.
     """
     degrees = tuple(int(n) for n in degrees)
     epsilons = tuple(float(e) for e in epsilons)
@@ -372,10 +369,8 @@ def scaling_study(germ, degrees=DEFAULT_DEGREES, epsilons=(0.5, 0.25, 0.125, 0.0
         raise DomainError("degree and epsilon grids must be nonempty")
     power = multiplicity(germ.branch) if germ.point_class == "singular" else 1
     direction = tangent_vector(germ)
-    cells = [(n, eps) for n in degrees for eps in epsilons]
 
-    def solve(cell):
-        n, eps = cell
+    def solve(n, eps):
         samples = sample_real_trace(germ, eps, density)
         problem = MarkovProblem(samples=samples, x0=germ.basepoint,
                                 v=tuple(direction), degree=n,
@@ -387,8 +382,7 @@ def scaling_study(germ, degrees=DEFAULT_DEGREES, epsilons=(0.5, 0.25, 0.125, 0.0
                 f"scaling cell degree={n} epsilon={eps:g} failed: {exc}"
             ) from exc
 
-    factors = list(mapper(solve, cells))
-    rows = tuple((n, eps, fac) for (n, eps), fac in zip(cells, factors))
+    rows = tuple((n, eps, solve(n, eps)) for n in degrees for eps in epsilons)
     largest = max(epsilons)
     design = tuple((n, eps, fac, eps != largest) for n, eps, fac in rows)
     return ScalingStudy(germ_label=germ.label or "germ", rows=rows,

@@ -96,7 +96,7 @@ def scan_rows(scenario, study, fit, fit_status="ok"):
                            slack=fit.residual_norm, status=fit_status)]
 
 
-def geodesic_rows(scenario, study, branch, mapper=map):
+def geodesic_rows(scenario, study, branch):
     """Distance rows at GEODESIC_RADII and their log-log fit row.
 
     The fit row carries the distance prefactor, the slope, and the
@@ -104,8 +104,7 @@ def geodesic_rows(scenario, study, branch, mapper=map):
     status.
     """
     order = multiplicity(branch)
-    distances = list(mapper(lambda r: geodesic_distance(branch, 0.0, r),
-                            GEODESIC_RADII))
+    distances = [geodesic_distance(branch, 0.0, r) for r in GEODESIC_RADII]
     raw = [ReportRow(scenario, study, None, radius, distance)
            for radius, distance in zip(GEODESIC_RADII, distances)]
     design = np.column_stack([np.log(GEODESIC_RADII),

@@ -1,15 +1,14 @@
 """Config grammar, CSV emission, exit codes, and the console entry point."""
 
 import math
-import os
 
 import pytest
 
+from markov_curves import markov_lp
 from markov_curves.curve_model import BUILTIN_GERM_IDS, DomainError
 from markov_curves.experiments_cli import (ConfigError, ReportRow,
                                            emit_csv, main,
-                                           parse_config_text, run_scenario,
-                                           thread_count)
+                                           parse_config_text, run_scenario)
 
 SCAN_CONFIG = """\
 # an interval scan small enough for the test suite
@@ -186,27 +185,6 @@ def test_report_row_rejects_unknown_status():
         ReportRow("x", "markov_scan", status="mystery")
 
 
-class TestThreadCount:
-    def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("MARKOV_CURVES_THREADS", raising=False)
-        assert thread_count() == (os.cpu_count() or 1)
-
-    def test_explicit_value(self, monkeypatch):
-        monkeypatch.setenv("MARKOV_CURVES_THREADS", "3")
-        assert thread_count() == 3
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("MARKOV_CURVES_THREADS", "abc")
-        with pytest.raises(ConfigError) as info:
-            thread_count()
-        assert info.value.source == "<environment>"
-
-    def test_rejects_negative(self, monkeypatch):
-        monkeypatch.setenv("MARKOV_CURVES_THREADS", "-2")
-        with pytest.raises(ConfigError):
-            thread_count()
-
-
 class TestRunScenario:
     def write_config(self, tmp_path, text=SCAN_CONFIG):
         path = tmp_path / "scan.cfg"
@@ -247,10 +225,21 @@ class TestRunScenario:
         assert run_scenario(tmp_path / "nope.cfg", out_dir=tmp_path) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_numeric_failure_names_scenario(self, tmp_path, capsys):
+    def test_numeric_failure_names_scenario(self, tmp_path, capsys,
+                                            monkeypatch):
+        solved = []
+        original = markov_lp.markov_factor
+
+        def counted(problem):
+            solved.append(problem)
+            return original(problem)
+
+        monkeypatch.setattr(markov_lp, "markov_factor", counted)
         text = SCAN_CONFIG.replace("density = 64", "density = 2")
         config = self.write_config(tmp_path, text)
         assert run_scenario(config, out_dir=tmp_path) == 3
+        # The first failing cell ends the run before any later cell.
+        assert len(solved) == 1
         err = capsys.readouterr().err
         assert "interval_scan" in err
         assert "scaling cell degree=" in err
@@ -263,23 +252,6 @@ class TestRunScenario:
             encoding="utf-8").splitlines()
         slope = float(fit[1].split(",")[5])
         assert abs(slope - 2.0) <= 0.05
-
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch,
-                                            capsys):
-        monkeypatch.setenv("MARKOV_CURVES_THREADS", "abc")
-        config = self.write_config(tmp_path)
-        assert run_scenario(config, out_dir=tmp_path) == 2
-        assert "MARKOV_CURVES_THREADS" in capsys.readouterr().err
-
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        config = self.write_config(tmp_path)
-        serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-        monkeypatch.setenv("MARKOV_CURVES_THREADS", "1")
-        assert run_scenario(config, out_dir=serial) == 0
-        monkeypatch.setenv("MARKOV_CURVES_THREADS", "4")
-        assert run_scenario(config, out_dir=threaded) == 0
-        name = "interval_scan_raw.csv"
-        assert (serial / name).read_bytes() == (threaded / name).read_bytes()
 
 
 class TestMain:

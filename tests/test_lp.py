@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from markov_curves.curve_model import chebyshev_grid
-from markov_curves.lp import (UnboundedProblemError, solve_sup_norm_lp)
+from markov_curves.lp import (SimplexError, UnboundedProblemError,
+                              _pivot_loop, solve_sup_norm_lp)
 
 FEAS_TOL = 1e-8
 
@@ -67,6 +68,19 @@ def test_unbounded_when_samples_too_thin():
     objective[1] = 1.0
     with pytest.raises(UnboundedProblemError):
         solve_sup_norm_lp(constraints, objective)
+
+
+def test_entering_column_without_positive_pivot_is_not_unbounded():
+    # Column 1 prices in, but its only entry is negative: the ratio test
+    # has no row.  Both phases are bounded below, so this is a numerical
+    # breakdown, not the thin-sample unboundedness.
+    tableau = np.array([[1.0, -1.0, 1.0]])
+    basis = np.array([0])
+    costs = np.array([0.0, -1.0])
+    blocked = np.zeros(2, dtype=bool)
+    with pytest.raises(SimplexError, match="more sample points") as info:
+        _pivot_loop(tableau, basis, costs, blocked, 1e-9, 10)
+    assert not isinstance(info.value, UnboundedProblemError)
 
 
 def brute_force_maximum(constraints, objective):
