@@ -10,7 +10,7 @@ with a quantitative acceptance suite.
 from .curve_model import (BUILTIN_GERM_IDS, CurveGerm, DomainError,
                           GermFormatError, InconsistentGermError,
                           InvalidBranchError, NormBoundReport, NumericError,
-                          PuiseuxBranch, SampleSet, StarSet, TruncatedSeries,
+                          PuiseuxBranch, StarSet, TruncatedSeries,
                           builtin_germs, chebyshev_grid, eval_branch,
                           geodesic_distance, load_germ, multiplicity,
                           norm_lower_bound_check, parse_germ_text,

@@ -135,8 +135,7 @@ def criterion_cusp_scaling():
 
 def criterion_interval_hcp():
     """Endpoint Hoelder exponent of the interval Green function."""
-    fit = hcp_fit(green_interval, "interval endpoint", HCP_DELTAS,
-                  lambda d: 1.0 + d)
+    fit = hcp_fit(green_interval, HCP_DELTAS, lambda d: 1.0 + d)
     passed = abs(fit.alpha - 0.5) <= 0.03
     rows, fit_rows = hcp_rows("c05_interval_hcp", STUDY, fit,
                               _status(passed))

@@ -213,11 +213,10 @@ def multiplicity(branch):
 
 @dataclass(frozen=True)
 class StarSet:
-    """Union of parameter rays ``[0, scale*exp(2*pi*i*l/k)]``."""
+    """Indices l of the parameter rays ``[0, eps*exp(2*pi*i*l/k)]``."""
 
     k: int
     angle_indices: tuple
-    scale: float = 1.0
 
     def __post_init__(self):
         idx = tuple(int(l) for l in self.angle_indices)
@@ -229,39 +228,12 @@ class StarSet:
             raise DomainError("angle indices must strictly increase")
         if idx[0] < 0 or idx[-1] > self.k - 1:
             raise DomainError("angle indices must lie in [0, k-1]")
-        if not (self.scale >= 0.0):
-            raise DomainError("scale must be nonnegative")
         object.__setattr__(self, "angle_indices", idx)
 
     def angles(self, rotation=0.0):
         """Realized ray angles, with an optional extra rotation."""
         return tuple(rotation + 2.0 * math.pi * l / self.k
                      for l in self.angle_indices)
-
-
-@dataclass(frozen=True)
-class GeneratorRecord:
-    """How a sample set was produced (for reports and reproducibility)."""
-
-    label: str
-    epsilon: float
-    density: int
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Sampled points of a real curve trace.
-
-    ``parameters[i]`` is the disk parameter and ``images[i]`` the
-    corresponding real point of the trace (an n-vector).
-    """
-
-    parameters: np.ndarray
-    images: np.ndarray
-    generator: GeneratorRecord
-
-    def __len__(self):
-        return len(self.parameters)
 
 
 @dataclass(frozen=True)
@@ -345,7 +317,8 @@ def sample_real_trace(germ, epsilon, density):
     For every realized ray angle theta, parameters run over a Chebyshev
     grid of [0, epsilon] (clustering at 0 and epsilon), and the images
     phi(t * e^{i*theta}) are checked to be real within
-    ``REAL_TRACE_TOL * (1 + |Re|)`` and coerced.
+    ``REAL_TRACE_TOL * (1 + |Re|)`` and coerced.  Returns the (m, n)
+    array of images, ray by ray.
 
     epsilon = 0 degenerates to the single sample at the basepoint.
     """
@@ -353,15 +326,10 @@ def sample_real_trace(germ, epsilon, density):
         raise DomainError("epsilon must lie in [0, 1]")
     if density < 1:
         raise DomainError("density must be at least 1")
-    record = GeneratorRecord(label=germ.label or "germ",
-                             epsilon=float(epsilon), density=int(density))
     if epsilon == 0.0:
-        params = np.zeros(1, dtype=complex)
-        images = np.asarray([germ.basepoint], dtype=float)
-        return SampleSet(params, images, record)
+        return np.asarray([germ.basepoint], dtype=float)
 
     grid = chebyshev_grid(0.0, epsilon, density)
-    params = []
     rows = []
     for theta in germ.ray_angles():
         ray = grid * cmath.exp(1j * theta)
@@ -372,10 +340,8 @@ def sample_real_trace(germ, epsilon, density):
             raise InconsistentGermError(
                 f"ray at angle {theta:.6f} leaves the real trace "
                 f"(residual imaginary part {worst:.3e})")
-        params.append(ray)
         rows.append(values.real)
-    return SampleSet(np.concatenate(params),
-                     np.vstack(rows).astype(float), record)
+    return np.vstack(rows).astype(float)
 
 
 def _adaptive_simpson(f, tol, max_subdivisions):

@@ -67,7 +67,6 @@ class Scenario:
 
     name: str
     study: str
-    germ_id: str = ""
     germ: object = None
     degrees: tuple = ()
     epsilons: tuple = ()
@@ -203,8 +202,7 @@ def _build_scenario(section, source, base_dir):
     fields = {key: parsed[key] for key in
               ("degrees", "epsilons", "density", "deltas", "facets")
               if key in parsed}
-    return Scenario(name=name, study=study, germ_id=germ_id, germ=germ,
-                    **fields)
+    return Scenario(name=name, study=study, germ=germ, **fields)
 
 
 def _resolve_germ(identifier, base_dir, line, column, source):
@@ -297,8 +295,7 @@ def _hcp_probe(scenario):
 
 def _hcp_fit(scenario):
     evaluator, probe, window = _hcp_probe(scenario)
-    fit = hcp_fit(evaluator, scenario.germ_id or scenario.name,
-                  scenario.deltas, probe)
+    fit = hcp_fit(evaluator, scenario.deltas, probe)
     status = "ok"
     if window is not None and not (window[0] <= fit.alpha <= window[1]):
         status = "violation"

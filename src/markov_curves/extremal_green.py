@@ -27,10 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .curve_model import (DomainError, SampleSet, chebyshev_grid,
-                          sample_real_trace)
+from .curve_model import DomainError, chebyshev_grid, sample_real_trace
 from .lp import UnboundedProblemError, solve_sup_norm_lp
-from .markov_lp import PolynomialBasis, _chebyshev_table, _reduce_columns
+from .markov_lp import (TooFewSamplesError, _chebyshev_table,
+                        _reduce_columns, _sampled_lp)
 
 #: Ratio reports ignore probe points whose reference value is below this.
 RHS_TOLERANCE = 1e-6
@@ -125,8 +125,6 @@ def star_points(angles, epsilon, count):
 
 def _coerce_samples(samples):
     """Split input into ('real', (m,n) floats) or ('planar', (m,) complex)."""
-    if isinstance(samples, SampleSet):
-        return "real", samples.images
     array = np.asarray(samples)
     if np.iscomplexobj(array):
         if array.ndim != 1:
@@ -148,38 +146,19 @@ def _facet_orientations(facets):
 
 
 def _siciak_real(points, z, degree, facets):
-    basis = PolynomialBasis.from_points(points, degree)
-    if points.shape[0] < basis.count:
-        raise TooFewPointsError(
-            f"{points.shape[0]} samples cannot bound a degree-{degree} "
-            f"basis of dimension {basis.count}")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.shape != (basis.ambient_dim,):
+    if z.shape != (points.shape[1],):
         raise DomainError(
-            f"evaluation point must have dimension {basis.ambient_dim}")
-    matrix = basis.evaluate(points)
-    row = basis.evaluate(z[None, :]).ravel()
-    try:
-        lp_matrix, lp_row, _ = _reduce_columns(matrix, row)
-    except ValueError as exc:
-        raise TooFewPointsError(str(exc)) from exc
-    constraints = np.vstack([lp_matrix, -lp_matrix])
-    real_point = bool(np.max(np.abs(z.imag)) <= 1e-14 * (1.0 + np.max(np.abs(z))))
-    if real_point:
-        # Same value in both orientations, but one solve can end on a
-        # wrong basis when artificials left basic after phase one grow
-        # in phase two; the larger value hides that (see markov_factor).
-        objectives = [lp_row.real, -lp_row.real]
-        slack = 0.0
-    else:
-        objectives = [np.real(cmath.exp(1j * theta) * lp_row)
-                      for theta in _facet_orientations(facets)]
-        slack = math.log(1.0 / math.cos(math.pi / facets)) / degree
-    best = 0.0
-    for objective in objectives:
-        solution = solve_sup_norm_lp(constraints, objective)
-        best = max(best, solution.value)
-    return best, slack
+            f"evaluation point must have dimension {points.shape[1]}")
+
+    def evaluation(basis):
+        return basis.evaluate(z[None, :]).ravel()
+
+    if np.max(np.abs(z.imag)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
+        return _sampled_lp(points, degree, evaluation)[0].value, 0.0
+    phases = [cmath.exp(1j * theta) for theta in _facet_orientations(facets)]
+    slack = math.log(1.0 / math.cos(math.pi / facets)) / degree
+    return _sampled_lp(points, degree, evaluation, phases)[0].value, slack
 
 
 def _siciak_planar(points, z, degree, facets):
@@ -200,10 +179,7 @@ def _siciak_planar(points, z, degree, facets):
         blocks.append(np.hstack([rotated.real, -rotated.imag]))
     constraints = np.vstack(blocks)
     objective = np.concatenate([target.real, -target.imag])
-    try:
-        lp_matrix, lp_objective, _ = _reduce_columns(constraints, objective)
-    except ValueError as exc:
-        raise TooFewPointsError(str(exc)) from exc
+    lp_matrix, lp_objective, _ = _reduce_columns(constraints, objective)
     solution = solve_sup_norm_lp(lp_matrix, lp_objective)
     slack = math.log(1.0 / math.cos(math.pi / facets)) / degree
     return solution.value, slack
@@ -218,12 +194,13 @@ def _complex_chebyshev(points, degree, center, scale):
 def siciak_lp(samples, z, degree, facets=DEFAULT_FACETS):
     """Discrete extremal lower bound of the Green function at z.
 
-    ``samples`` is a SampleSet, a real (m, n) array, or a planar list
-    of complex points.  The LP maximizes |p(z)| over polynomials
-    bounded by 1 on the samples; the returned value is
-    acosh(max(M, 1))/degree, which reproduces the closed form exactly
-    on segments and never goes negative.  The polygonal relaxation
-    slack is carried in the result, not folded into the value.
+    ``samples`` is a real (m, n) array, such as the output of
+    sample_real_trace, or a planar list of complex points.  The LP
+    maximizes |p(z)| over polynomials bounded by 1 on the samples; the
+    returned value is acosh(max(M, 1))/degree, which reproduces the
+    closed form exactly on segments and never goes negative.  The
+    polygonal relaxation slack is carried in the result, not folded
+    into the value.
     """
     if degree < 1:
         raise DomainError("degree must be at least 1")
@@ -238,6 +215,8 @@ def siciak_lp(samples, z, degree, facets=DEFAULT_FACETS):
     except UnboundedProblemError as exc:
         raise TooFewPointsError(
             f"discrete set looks polar at degree {degree}: {exc}") from exc
+    except TooFewSamplesError as exc:
+        raise TooFewPointsError(str(exc)) from exc
     value = math.acosh(max(float(peak), 1.0)) / degree
     return GreenEvaluation(point=z, value=value, method="lp_siciak",
                            degree_used=degree, facet_slack=slack)
@@ -252,7 +231,6 @@ class HcpFit:
     alpha: float
     constant: float
     r_squared: float
-    set_description: str = ""
 
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
@@ -263,7 +241,7 @@ class HcpFit:
             raise DomainError("fitted exponent must be finite")
 
 
-def hcp_fit(green, set_description, deltas, probe_rule):
+def hcp_fit(green, deltas, probe_rule):
     """Fit  V(probe(delta)) ~ constant * delta**alpha  by least squares.
 
     ``green`` maps a probe point to a Green value and ``probe_rule``
@@ -298,7 +276,7 @@ def hcp_fit(green, set_description, deltas, probe_rule):
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return HcpFit(deltas=tuple(deltas), values=tuple(values),
                   alpha=float(slope), constant=float(math.exp(intercept)),
-                  r_squared=r_squared, set_description=set_description)
+                  r_squared=r_squared)
 
 
 @dataclass(frozen=True)

@@ -232,9 +232,8 @@ def solve_sup_norm_lp(constraints, objective, *, tol=FEASIBILITY_TOL,
         np.maximum(tableau[:, -1], 0.0, out=tableau[:, -1])
 
     support = np.sort(basis[basis < M])
-    degenerate = bool(np.any(basis >= M) or
-                      np.any(np.abs(np.linalg.solve(full[:, basis], b))
-                             <= tol))
+    # The basis is unchanged since the last attempt solved for u.
+    degenerate = bool(np.any(basis >= M) or np.any(np.abs(u) <= tol))
     return SupNormSolution(
         value=max(value, 0.0),
         coefficients=w,

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve_model import (DomainError, InconsistentGermError, NumericError,
-                          SampleSet, multiplicity, sample_real_trace,
-                          tangent_vector)
+                          sample_real_trace, tangent_vector)
 from .lp import UnboundedProblemError, solve_sup_norm_lp
 
 #: Above this condition estimate the sample/basis pairing is rejected.
@@ -184,23 +183,12 @@ class PolynomialBasis:
 
 @dataclass(frozen=True)
 class MarkovProblem:
-    """A discrete Markov extremal problem.
+    """A discrete Markov extremal problem on an (m, n) sample array."""
 
-    ``ball_radius`` records the geometric radius the samples realize
-    (eps**k around a singular basepoint, eps otherwise); it does not
-    enter the optimization.
-    """
-
-    samples: object  # SampleSet or (m, n) array
+    samples: object  # (m, n) array
     x0: tuple
     v: tuple
     degree: int
-    ball_radius: float = float("nan")
-
-    def sample_array(self):
-        if isinstance(self.samples, SampleSet):
-            return self.samples.images
-        return np.asarray(self.samples, dtype=float)
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
@@ -254,7 +242,7 @@ def _reduce_columns(matrix, functional):
         scale = float(np.linalg.norm(functional))
         if leak > 1e-6 * max(1.0, scale):
             raise TooFewSamplesError(
-                "samples do not resolve the derivative functional "
+                "samples do not resolve the objective functional "
                 f"(unresolved component {leak:.3e}); add sample points")
         reduced = (matrix @ back_map, projected, back_map)
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
@@ -264,6 +252,53 @@ def _reduce_columns(matrix, functional):
     return reduced
 
 
+def _sampled_lp(points, degree, functional, phases=(1.0, -1.0)):
+    """Maximize a linear functional over polynomials bounded on samples.
+
+    ``points`` is an (m, n) real sample array and ``functional`` maps
+    the PolynomialBasis of degree ``degree`` built on them to the row
+    of the functional.  Each phase gives the objective
+    ``Re(phase * row)`` subject to ``|p| <= 1`` on the samples.
+    Returns (best solution, back map, all solutions, basis, sample
+    matrix); the back map lifts reduced coefficient vectors to the
+    full basis.
+
+    Raises TooFewSamplesError when the samples cannot bound the basis
+    or do not resolve the functional, ConditioningError when the basis
+    matrix cannot be trusted, and UnboundedProblemError from the
+    solver.
+    """
+    basis = PolynomialBasis.from_points(points, degree)
+    if points.shape[0] < basis.count:
+        raise TooFewSamplesError(
+            f"{points.shape[0]} samples cannot bound a degree-{degree} "
+            f"basis of dimension {basis.count}")
+    matrix = basis.evaluate(points)
+    # Restriction to an algebraic curve can have a genuine kernel
+    # (x**3 - y**2 vanishes identically on a (2,3) cusp trace), which
+    # would leave permanently degenerate artificials in the simplex.
+    # Project onto the column space the samples actually span; curve
+    # ideal members have zero tangential derivative, so a derivative
+    # functional survives the projection whenever the samples resolve
+    # it.
+    lp_matrix, lp_functional, back_map = _reduce_columns(
+        matrix, functional(basis))
+    constraints = np.vstack([lp_matrix, -lp_matrix])
+    # The default phases solve both orientations of a real functional.
+    # {A; -A} is symmetric, so both have the same value in exact
+    # arithmetic, yet one solve alone is not safe.  Artificials that
+    # stay basic at zero after phase one can grow in phase two
+    # (lp.solve_sup_norm_lp), leaving a wrong basis: on parabola_regular
+    # (n=12, eps=0.125, density 300) the forward solve returns 0.0 and
+    # the mirrored one 184.0444695071.  Taking the larger value hides
+    # that defect until the simplex is repaired.
+    solutions = [solve_sup_norm_lp(constraints,
+                                   np.real(phase * lp_functional))
+                 for phase in phases]
+    best = max(solutions, key=lambda solution: solution.value)
+    return best, back_map, solutions, basis, matrix
+
+
 def markov_factor(problem):
     """Solve the Markov LP; both objective orientations are taken.
 
@@ -271,43 +306,21 @@ def markov_factor(problem):
     samples than basis dimensions, or samples in special position) and
     ConditioningError when the basis matrix cannot be trusted.
     """
-    points = problem.sample_array()
-    basis = PolynomialBasis.from_points(points, problem.degree)
-    if points.shape[0] < basis.count:
-        raise TooFewSamplesError(
-            f"{points.shape[0]} samples cannot bound a basis of "
-            f"dimension {basis.count}")
-    matrix = basis.evaluate(points)
-    functional = basis.derivative_row(np.asarray(problem.x0, dtype=float),
-                                      np.asarray(problem.v, dtype=float))
-    # Restriction to an algebraic curve can have a genuine kernel
-    # (x**3 - y**2 vanishes identically on a (2,3) cusp trace), which
-    # would leave permanently degenerate artificials in the simplex.
-    # Project onto the column space the samples actually span; curve
-    # ideal members have zero tangential derivative, so the functional
-    # survives the projection whenever the samples resolve it.
-    lp_matrix, lp_objective, back_map = _reduce_columns(matrix, functional)
-    constraints = np.vstack([lp_matrix, -lp_matrix])
-    # {G; -G} is symmetric, so both orientations have the same value in
-    # exact arithmetic, yet one solve alone is not safe.  Artificials
-    # that stay basic at zero after phase one can grow in phase two
-    # (lp.solve_sup_norm_lp), leaving a wrong basis: on parabola_regular
-    # (n=12, eps=0.125, density 300) the forward solve returns 0.0 and
-    # the mirrored one 184.0444695071.  Taking the larger value hides
-    # that defect until the simplex is repaired.
+    x0 = np.asarray(problem.x0, dtype=float)
+    v = np.asarray(problem.v, dtype=float)
     try:
-        forward = solve_sup_norm_lp(constraints, lp_objective)
-        backward = solve_sup_norm_lp(constraints, -lp_objective)
+        chosen, back_map, solutions, basis, matrix = _sampled_lp(
+            np.asarray(problem.samples, dtype=float), problem.degree,
+            lambda b: b.derivative_row(x0, v))
     except UnboundedProblemError as exc:
         raise TooFewSamplesError(str(exc)) from exc
-    chosen = forward if forward.value >= backward.value else backward
     coefficients = back_map @ chosen.coefficients
     trace = matrix @ coefficients
     support_count = int(np.sum(np.abs(np.abs(trace) - 1.0) <= 1e-6))
     status = "degenerate" if chosen.degenerate else "optimal"
-    stats = LpStats(iterations=forward.iterations + backward.iterations,
-                    max_residual=max(forward.max_residual,
-                                     backward.max_residual))
+    stats = LpStats(
+        iterations=sum(solution.iterations for solution in solutions),
+        max_residual=max(solution.max_residual for solution in solutions))
     return MarkovResult(factor=chosen.value,
                         coefficients=coefficients,
                         status=status, lp_stats=stats, basis=basis,
@@ -359,22 +372,20 @@ def scaling_study(germ, degrees=DEFAULT_DEGREES, epsilons=(0.5, 0.25, 0.125, 0.0
 
     Samples realize the trace ball parametrically: parameters run to
     eps along the star rays, so the geometric radius is eps**k at a
-    singular basepoint and eps otherwise (recorded per cell).  The
-    largest epsilon is excluded from the fit; its cells see the most
-    ball-boundary discretization bias.
+    singular basepoint and eps otherwise.  The largest epsilon is
+    excluded from the fit; its cells see the most ball-boundary
+    discretization bias.
     """
     degrees = tuple(int(n) for n in degrees)
     epsilons = tuple(float(e) for e in epsilons)
     if not degrees or not epsilons:
         raise DomainError("degree and epsilon grids must be nonempty")
-    power = multiplicity(germ.branch) if germ.point_class == "singular" else 1
     direction = tangent_vector(germ)
 
     def solve(n, eps):
         samples = sample_real_trace(germ, eps, density)
         problem = MarkovProblem(samples=samples, x0=germ.basepoint,
-                                v=tuple(direction), degree=n,
-                                ball_radius=eps ** power)
+                                v=tuple(direction), degree=n)
         try:
             return markov_factor(problem).factor
         except Exception as exc:

@@ -119,31 +119,31 @@ class TestSampleRealTrace:
     def test_interval_covers_both_sides(self):
         germ = builtin_germs()["interval_interior"]
         sample = sample_real_trace(germ, 0.5, 5)
-        xs = sorted(sample.images[:, 0])
+        xs = sorted(sample[:, 0])
         assert xs[0] == pytest.approx(-0.5)
         assert xs[-1] == pytest.approx(0.5)
-        assert np.allclose(sample.images[:, 1], 0.0)
+        assert np.allclose(sample[:, 1], 0.0)
 
     def test_cusp_realizes_both_branches(self):
         germ = builtin_germs()["cusp_2_3"]
         sample = sample_real_trace(germ, 1.0, 9)
-        ys = sample.images[:, 1]
+        ys = sample[:, 1]
         assert ys.max() > 0.5 and ys.min() < -0.5
         # x = t**2 on the curve regardless of branch.
-        np.testing.assert_allclose(sample.images[:, 0] ** 3,
-                                   sample.images[:, 1] ** 2, atol=1e-12)
+        np.testing.assert_allclose(sample[:, 0] ** 3,
+                                   sample[:, 1] ** 2, atol=1e-12)
 
     def test_boundary_germ_has_one_ray(self):
         germ = builtin_germs()["interval_boundary"]
         sample = sample_real_trace(germ, 0.5, 4)
-        assert len(sample) == 4
-        assert sample.images[:, 0].min() >= 0.0
+        assert sample.shape == (4, 2)
+        assert sample[:, 0].min() >= 0.0
 
     def test_zero_epsilon_collapses_to_basepoint(self):
         germ = builtin_germs()["interval_interior"]
         sample = sample_real_trace(germ, 0.0, 4)
-        assert len(sample) == 1
-        np.testing.assert_allclose(sample.images[0], [0.0, 0.0])
+        assert sample.shape == (1, 2)
+        np.testing.assert_allclose(sample[0], [0.0, 0.0])
 
     def test_nonreal_trace_is_reported(self):
         germ = parse_germ_text(CUSP_TEXT.replace("term.2.3 = 1.0",

@@ -123,6 +123,16 @@ class TestSiciakLp:
         with pytest.raises(TooFewPointsError):
             siciak_lp(samples, 2.0, degree=8)
 
+    @pytest.mark.parametrize("z", [(1.0, 0.0), (1.0 + 1.0j, 0.0)],
+                             ids=["real", "nonreal"])
+    def test_unresolved_evaluation_is_too_few_points(self, z):
+        # Samples on the line y = x span only the polynomials in t, so
+        # evaluation off the line has a component they cannot see.
+        t = np.linspace(-1.0, 1.0, 40)
+        samples = np.column_stack([t, t])
+        with pytest.raises(TooFewPointsError, match="unresolved component"):
+            siciak_lp(samples, np.array(z), degree=2)
+
     def test_argument_validation(self):
         samples = chebyshev_grid(-1.0, 1.0, 50)
         with pytest.raises(DomainError):
@@ -134,30 +144,27 @@ class TestSiciakLp:
 class TestHcpFit:
     def test_interval_endpoint_exponent_is_half(self):
         deltas = np.logspace(-4, -1, 10)
-        fit = hcp_fit(green_interval, "interval endpoint", deltas,
-                      lambda d: 1.0 + d)
+        fit = hcp_fit(green_interval, deltas, lambda d: 1.0 + d)
         assert fit.alpha == pytest.approx(0.5, abs=0.03)
         assert fit.r_squared > 0.999
         assert fit.deltas[0] > fit.deltas[-1]
 
     def test_interval_interior_exponent_is_one(self):
         deltas = np.logspace(-4, -1, 8)
-        fit = hcp_fit(green_interval, "interval interior", deltas,
-                      lambda d: complex(0.0, d))
+        fit = hcp_fit(green_interval, deltas, lambda d: complex(0.0, d))
         assert fit.alpha == pytest.approx(1.0, abs=0.03)
 
     def test_needs_four_deltas_spanning_two_decades(self):
         with pytest.raises(DomainError):
-            hcp_fit(green_interval, "thin", [0.1, 0.05, 0.02],
-                    lambda d: 1.0 + d)
+            hcp_fit(green_interval, [0.1, 0.05, 0.02], lambda d: 1.0 + d)
         with pytest.raises(DomainError):
-            hcp_fit(green_interval, "narrow", [0.1, 0.09, 0.08, 0.07],
+            hcp_fit(green_interval, [0.1, 0.09, 0.08, 0.07],
                     lambda d: 1.0 + d)
 
     def test_probe_inside_the_set_is_an_error(self):
         deltas = np.logspace(-4, -1, 6)
         with pytest.raises(ProbeRuleError):
-            hcp_fit(green_interval, "stuck", deltas, lambda d: 0.5)
+            hcp_fit(green_interval, deltas, lambda d: 0.5)
 
 
 class TestBernsteinWalsh:

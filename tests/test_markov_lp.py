@@ -7,10 +7,9 @@ import pytest
 
 from markov_curves.curve_model import DomainError, builtin_germs, \
     sample_real_trace, tangent_vector
-from markov_curves.lp import solve_sup_norm_lp
 from markov_curves.markov_lp import (ConditioningError, MarkovProblem,
                                      NumericError, PolynomialBasis,
-                                     TooFewSamplesError, _reduce_columns,
+                                     TooFewSamplesError, _sampled_lp,
                                      cauchy_derivative_check,
                                      evaluate_monomials, fit_scaling,
                                      markov_factor, monomial_gradient,
@@ -89,8 +88,7 @@ class TestMarkovFactor:
         germ = builtin_germs()["cusp_2_3"]
         samples = sample_real_trace(germ, 0.5, 240)
         problem = MarkovProblem(samples=samples, x0=np.zeros(2),
-                                v=tangent_vector(germ), degree=2,
-                                ball_radius=0.25)
+                                v=tangent_vector(germ), degree=2)
         result = markov_factor(problem)
         # [t**2] T_6(t) = 18 pinned to epsilon**2 = 1/4.
         assert result.factor == pytest.approx(72.0, rel=1e-2)
@@ -125,8 +123,7 @@ class TestMarkovFactor:
         germ = builtin_germs()["cusp_2_5"]
         samples = sample_real_trace(germ, 0.5, 120)
         problem = MarkovProblem(samples=samples, x0=np.zeros(2),
-                                v=tangent_vector(germ), degree=12,
-                                ball_radius=0.25)
+                                v=tangent_vector(germ), degree=12)
         with pytest.raises(ConditioningError):
             markov_factor(problem)
 
@@ -141,7 +138,7 @@ class TestMarkovFactor:
         problem = interval_problem(7, density=700)
         result = markov_factor(problem)
         basis = result.basis
-        values = basis.evaluate(problem.sample_array()) @ result.coefficients
+        values = basis.evaluate(problem.samples) @ result.coefficients
         assert np.max(np.abs(values)) <= 1.0 + 1e-6
 
 
@@ -252,12 +249,9 @@ class TestPhaseTwoArtificials:
                        "artificials grow; the forward solve returns 0.0")
     def test_forward_solve_reaches_optimum(self):
         problem = self.problem()
-        points = problem.sample_array()
-        basis = PolynomialBasis.from_points(points, problem.degree)
-        matrix, functional, _ = _reduce_columns(
-            basis.evaluate(points),
-            basis.derivative_row(np.asarray(problem.x0, dtype=float),
-                                 np.asarray(problem.v, dtype=float)))
-        solution = solve_sup_norm_lp(np.vstack([matrix, -matrix]),
-                                     functional)
-        assert solution.value == pytest.approx(self.OPTIMUM, rel=1e-9)
+        x0 = np.asarray(problem.x0, dtype=float)
+        v = np.asarray(problem.v, dtype=float)
+        forward = _sampled_lp(problem.samples, problem.degree,
+                              lambda b: b.derivative_row(x0, v),
+                              phases=(1.0,))[0]
+        assert forward.value == pytest.approx(self.OPTIMUM, rel=1e-9)
