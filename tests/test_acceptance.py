@@ -4,14 +4,19 @@ Every test asserts `result.passed` with `result.detail` as the message,
 so a failure shows the measured numbers, not just a boolean.
 """
 
+import io
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import markov_curves
-from markov_curves import acceptance
+from markov_curves import acceptance, experiments_cli
 from markov_curves.experiments_cli import main
 
 
@@ -57,13 +62,40 @@ def test_criterion_09_star_domination_stability():
     check(acceptance.criterion_star_domination())
 
 
-def test_criterion_10_runtime_and_reproducibility(tmp_path, capsys):
-    first, second = tmp_path / "one", tmp_path / "two"
-    started = time.perf_counter()
-    assert main(["verify", "--out-dir", str(first)]) == 0
-    elapsed = time.perf_counter() - started
-    assert main(["verify", "--out-dir", str(second)]) == 0
-    out = capsys.readouterr().out
+@pytest.fixture(scope="module")
+def verify_twice(tmp_path_factory):
+    """Run `verify` twice into fresh directories.
+
+    The CLI's `run_all` is wrapped so the criterion results of each run are
+    kept; the tests below share these two runs instead of running the
+    acceptance suite again.
+    """
+    results = []
+
+    def recording_run_all(**kwargs):
+        results.append(acceptance.run_all(**kwargs))
+        return results[-1]
+
+    first = tmp_path_factory.mktemp("one")
+    second = tmp_path_factory.mktemp("two")
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out):
+        patch.setattr(experiments_cli, "run_all", recording_run_all)
+        started = time.perf_counter()
+        first_code = main(["verify", "--out-dir", str(first)])
+        elapsed = time.perf_counter() - started
+        second_code = main(["verify", "--out-dir", str(second)])
+    return SimpleNamespace(dirs=(first, second),
+                           codes=(first_code, second_code),
+                           elapsed=elapsed, out=out.getvalue(),
+                           results=results)
+
+
+def test_criterion_10_runtime_and_reproducibility(verify_twice):
+    first, second = verify_twice.dirs
+    elapsed = verify_twice.elapsed
+    assert verify_twice.codes == (0, 0)
+    out = verify_twice.out
     # Each run prints every criterion of run_all, in order.
     indices = re.findall(r"^criterion (\d\d) ", out, flags=re.MULTILINE)
     assert indices == [f"{index:02d}" for index in range(1, 11)] * 2
@@ -75,6 +107,15 @@ def test_criterion_10_runtime_and_reproducibility(tmp_path, capsys):
         assert first_bytes.startswith(b"scenario,study,")
     print(f"criterion 10 runtime budget and reproducibility: verify ran in "
           f"{elapsed:.1f}s; both report files byte-identical across reruns")
+
+
+def test_run_all_reports_every_criterion(verify_twice):
+    assert len(verify_twice.results) == 2
+    for results in verify_twice.results:
+        assert [result.index for result in results] == list(range(1, 11))
+        assert all(result.passed for result in results), [
+            (result.index, result.detail) for result in results
+            if not result.passed]
 
 
 def test_acceptance_does_not_import_the_cli():
