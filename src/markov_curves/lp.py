@@ -32,6 +32,7 @@ drift cannot leak into results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,10 @@ FEASIBILITY_TOL = 1e-9
 MAX_ITERATIONS = 200_000
 # Consecutive non-improving pivots tolerated before Bland's rule kicks in.
 STALL_LIMIT = 12
+# Tableau width above which the rank-1 update uses numpy's broadcast
+# product: it streams long rows faster than a BLAS k=1 product, but pays
+# a fixed cost on every short one.
+LONG_ROW = 4096
 
 
 class SimplexError(Exception):
@@ -78,16 +83,35 @@ def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
     ``blocked`` marks columns that may never enter (retired
     artificials).  ``target`` optionally stops early once the objective
     reaches it (used by phase one, whose optimum cannot go below zero).
+
+    The loop takes the same pivots and computes the same bits as the
+    textbook dense tableau: Dantzig's most negative reduced cost (first
+    index on ties, NaN never eligible), Bland's first eligible column on
+    stalls, the minimum ratio with the smallest basic index on ties, and
+    the update ``tableau -= np.outer(column, pivot_row)``.  Only the numpy
+    calls are fewer and cheaper, and they reuse buffers.  Both products of
+    the update round each entry once, as ``np.outer`` does; the BLAS one
+    can differ only in the sign of a zero, which no comparison and no
+    division here sees.  The reduced-cost product keeps the full tableau
+    width on purpose: BLAS sums a narrower product in another order, and
+    its last bits then differ.
     """
     m, width = tableau.shape
     n = width - 1
     body = tableau[:, :n]
+    rhs = tableau[:, -1]
+    barred = np.flatnonzero(blocked)
+    reduced = np.empty(n)
+    ratios = np.empty(m)
+    other = np.empty(m)
+    product = np.empty_like(tableau)
     iterations = 0
     bland = False
     stall = 0
     previous = np.inf
     while True:
-        objective = float(costs[basis] @ tableau[:, -1])
+        basic_costs = costs[basis]
+        objective = float(basic_costs @ rhs)
         if target is not None and objective <= target:
             return iterations
         if objective < previous - tol * (1.0 + abs(previous)):
@@ -99,23 +123,30 @@ def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
                 bland = True
         previous = objective
 
-        reduced = costs - costs[basis] @ body
-        reduced[blocked] = 0.0
-        eligible = np.flatnonzero(reduced < -tol)
-        if eligible.size == 0:
+        np.matmul(basic_costs, body, out=reduced)
+        np.subtract(costs, reduced, out=reduced)
+        reduced[barred] = 0.0
+        if bland:
+            enter = int((reduced < -tol).argmax())
+        else:
+            enter = int(reduced.argmin())
+            if math.isnan(reduced[enter]):
+                # argmin stops at the first NaN, which may never enter.
+                enter = int(np.where(reduced < -tol, reduced, np.inf)
+                            .argmin())
+        if not reduced[enter] < -tol:
             return iterations
         if iterations >= budget:
             raise PivotLimitError(
-                f"no optimum after {iterations} pivots "
-                f"(m={m}, n={n}); problem may be badly scaled"
-            )
-        if bland:
-            enter = int(eligible[0])
-        else:
-            enter = int(eligible[np.argmin(reduced[eligible])])
+                f"no optimum after {iterations} pivots on a tableau of "
+                f"{m} rows and {n} variable columns; problem may be badly "
+                "scaled")
         column = tableau[:, enter]
-        rows = np.flatnonzero(column > tol)
-        if rows.size == 0:
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=column > tol)
+        # Same value as ratios.min(), NaN included, for a third the time.
+        best = float(ratios[ratios.argmin()])
+        if not best < np.inf:
             # Both phases are bounded below, so this is tableau drift, not
             # unboundedness.  Reached by markov_factor on cusp_2_3, n=12,
             # eps=0.0625, density 1500 (HiGHS solves it: 165890.29).
@@ -123,17 +154,18 @@ def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
                 "entering column has no positive pivot: numerical "
                 "breakdown of the tableau; more sample points will not "
                 "fix it")
-        ratios = tableau[rows, -1] / column[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + tol * (1.0 + abs(best))]
-        leave = int(ties[np.argmin(basis[ties])])
-        pivot = tableau[leave, enter]
-        tableau[leave] /= pivot
-        other = column.copy()
+        ties = ratios <= best + tol * (1.0 + abs(best))
+        leave = int(np.where(ties, basis, width).argmin())
+        tableau[leave] /= tableau[leave, enter]
+        np.copyto(other, column)
         other[leave] = 0.0
-        tableau -= np.outer(other, tableau[leave])
+        if width > LONG_ROW:
+            np.multiply(other[:, None], tableau[leave], out=product)
+        else:
+            np.dot(other[:, None], tableau[leave][None, :], out=product)
+        tableau -= product
         # Clamp roundoff in the basic solution column.
-        np.maximum(tableau[:, -1], 0.0, out=tableau[:, -1])
+        np.maximum(rhs, 0.0, out=rhs)
         basis[leave] = enter
         iterations += 1
 
@@ -157,6 +189,11 @@ def solve_sup_norm_lp(constraints, objective, *, tol=FEASIBILITY_TOL,
     ------
     UnboundedProblemError
         If the functional is unbounded on the constraint set.
+    SimplexError
+        If an entering column has no positive pivot (numerical breakdown
+        of the tableau) or the final basis is singular.
+    PivotLimitError
+        If ``max_iterations`` pivots do not reach an optimum.
     """
     G = np.asarray(constraints, dtype=float)
     f = np.asarray(objective, dtype=float)

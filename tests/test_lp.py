@@ -1,13 +1,18 @@
 """Solver-level tests: optimality, feasibility, failure modes."""
 
+import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from markov_curves.curve_model import chebyshev_grid
-from markov_curves.lp import (SimplexError, UnboundedProblemError,
-                              _pivot_loop, solve_sup_norm_lp)
+from markov_curves import extremal_green, lp, markov_lp
+from markov_curves.curve_model import (builtin_germs, chebyshev_grid,
+                                       sample_real_trace)
+from markov_curves.lp import (STALL_LIMIT, PivotLimitError, SimplexError,
+                              UnboundedProblemError, _pivot_loop,
+                              solve_sup_norm_lp)
 
 FEAS_TOL = 1e-8
 
@@ -83,6 +88,14 @@ def test_entering_column_without_positive_pivot_is_not_unbounded():
     assert not isinstance(info.value, UnboundedProblemError)
 
 
+def test_pivot_budget_raises_pivot_limit():
+    # The tableau has one row per coefficient and one column per
+    # constraint row and artificial: 11 and 2 * 2001 + 11.
+    with pytest.raises(PivotLimitError, match="after 3 pivots on a tableau "
+                       "of 11 rows and 4013 variable columns"):
+        solve_sup_norm_lp(*endpoint_problem(10), max_iterations=3)
+
+
 def brute_force_maximum(constraints, objective):
     """Enumerate basis vertices of {w : Gw <= 1} and take the best."""
     count, dim = constraints.shape
@@ -99,7 +112,8 @@ def brute_force_maximum(constraints, objective):
     return best
 
 
-def test_matches_vertex_enumeration_on_small_problems():
+def small_problems():
+    """Twelve random bounded problems small enough to enumerate."""
     for seed in range(12):
         rng = np.random.default_rng(1000 + seed)
         dim = int(rng.integers(2, 4))
@@ -107,8 +121,166 @@ def test_matches_vertex_enumeration_on_small_problems():
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         # The box rows keep the feasible region bounded.
         constraints = np.vstack([np.eye(dim), -np.eye(dim), extra])
-        objective = rng.standard_normal(dim)
+        yield constraints, rng.standard_normal(dim)
+
+
+def test_matches_vertex_enumeration_on_small_problems():
+    for constraints, objective in small_problems():
         solution = solve_sup_norm_lp(constraints, objective)
         oracle = brute_force_maximum(constraints, objective)
         assert oracle is not None
         assert solution.value == pytest.approx(oracle, rel=1e-8, abs=1e-8)
+
+
+def textbook_pivot_loop(tableau, basis, costs, blocked, tol, budget,
+                        target=None):
+    """The plain dense tableau loop, which lp._pivot_loop must match bit
+    for bit: fresh arrays on every pivot, 2-d fancy indexing and
+    ``np.outer``.
+    """
+    m, width = tableau.shape
+    n = width - 1
+    body = tableau[:, :n]
+    iterations = 0
+    bland = False
+    stall = 0
+    previous = np.inf
+    while True:
+        objective = float(costs[basis] @ tableau[:, -1])
+        if target is not None and objective <= target:
+            return iterations
+        if objective < previous - tol * (1.0 + abs(previous)):
+            stall = 0
+            bland = False
+        else:
+            stall += 1
+            if stall >= STALL_LIMIT:
+                bland = True
+        previous = objective
+
+        reduced = costs - costs[basis] @ body
+        reduced[blocked] = 0.0
+        eligible = np.flatnonzero(reduced < -tol)
+        if eligible.size == 0:
+            return iterations
+        if iterations >= budget:
+            raise PivotLimitError(
+                f"no optimum after {iterations} pivots "
+                f"(m={m}, n={n}); problem may be badly scaled"
+            )
+        if bland:
+            enter = int(eligible[0])
+        else:
+            enter = int(eligible[np.argmin(reduced[eligible])])
+        column = tableau[:, enter]
+        rows = np.flatnonzero(column > tol)
+        if rows.size == 0:
+            # Both phases are bounded below, so this is tableau drift, not
+            # unboundedness.  Reached by markov_factor on cusp_2_3, n=12,
+            # eps=0.0625, density 1500 (HiGHS solves it: 165890.29).
+            raise SimplexError(
+                "entering column has no positive pivot: numerical "
+                "breakdown of the tableau; more sample points will not "
+                "fix it")
+        ratios = tableau[rows, -1] / column[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + tol * (1.0 + abs(best))]
+        leave = int(ties[np.argmin(basis[ties])])
+        pivot = tableau[leave, enter]
+        tableau[leave] /= pivot
+        other = column.copy()
+        other[leave] = 0.0
+        tableau -= np.outer(other, tableau[leave])
+        # Clamp roundoff in the basic solution column.
+        np.maximum(tableau[:, -1], 0.0, out=tableau[:, -1])
+        basis[leave] = enter
+        iterations += 1
+
+
+def endpoint_problems(solve):
+    for degree in range(1, 11):
+        solve(*endpoint_problem(degree))
+
+
+def enumerable_problems(solve):
+    for problem in small_problems():
+        solve(*problem)
+
+
+def star_probe_family(solve):
+    """Criterion 9's trace Siciak LPs at one probe: 8 facet objectives."""
+    germ = builtin_germs()["cusp_2_3"]
+    points = sample_real_trace(germ, 0.25, 80)
+    z = np.atleast_1d(germ.evaluate(0.2 * cmath.exp(1j * math.pi / 8)))
+    phases = [cmath.exp(1j * angle)
+              for angle in extremal_green._facet_orientations(16)]
+    markov_lp._sampled_lp(points, 12,
+                          lambda basis: basis.evaluate(z[None, :]).ravel(),
+                          phases)
+
+
+def planar_siciak(solve):
+    points = extremal_green.star_points(
+        (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), 0.5, 30)
+    extremal_green.siciak_lp(points, 0.2 + 0.1j, degree=6)
+
+
+def coefficient_problems(solve):
+    """Single-coefficient objectives: degenerate, with ratio-test ties."""
+    constraints, _ = endpoint_problem(6, count=201)
+    for objective in np.eye(7):
+        solve(constraints, objective)
+
+
+ORACLE_CASES = {
+    "endpoint": endpoint_problems,
+    "coefficients": coefficient_problems,
+    "vertex_enumeration": enumerable_problems,
+    "star_probe_family": star_probe_family,
+    "planar_siciak": planar_siciak,
+}
+
+
+def solutions_with(monkeypatch, loop, case):
+    """Every solution the case computes with ``loop`` as the pivot loop."""
+    solutions = []
+
+    def recording(*args, **kwargs):
+        solutions.append(lp.solve_sup_norm_lp(*args, **kwargs))
+        return solutions[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_pivot_loop", loop)
+        for module in (markov_lp, extremal_green):
+            patch.setattr(module, "solve_sup_norm_lp", recording)
+        case(recording)
+    return solutions
+
+
+def assert_same_bits(solutions, expected):
+    assert len(solutions) == len(expected) > 0
+    for got, want in zip(solutions, expected):
+        assert np.float64(got.value).tobytes() == \
+            np.float64(want.value).tobytes()
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert np.array_equal(got.support, want.support)
+        assert got.iterations == want.iterations
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_pivot_loop_matches_textbook_bit_for_bit(monkeypatch, name):
+    case = ORACLE_CASES[name]
+    assert_same_bits(solutions_with(monkeypatch, _pivot_loop, case),
+                     solutions_with(monkeypatch, textbook_pivot_loop, case))
+
+
+def test_bland_pivots_match_textbook_bit_for_bit(monkeypatch):
+    case = ORACLE_CASES["endpoint"]
+    dantzig = solutions_with(monkeypatch, _pivot_loop, case)
+    # Every non-improving pivot now switches to Bland's rule.
+    monkeypatch.setattr(lp, "STALL_LIMIT", 1)
+    monkeypatch.setitem(globals(), "STALL_LIMIT", 1)
+    bland = solutions_with(monkeypatch, _pivot_loop, case)
+    assert [s.iterations for s in bland] != [s.iterations for s in dantzig]
+    assert_same_bits(bland,
+                     solutions_with(monkeypatch, textbook_pivot_loop, case))
