@@ -41,10 +41,6 @@ FEASIBILITY_TOL = 1e-9
 MAX_ITERATIONS = 200_000
 # Consecutive non-improving pivots tolerated before Bland's rule kicks in.
 STALL_LIMIT = 12
-# Tableau width above which the rank-1 update uses numpy's broadcast
-# product: it streams long rows faster than a BLAS k=1 product, but pays
-# a fixed cost on every short one.
-LONG_ROW = 4096
 
 
 class SimplexError(Exception):
@@ -89,12 +85,12 @@ def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
     index on ties, NaN never eligible), Bland's first eligible column on
     stalls, the minimum ratio with the smallest basic index on ties, and
     the update ``tableau -= np.outer(column, pivot_row)``.  Only the numpy
-    calls are fewer and cheaper, and they reuse buffers.  Both products of
-    the update round each entry once, as ``np.outer`` does; the BLAS one
-    can differ only in the sign of a zero, which no comparison and no
-    division here sees.  The reduced-cost product keeps the full tableau
-    width on purpose: BLAS sums a narrower product in another order, and
-    its last bits then differ.
+    calls are fewer and cheaper, and they reuse buffers.  The update's BLAS
+    k=1 product rounds each entry once, as ``np.outer`` does, and can
+    differ only in the sign of a zero, which no comparison and no division
+    here sees.  The reduced-cost product keeps the full tableau width on
+    purpose: BLAS sums a narrower product in another order, and its last
+    bits then differ.
     """
     m, width = tableau.shape
     n = width - 1
@@ -159,10 +155,7 @@ def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
         tableau[leave] /= tableau[leave, enter]
         np.copyto(other, column)
         other[leave] = 0.0
-        if width > LONG_ROW:
-            np.multiply(other[:, None], tableau[leave], out=product)
-        else:
-            np.dot(other[:, None], tableau[leave][None, :], out=product)
+        np.dot(other[:, None], tableau[leave][None, :], out=product)
         tableau -= product
         # Clamp roundoff in the basic solution column.
         np.maximum(rhs, 0.0, out=rhs)

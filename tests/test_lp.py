@@ -10,7 +10,7 @@ import pytest
 from markov_curves import extremal_green, lp, markov_lp
 from markov_curves.curve_model import (builtin_germs, chebyshev_grid,
                                        sample_real_trace)
-from markov_curves.lp import (STALL_LIMIT, PivotLimitError, SimplexError,
+from markov_curves.lp import (PivotLimitError, SimplexError,
                               UnboundedProblemError, _pivot_loop,
                               solve_sup_norm_lp)
 
@@ -154,7 +154,7 @@ def textbook_pivot_loop(tableau, basis, costs, blocked, tol, budget,
             bland = False
         else:
             stall += 1
-            if stall >= STALL_LIMIT:
+            if stall >= lp.STALL_LIMIT:
                 bland = True
         previous = objective
 
@@ -197,17 +197,17 @@ def textbook_pivot_loop(tableau, basis, costs, blocked, tol, budget,
         iterations += 1
 
 
-def endpoint_problems(solve):
+def endpoint_problems():
     for degree in range(1, 11):
-        solve(*endpoint_problem(degree))
+        lp.solve_sup_norm_lp(*endpoint_problem(degree))
 
 
-def enumerable_problems(solve):
+def enumerable_problems():
     for problem in small_problems():
-        solve(*problem)
+        lp.solve_sup_norm_lp(*problem)
 
 
-def star_probe_family(solve):
+def star_probe_family():
     """Criterion 9's trace Siciak LPs at one probe: 8 facet objectives."""
     germ = builtin_germs()["cusp_2_3"]
     points = sample_real_trace(germ, 0.25, 80)
@@ -219,17 +219,18 @@ def star_probe_family(solve):
                           phases)
 
 
-def planar_siciak(solve):
+def planar_siciak():
+    """A planar Siciak LP on 4,480 rows: the widest tableau of the cases."""
     points = extremal_green.star_points(
-        (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), 0.5, 30)
+        (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), 0.5, 70)
     extremal_green.siciak_lp(points, 0.2 + 0.1j, degree=6)
 
 
-def coefficient_problems(solve):
+def coefficient_problems():
     """Single-coefficient objectives: degenerate, with ratio-test ties."""
     constraints, _ = endpoint_problem(6, count=201)
     for objective in np.eye(7):
-        solve(constraints, objective)
+        lp.solve_sup_norm_lp(constraints, objective)
 
 
 ORACLE_CASES = {
@@ -246,14 +247,14 @@ def solutions_with(monkeypatch, loop, case):
     solutions = []
 
     def recording(*args, **kwargs):
-        solutions.append(lp.solve_sup_norm_lp(*args, **kwargs))
+        solutions.append(solve_sup_norm_lp(*args, **kwargs))
         return solutions[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(lp, "_pivot_loop", loop)
-        for module in (markov_lp, extremal_green):
+        for module in (lp, markov_lp, extremal_green):
             patch.setattr(module, "solve_sup_norm_lp", recording)
-        case(recording)
+        case()
     return solutions
 
 
@@ -279,7 +280,6 @@ def test_bland_pivots_match_textbook_bit_for_bit(monkeypatch):
     dantzig = solutions_with(monkeypatch, _pivot_loop, case)
     # Every non-improving pivot now switches to Bland's rule.
     monkeypatch.setattr(lp, "STALL_LIMIT", 1)
-    monkeypatch.setitem(globals(), "STALL_LIMIT", 1)
     bland = solutions_with(monkeypatch, _pivot_loop, case)
     assert [s.iterations for s in bland] != [s.iterations for s in dantzig]
     assert_same_bits(bland,
