@@ -26,10 +26,9 @@ from .extremal_green import (BernsteinWalshReport, DegenerateSegmentError,
 from .lp import (PivotLimitError, SimplexError, SupNormSolution,
                  UnboundedProblemError, solve_sup_norm_lp)
 from .markov_lp import (CauchyDerivativeReport, ConditioningError, FitResult,
-                        LpStats, MarkovProblem, MarkovResult, PolynomialBasis,
-                        ScalingStudy, TooFewSamplesError,
-                        cauchy_derivative_check, markov_factor,
-                        scaling_study)
+                        MarkovProblem, MarkovResult, PolynomialBasis,
+                        TooFewSamplesError, cauchy_derivative_check,
+                        markov_factor, scaling_study)
 from .reports import ReportRow, emit_csv
 from .rng import Lcg, random_bivariate, random_polynomial
 

@@ -35,15 +35,14 @@ from .curve_model import (BUILTIN_GERM_IDS, DomainError, GermFormatError,
                           NumericError, builtin_germs, load_germ,
                           multiplicity, sample_real_trace)
 from .extremal_green import (DEFAULT_FACETS, GREEN_PROBES, GREEN_TOLERANCE,
-                             HCP_DELTAS, ProbeRuleError, TooFewPointsError,
-                             green_interval, hcp_fit, segment_closed_form,
-                             siciak_lp, star_points)
+                             HCP_DELTAS, INTERVAL_HCP_RULES, ProbeRuleError,
+                             TooFewPointsError, green_interval, hcp_fit,
+                             segment_closed_form, siciak_lp, star_points)
 from .lp import SimplexError
 from .markov_lp import ConditioningError, TooFewSamplesError, scaling_study
 from .reports import ReportRow, emit_csv, geodesic_rows, hcp_rows, scan_rows
 
-STUDIES = ("markov_scan", "green_eval", "geodesic_fit", "hcp_fit",
-           "verify_all")
+STUDIES = ("markov_scan", "green_eval", "geodesic_fit", "hcp_fit")
 
 _SECTION = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 _NUMERIC_FAILURES = (NumericError, ConditioningError, TooFewSamplesError,
@@ -67,7 +66,7 @@ class Scenario:
 
     name: str
     study: str
-    germ: object = None
+    germ: object
     degrees: tuple = ()
     epsilons: tuple = ()
     density: int = 120
@@ -180,14 +179,12 @@ def _build_scenario(section, source, base_dir):
             parsed[key] = _parse_list(value, float, key, line, source)
         else:
             parsed[key] = value
-    germ = None
     germ_id = parsed.get("germ", "")
-    if study != "verify_all":
-        if not germ_id:
-            raise ConfigError(f"scenario '{name}' is missing 'germ'",
-                              section["line"], 1, source)
-        germ_line, germ_col = keys["germ"][1], keys["germ"][2]
-        germ = _resolve_germ(germ_id, base_dir, germ_line, germ_col, source)
+    if not germ_id:
+        raise ConfigError(f"scenario '{name}' is missing 'germ'",
+                          section["line"], 1, source)
+    germ_line, germ_col = keys["germ"][1], keys["germ"][2]
+    germ = _resolve_germ(germ_id, base_dir, germ_line, germ_col, source)
     if study in ("markov_scan", "green_eval"):
         if not parsed.get("degrees"):
             line, column = (keys["degrees"][1:] if "degrees" in keys
@@ -236,9 +233,9 @@ def load_config(path):
 
 
 def _markov_scan(scenario):
-    study = scaling_study(scenario.germ, scenario.degrees, scenario.epsilons,
-                          scenario.density)
-    return scan_rows(scenario.name, "markov_scan", study.fit)
+    fit = scaling_study(scenario.germ, scenario.degrees, scenario.epsilons,
+                        scenario.density)
+    return scan_rows(scenario.name, "markov_scan", fit)
 
 
 def _green_eval(scenario):
@@ -268,18 +265,12 @@ def _geodesic_fit(scenario):
     return geodesic_rows(scenario.name, "geodesic_fit", scenario.germ.branch)
 
 
-HCP_ENDPOINT_TOLERANCE = 0.03
-HCP_INTERIOR_WINDOW = (0.9, 1.1)
-
-
 def _hcp_probe(scenario):
     """Green evaluator, probe rule, and pass window for the germ."""
     germ = scenario.germ
-    if germ.point_class == "regular_boundary":
-        window = (0.5 - HCP_ENDPOINT_TOLERANCE, 0.5 + HCP_ENDPOINT_TOLERANCE)
-        return green_interval, lambda d: 1.0 + d, window
-    if germ.point_class == "regular_interior":
-        return green_interval, lambda d: 1j * d, HCP_INTERIOR_WINDOW
+    if germ.point_class in INTERVAL_HCP_RULES:
+        probe, window = INTERVAL_HCP_RULES[germ.point_class]
+        return green_interval, probe, window
     order = multiplicity(germ.branch)
     degree = max(scenario.degrees) if scenario.degrees else 8
     samples = sample_real_trace(germ, 0.25, scenario.density)
@@ -310,11 +301,11 @@ _STUDY_RUNNERS = {
 }
 
 
-def _run_verify_scenario(scenario, out_dir, seed):
+def _run_verify(out, seed):
     results = run_all(seed=0 if seed is None else seed)
     raw = [row for result in results for row in result.rows]
-    emit_csv(raw, Path(out_dir) / f"{scenario.name}_raw.csv")
-    emit_csv([], Path(out_dir) / f"{scenario.name}_fit.csv")
+    emit_csv(raw, out / "verify_raw.csv")
+    emit_csv([], out / "verify_fit.csv")
     failed = [result for result in results if not result.passed]
     for result in results:
         verdict = "ok" if result.passed else "FAIL"
@@ -323,7 +314,7 @@ def _run_verify_scenario(scenario, out_dir, seed):
     return 1 if failed else 0
 
 
-def run_scenario(config_path, out_dir=".", seed=None, study_filter=None):
+def run_scenario(config_path, out_dir=".", study_filter=None):
     """Run every scenario in the config; returns the process exit code."""
     try:
         scenarios = load_config(config_path)
@@ -337,10 +328,6 @@ def run_scenario(config_path, out_dir=".", seed=None, study_filter=None):
         out.mkdir(parents=True, exist_ok=True)
         exit_code = 0
         for scenario in scenarios:
-            if scenario.study == "verify_all":
-                code = _run_verify_scenario(scenario, out, seed)
-                exit_code = max(exit_code, code)
-                continue
             runner = _STUDY_RUNNERS[scenario.study]
             try:
                 raw, fit = runner(scenario)
@@ -351,7 +338,7 @@ def run_scenario(config_path, out_dir=".", seed=None, study_filter=None):
             emit_csv(raw, out / f"{scenario.name}_raw.csv")
             emit_csv(fit, out / f"{scenario.name}_fit.csv")
             if any(row.status == "violation" for row in raw + fit):
-                exit_code = max(exit_code, 1)
+                exit_code = 1
         return exit_code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -363,8 +350,7 @@ def _verify_command(out_dir, seed):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        code = _run_verify_scenario(
-            Scenario(name="verify", study="verify_all"), out, seed)
+        code = _run_verify(out, seed)
         elapsed = time.perf_counter() - started
         print(f"verify finished in {elapsed:.1f}s", file=sys.stderr)
         return code
@@ -393,11 +379,9 @@ def build_parser():
         sub.add_argument("--out-dir", default=".",
                          help="directory for the CSV reports")
         sub.add_argument("--seed", type=int, default=None,
-                         help="seed override for randomized suites")
+                         help="accepted and ignored; no study is randomized")
     verify = subparsers.add_parser(
         "verify", help="run the built-in acceptance suite")
-    verify.add_argument("--config", default=None,
-                        help="accepted for symmetry; the suite is built in")
     verify.add_argument("--out-dir", default=".",
                         help="directory for the CSV reports")
     verify.add_argument("--seed", type=int, default=None,
@@ -417,7 +401,7 @@ def main(argv=None):
         return _verify_command(options.out_dir, options.seed)
     study = options.command.replace("-", "_")
     return run_scenario(options.config, out_dir=options.out_dir,
-                        seed=options.seed, study_filter=study)
+                        study_filter=study)
 
 
 if __name__ == "__main__":

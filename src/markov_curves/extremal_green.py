@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -46,6 +45,13 @@ GREEN_TOLERANCE = 0.02
 
 #: Default probe distances for HCP fits: 1e-4 .. 1e-1, log-spaced.
 HCP_DELTAS = tuple(np.logspace(-4.0, -1.0, 10))
+
+#: (probe rule, exponent window) of the interval's closed-form HCP fit
+#: by germ point class: V grows like delta**0.5 off 1, like delta off 0.
+INTERVAL_HCP_RULES = {
+    "regular_boundary": (lambda delta: 1.0 + delta, (0.47, 0.53)),
+    "regular_interior": (lambda delta: 1j * delta, (0.9, 1.1)),
+}
 
 
 class DegenerateSegmentError(ValueError):
@@ -90,24 +96,19 @@ def green_segment(z, a, b):
 
 @dataclass(frozen=True)
 class GreenEvaluation:
-    """One Green-function value with its provenance.
+    """One discrete Green-function value.
 
     ``facet_slack`` bounds how far below the true modulus the polygonal
-    relaxation can sit; it is zero for closed forms and for the
-    real-sample real-point path where no relaxation happens.
+    relaxation can sit; it is zero on the real-sample real-point path,
+    where no relaxation happens.
     """
 
-    point: object
     value: float
-    method: str  # 'closed_form' | 'lp_siciak'
-    degree_used: Optional[int] = None
     facet_slack: float = 0.0
 
     def __post_init__(self):
         if self.value < 0.0:
             raise DomainError("Green values are nonnegative")
-        if self.method not in ("closed_form", "lp_siciak"):
-            raise DomainError(f"unknown method '{self.method}'")
 
 
 def star_points(angles, epsilon, count):
@@ -218,8 +219,7 @@ def siciak_lp(samples, z, degree, facets=DEFAULT_FACETS):
     except TooFewSamplesError as exc:
         raise TooFewPointsError(str(exc)) from exc
     value = math.acosh(max(float(peak), 1.0)) / degree
-    return GreenEvaluation(point=z, value=value, method="lp_siciak",
-                           degree_used=degree, facet_slack=slack)
+    return GreenEvaluation(value=value, facet_slack=slack)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,13 @@ with a dense tableau simplex.  Pricing is steepest-coefficient
 anti-cycling rule on stalls, which keeps the method finite under
 degeneracy without paying Bland's crawl on every pivot.  Phase one
 drives artificial variables out of the basis; a positive phase-one
-optimum certifies that the original problem is unbounded.  The simplex
-multipliers of the optimal basis recover the extremal coefficient
-vector ``w``, and the basic columns identify the support constraints
-(the equioscillation set for interval problems).  The reported optimum
-is re-derived from a fresh factorization of the final basis, so tableau
-drift cannot leak into results.
+optimum is reported as unboundedness, which in floats is no proof: the
+degree-8 hcp_fit probes of cusp_2_5 and cusp_3_4 get it on bounded
+problems.  The simplex multipliers of the optimal basis recover the
+extremal coefficient vector ``w``, and the basic columns identify the
+support constraints (the equioscillation set for interval problems).
+The reported optimum is re-derived from a fresh factorization of the
+final basis, so tableau drift cannot leak into results.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def solve_sup_norm_lp(constraints, objective, *, tol=FEASIBILITY_TOL,
     Raises
     ------
     UnboundedProblemError
-        If the functional is unbounded on the constraint set.
+        If phase one ends above zero; see the module docstring.
     SimplexError
         If an entering column has no positive pivot (numerical breakdown
         of the tableau) or the final basis is singular.
@@ -230,8 +231,8 @@ def solve_sup_norm_lp(constraints, objective, *, tol=FEASIBILITY_TOL,
             "add sample points or lower the degree"
         )
 
-    # Phase two: artificials stuck in the basis stay at zero with cost
-    # zero and remain barred from re-entering.
+    # Phase two: basic artificials keep cost zero and never re-enter, but
+    # they can grow to a wrong basis (test_forward_solve_reaches_optimum).
     phase2 = np.zeros(M + N)
     phase2[:M] = 1.0
 

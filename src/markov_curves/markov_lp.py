@@ -199,21 +199,12 @@ class MarkovProblem:
 
 
 @dataclass(frozen=True)
-class LpStats:
-    iterations: int
-    max_residual: float
-
-
-@dataclass(frozen=True)
 class MarkovResult:
     """Solved Markov factor with its extremal polynomial."""
 
     factor: float
     coefficients: np.ndarray
-    status: str  # 'optimal' | 'degenerate'
-    lp_stats: LpStats
     basis: PolynomialBasis
-    support_count: int
 
 
 def _reduce_columns(matrix, functional):
@@ -259,9 +250,8 @@ def _sampled_lp(points, degree, functional, phases=(1.0, -1.0)):
     the PolynomialBasis of degree ``degree`` built on them to the row
     of the functional.  Each phase gives the objective
     ``Re(phase * row)`` subject to ``|p| <= 1`` on the samples.
-    Returns (best solution, back map, all solutions, basis, sample
-    matrix); the back map lifts reduced coefficient vectors to the
-    full basis.
+    Returns (best solution, back map, basis); the back map lifts
+    reduced coefficient vectors to the full basis.
 
     Raises TooFewSamplesError when the samples cannot bound the basis
     or do not resolve the functional, ConditioningError when the basis
@@ -296,7 +286,7 @@ def _sampled_lp(points, degree, functional, phases=(1.0, -1.0)):
                                    np.real(phase * lp_functional))
                  for phase in phases]
     best = max(solutions, key=lambda solution: solution.value)
-    return best, back_map, solutions, basis, matrix
+    return best, back_map, basis
 
 
 def markov_factor(problem):
@@ -309,22 +299,14 @@ def markov_factor(problem):
     x0 = np.asarray(problem.x0, dtype=float)
     v = np.asarray(problem.v, dtype=float)
     try:
-        chosen, back_map, solutions, basis, matrix = _sampled_lp(
+        chosen, back_map, basis = _sampled_lp(
             np.asarray(problem.samples, dtype=float), problem.degree,
             lambda b: b.derivative_row(x0, v))
     except UnboundedProblemError as exc:
         raise TooFewSamplesError(str(exc)) from exc
-    coefficients = back_map @ chosen.coefficients
-    trace = matrix @ coefficients
-    support_count = int(np.sum(np.abs(np.abs(trace) - 1.0) <= 1e-6))
-    status = "degenerate" if chosen.degenerate else "optimal"
-    stats = LpStats(
-        iterations=sum(solution.iterations for solution in solutions),
-        max_residual=max(solution.max_residual for solution in solutions))
     return MarkovResult(factor=chosen.value,
-                        coefficients=coefficients,
-                        status=status, lp_stats=stats, basis=basis,
-                        support_count=support_count)
+                        coefficients=back_map @ chosen.coefficients,
+                        basis=basis)
 
 
 @dataclass(frozen=True)
@@ -336,13 +318,6 @@ class FitResult:
     intercept: float
     residual_norm: float
     design: tuple  # rows (degree, epsilon, factor, used_in_fit)
-
-
-@dataclass(frozen=True)
-class ScalingStudy:
-    germ_label: str
-    rows: tuple  # (degree, epsilon, factor)
-    fit: FitResult
 
 
 def fit_scaling(design):
@@ -368,7 +343,9 @@ def fit_scaling(design):
 
 def scaling_study(germ, degrees=DEFAULT_DEGREES, epsilons=(0.5, 0.25, 0.125, 0.0625),
                   density=DEFAULT_DENSITY):
-    """Markov factors over a (degree, epsilon) grid with a joint fit.
+    """Markov factors over a (degree, epsilon) grid and their joint fit.
+
+    Returns the FitResult; its ``design`` holds every cell.
 
     Samples realize the trace ball parametrically: parameters run to
     eps along the star rays, so the geometric radius is eps**k at a
@@ -393,11 +370,9 @@ def scaling_study(germ, degrees=DEFAULT_DEGREES, epsilons=(0.5, 0.25, 0.125, 0.0
                 f"scaling cell degree={n} epsilon={eps:g} failed: {exc}"
             ) from exc
 
-    rows = tuple((n, eps, solve(n, eps)) for n in degrees for eps in epsilons)
     largest = max(epsilons)
-    design = tuple((n, eps, fac, eps != largest) for n, eps, fac in rows)
-    return ScalingStudy(germ_label=germ.label or "germ", rows=rows,
-                        fit=fit_scaling(design))
+    return fit_scaling(tuple((n, eps, solve(n, eps), eps != largest)
+                             for n in degrees for eps in epsilons))
 
 
 def evaluate_monomials(coefficients, points):

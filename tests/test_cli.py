@@ -260,16 +260,26 @@ class TestMain:
         printed = capsys.readouterr().out.split()
         assert printed == list(BUILTIN_GERM_IDS)
 
-    def test_bad_config_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("study", ["mystery", "verify_all"])
+    def test_bad_config_exits_two(self, tmp_path, capsys, study):
         config = tmp_path / "bad.cfg"
-        config.write_text("[scan]\nstudy = mystery\n", encoding="utf-8")
+        config.write_text(f"[scan]\nstudy = {study}\n", encoding="utf-8")
         assert main(["markov-scan", "--config", str(config)]) == 2
-        assert "unknown study" in capsys.readouterr().err
+        assert (f"{config}:2:1: unknown study '{study}'"
+                in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("key", ["grid", "count", "seed"])
+    @pytest.mark.parametrize("key", ["grid", "count", "seed", "--config"])
     def test_removed_key_exits_two_with_position(self, tmp_path, capsys,
                                                  key):
         config = tmp_path / "old.cfg"
+        if key.startswith("--"):
+            # verify's ignored --config flag is gone: argparse exits 2.
+            with pytest.raises(SystemExit) as info:
+                main(["verify", key, str(config)])
+            assert info.value.code == 2
+            assert (f"unrecognized arguments: {key}"
+                    in capsys.readouterr().err)
+            return
         config.write_text(SCAN_CONFIG + f"{key} = 8\n", encoding="utf-8")
         assert main(["markov-scan", "--config", str(config)]) == 2
         assert f"{config}:8:1: unknown key '{key}'" in capsys.readouterr().err

@@ -66,11 +66,9 @@ class TestClosedForms:
 
 
 def test_green_evaluation_validates_fields():
-    GreenEvaluation(point=2.0, value=0.1, method="closed_form")
+    GreenEvaluation(value=0.1)
     with pytest.raises(DomainError):
-        GreenEvaluation(point=2.0, value=-0.1, method="closed_form")
-    with pytest.raises(DomainError):
-        GreenEvaluation(point=2.0, value=0.1, method="oracle")
+        GreenEvaluation(value=-0.1)
 
 
 class TestStarPoints:
@@ -96,8 +94,6 @@ class TestSiciakLp:
         samples = chebyshev_grid(-1.0, 1.0, 2001)
         for z in (2.0, 1 + 1j, -3.0):
             ev = siciak_lp(samples, z, degree=16, facets=16)
-            assert ev.method == "lp_siciak"
-            assert ev.degree_used == 16
             target = green_interval(z)
             assert abs(ev.value - target) <= 0.02 + ev.facet_slack
 

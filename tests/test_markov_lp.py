@@ -75,7 +75,6 @@ class TestMarkovFactor:
     def test_endpoint_factor_is_degree_squared(self, degree):
         result = markov_factor(interval_problem(degree, density=600))
         assert result.factor == pytest.approx(degree**2, rel=1e-2)
-        assert result.status in ("optimal", "degenerate")
 
     def test_interior_factor_matches_chebyshev_derivative(self):
         # sup |p'(0)| over the unit ball is |T_3'(0)| = 3; the discrete
@@ -102,10 +101,6 @@ class TestMarkovFactor:
         coarse = markov_factor(interval_problem(6, density=500)).factor
         fine = markov_factor(interval_problem(6, density=1000)).factor
         assert abs(fine - coarse) / fine < 5e-3
-
-    def test_support_count_at_endpoint(self):
-        result = markov_factor(interval_problem(5, density=600))
-        assert result.support_count == 6
 
     def test_degree_zero_has_no_derivative(self):
         result = markov_factor(interval_problem(0, density=50))
@@ -145,18 +140,18 @@ class TestMarkovFactor:
 class TestScalingStudy:
     def test_interval_interior_exponent_near_one(self):
         germ = builtin_germs()["interval_interior"]
-        study = scaling_study(germ, degrees=(3, 5, 7, 9),
-                              epsilons=(0.5, 0.25, 0.125, 0.0625),
-                              density=160)
-        assert study.fit.alpha_deg == pytest.approx(1.0, abs=0.1)
-        assert len(study.rows) == 16
+        fit = scaling_study(germ, degrees=(3, 5, 7, 9),
+                            epsilons=(0.5, 0.25, 0.125, 0.0625),
+                            density=160)
+        assert fit.alpha_deg == pytest.approx(1.0, abs=0.1)
+        assert len(fit.design) == 16
 
     def test_largest_epsilon_excluded_from_fit(self):
         germ = builtin_germs()["interval_interior"]
-        study = scaling_study(germ, degrees=(3, 5, 7),
-                              epsilons=(0.5, 0.25, 0.125, 0.0625),
-                              density=120)
-        excluded = [row for row in study.fit.design if not row[3]]
+        fit = scaling_study(germ, degrees=(3, 5, 7),
+                            epsilons=(0.5, 0.25, 0.125, 0.0625),
+                            density=120)
+        excluded = [row for row in fit.design if not row[3]]
         assert len(excluded) == 3
         assert all(row[1] == 0.5 for row in excluded)
 
