@@ -200,7 +200,7 @@ def _disk_bound_violations():
 
 
 def _norm_bound_violations():
-    return sum(norm_lower_bound_check(germ.branch, rho=0.5).violations
+    return sum(norm_lower_bound_check(germ.branch).violations
                for germ in builtin_germs().values())
 
 
@@ -237,8 +237,7 @@ def criterion_zero_violation_suites(seed=0):
 
 def criterion_star_domination():
     """Trace-to-star Green ratio is stable across two probe degrees."""
-    report = star_domination_check(builtin_germs()["cusp_2_3"], 0.25, 8,
-                                   grid=8, density=80)
+    report = star_domination_check(builtin_germs()["cusp_2_3"], 0.25, 8)
     passed = report.relative_change <= 0.10
     rows = [ReportRow("c09_star_domination", STUDY, degree, report.epsilon,
                       ratio, slack=report.relative_change,

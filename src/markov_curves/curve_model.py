@@ -35,6 +35,12 @@ REAL_TRACE_TOL = 1e-12
 QUADRATURE_TOL = 1e-10
 MAX_SUBDIVISIONS = 2 ** 16
 
+#: Coarse polar grid of norm_lower_bound_check, NORM_RADIAL radii
+#: NORM_RHO * 2**-j by NORM_ANGULAR angles; the fine grid doubles both.
+NORM_RHO = 0.5
+NORM_RADIAL = 8
+NORM_ANGULAR = 16
+
 POINT_CLASSES = ("singular", "regular_interior", "regular_boundary")
 
 
@@ -344,7 +350,7 @@ def sample_real_trace(germ, epsilon, density):
     return np.vstack(rows).astype(float)
 
 
-def _adaptive_simpson(f, tol, max_subdivisions):
+def _adaptive_simpson(f):
     """Adaptive Simpson integral of f over [0, 1]."""
     fa, fm, fb = f(0.0), f(0.5), f(1.0)
     whole = (fa + 4.0 * fm + fb) / 6.0
@@ -359,21 +365,20 @@ def _adaptive_simpson(f, tol, max_subdivisions):
         left = (mid - a) * (fa + 4.0 * flm + fm) / 6.0
         right = (b - mid) * (fm + 4.0 * frm + fb) / 6.0
         error = (left + right - estimate) / 15.0
-        if abs(error) <= tol * max(b - a, 1e-3):
+        if abs(error) <= QUADRATURE_TOL * max(b - a, 1e-3):
             total += left + right + error
             continue
         splits += 1
-        if splits > max_subdivisions:
+        if splits > MAX_SUBDIVISIONS:
             raise NumericError(
                 f"quadrature did not converge after {splits} subdivisions "
-                f"(tol {tol:g}, interval [{a:g}, {b:g}])")
+                f"(tol {QUADRATURE_TOL:g}, interval [{a:g}, {b:g}])")
         stack.append((a, mid, fa, flm, fm, left))
         stack.append((mid, b, fm, frm, fb, right))
     return total
 
 
-def geodesic_distance(branch, z1, z2, *, tol=QUADRATURE_TOL,
-                      max_subdivisions=MAX_SUBDIVISIONS):
+def geodesic_distance(branch, z1, z2):
     """Arc length of the curve between phi(z1) and phi(z2).
 
     The path follows the straight parameter segment from z1 to z2, so
@@ -395,7 +400,7 @@ def geodesic_distance(branch, z1, z2, *, tol=QUADRATURE_TOL,
         dphi = branch.evaluate_derivative(z1 + t * step)
         return float(np.linalg.norm(dphi * step))
 
-    return _adaptive_simpson(speed, tol, max_subdivisions)
+    return _adaptive_simpson(speed)
 
 
 @dataclass(frozen=True)
@@ -405,12 +410,11 @@ class NormBoundReport:
     infimum: float
     coarse_infimum: float
     violations: int
-    rho: float
 
 
-def _ratio_infimum(branch, rho, radial, angular):
+def _ratio_infimum(branch, radial, angular):
     k = branch.k
-    radii = rho * 0.5 ** np.arange(radial)
+    radii = NORM_RHO * 0.5 ** np.arange(radial)
     angles = 2.0 * math.pi * np.arange(angular) / angular
     z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     values = branch.evaluate(z)
@@ -418,24 +422,21 @@ def _ratio_infimum(branch, rho, radial, angular):
     return float(np.min(norms / np.abs(z) ** k))
 
 
-def norm_lower_bound_check(branch, rho=0.5, radial=8, angular=16):
-    """Check that norm(phi(z)) >= c |z|**k on the punctured disk D(0, rho).
+def norm_lower_bound_check(branch):
+    """Check norm(phi(z)) >= c |z|**k on the punctured disk D(0, NORM_RHO).
 
     Samples a polar grid, reports the infimum of the ratio, and flags a
     violation only when the infimum degrades markedly under one grid
     refinement (evidence against a positive lower bound, rather than
     grid noise).
     """
-    if not (0.0 < rho <= 1.0):
-        raise DomainError("rho must lie in (0, 1]")
-    coarse = _ratio_infimum(branch, rho, radial, angular)
-    fine = _ratio_infimum(branch, rho, 2 * radial, 2 * angular)
+    coarse = _ratio_infimum(branch, NORM_RADIAL, NORM_ANGULAR)
+    fine = _ratio_infimum(branch, 2 * NORM_RADIAL, 2 * NORM_ANGULAR)
     degraded = fine <= 0.0 or fine < 0.5 * coarse
     return NormBoundReport(
         infimum=fine,
         coarse_infimum=coarse,
         violations=int(degraded),
-        rho=float(rho),
     )
 
 

@@ -34,8 +34,8 @@ from .acceptance import run_all
 from .curve_model import (BUILTIN_GERM_IDS, DomainError, GermFormatError,
                           NumericError, builtin_germs, load_germ,
                           multiplicity, sample_real_trace)
-from .extremal_green import (DEFAULT_FACETS, GREEN_PROBES, GREEN_TOLERANCE,
-                             HCP_DELTAS, INTERVAL_HCP_RULES, ProbeRuleError,
+from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE, HCP_DELTAS,
+                             INTERVAL_HCP_RULES, ProbeRuleError,
                              TooFewPointsError, green_interval, hcp_fit,
                              segment_closed_form, siciak_lp, star_points)
 from .lp import SimplexError
@@ -70,8 +70,6 @@ class Scenario:
     degrees: tuple = ()
     epsilons: tuple = ()
     density: int = 120
-    deltas: tuple = HCP_DELTAS
-    facets: int = DEFAULT_FACETS
 
 
 # ----------------------------------------------------------------------
@@ -101,8 +99,7 @@ def _parse_list(text, kind, key, line, source):
 
 _KEY_KINDS = {
     "study": "str", "germ": "str",
-    "degrees": "int_list", "epsilons": "float_list",
-    "deltas": "float_list", "density": "int", "facets": "int",
+    "degrees": "int_list", "epsilons": "float_list", "density": "int",
 }
 
 
@@ -149,14 +146,10 @@ def parse_config_text(text, source="<config>", base_dir="."):
             for section in sections]
 
 
-def _lookup(keys, key, default=None):
-    return keys.get(key, (default, 0, 0))
-
-
 def _build_scenario(section, source, base_dir):
     keys = section["keys"]
     name = section["name"]
-    study, study_line, study_col = _lookup(keys, "study")
+    study, study_line, study_col = keys.get("study", (None, 0, 0))
     if study is None:
         raise ConfigError(f"scenario '{name}' is missing 'study'",
                           section["line"], 1, source)
@@ -179,25 +172,30 @@ def _build_scenario(section, source, base_dir):
             parsed[key] = _parse_list(value, float, key, line, source)
         else:
             parsed[key] = value
+    # The library's bounds; star_points needs two points per ray.
+    least = 2 if study == "green_eval" else 1
+    for key, valid, wanted in (
+            ("degrees", lambda n: n >= 1, "at least 1"),
+            ("epsilons", lambda e: 0.0 < e <= 1.0, "in (0, 1]"),
+            ("density", lambda n: n >= least, f"at least {least}")):
+        values = parsed.get(key, ())
+        for value in values if isinstance(values, tuple) else (values,):
+            if not valid(value):
+                raise ConfigError(f"key '{key}' needs values {wanted}, got "
+                                  f"{value}", *keys[key][1:], source)
     germ_id = parsed.get("germ", "")
     if not germ_id:
         raise ConfigError(f"scenario '{name}' is missing 'germ'",
                           section["line"], 1, source)
     germ_line, germ_col = keys["germ"][1], keys["germ"][2]
     germ = _resolve_germ(germ_id, base_dir, germ_line, germ_col, source)
-    if study in ("markov_scan", "green_eval"):
-        if not parsed.get("degrees"):
-            line, column = (keys["degrees"][1:] if "degrees" in keys
+    for key in ("degrees", "epsilons"):
+        if study in ("markov_scan", "green_eval") and not parsed.get(key):
+            line, column = (keys[key][1:] if key in keys
                             else (section["line"], 1))
-            raise ConfigError(f"scenario '{name}' needs a nonempty degree "
-                              "list", line, column, source)
-        if not parsed.get("epsilons"):
-            line, column = (keys["epsilons"][1:] if "epsilons" in keys
-                            else (section["line"], 1))
-            raise ConfigError(f"scenario '{name}' needs a nonempty epsilon "
-                              "list", line, column, source)
-    fields = {key: parsed[key] for key in
-              ("degrees", "epsilons", "density", "deltas", "facets")
+            raise ConfigError(f"scenario '{name}' needs a nonempty "
+                              f"{key[:-1]} list", line, column, source)
+    fields = {key: parsed[key] for key in ("degrees", "epsilons", "density")
               if key in parsed}
     return Scenario(name=name, study=study, germ=germ, **fields)
 
@@ -246,8 +244,7 @@ def _green_eval(scenario):
         closed = segment_closed_form(angles, epsilon)
         for degree, probe in itertools.product(scenario.degrees,
                                                GREEN_PROBES):
-            result = siciak_lp(points, probe * epsilon, degree,
-                               scenario.facets)
+            result = siciak_lp(points, probe * epsilon, degree)
             slack = None
             status = "ok"
             if closed is not None:
@@ -276,7 +273,7 @@ def _hcp_probe(scenario):
     samples = sample_real_trace(germ, 0.25, scenario.density)
 
     def evaluator(point):
-        return siciak_lp(samples, point, degree, scenario.facets).value
+        return siciak_lp(samples, point, degree).value
 
     def probe(delta):
         return germ.evaluate(1j * delta ** (1.0 / order))
@@ -286,7 +283,7 @@ def _hcp_probe(scenario):
 
 def _hcp_fit(scenario):
     evaluator, probe, window = _hcp_probe(scenario)
-    fit = hcp_fit(evaluator, scenario.deltas, probe)
+    fit = hcp_fit(evaluator, HCP_DELTAS, probe)
     status = "ok"
     if window is not None and not (window[0] <= fit.alpha <= window[1]):
         status = "violation"

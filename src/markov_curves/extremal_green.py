@@ -12,10 +12,10 @@ normalization is exact there at every degree, and it is a monotone,
 clipped-at-zero transform of the raw LP optimum everywhere else.
 
 Complex moduli are relaxed polygonally: |p| <= 1 becomes
-Re(exp(2 pi i m / facets) p) <= 1 over all facet directions, and an
+Re(exp(2 pi i m / 16) p) <= 1 over the 16 facet directions, and an
 objective |p(z)| for nonreal z becomes the best facet orientation of
-Re(p(z)).  The relaxation slack log(1/cos(pi/facets))/degree is
-reported, never silently absorbed.
+Re(p(z)).  The relaxation slack log(1/cos(pi/16))/degree is reported,
+never silently absorbed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,15 @@ from .markov_lp import (TooFewSamplesError, _chebyshev_table,
 #: Ratio reports ignore probe points whose reference value is below this.
 RHS_TOLERANCE = 1e-6
 
-DEFAULT_FACETS = 16
+#: Facet directions of the polygonal relaxation, in opposite pairs; its
+#: slack at degree n is FACET_SLACK / n.
+FACETS = 16
+FACET_SLACK = math.log(1.0 / math.cos(math.pi / FACETS))
+
+#: One phase per opposite pair: on real samples the constraints are +/-
+#: symmetric, so opposite phases give the same value.
+HALF_FACET_PHASES = tuple(cmath.exp(1j * (2.0 * math.pi * m / FACETS))
+                          for m in range(FACETS // 2))
 
 #: Probe points of the Siciak checks, in units of the set's scale.
 GREEN_PROBES = (2.0, 1.0 + 1.0j, -3.0)
@@ -45,6 +53,13 @@ GREEN_TOLERANCE = 0.02
 
 #: Default probe distances for HCP fits: 1e-4 .. 1e-1, log-spaced.
 HCP_DELTAS = tuple(np.logspace(-4.0, -1.0, 10))
+
+#: Angles per circle of segment_disk_bound_check (DISK_GRID // 16 circles).
+DISK_GRID = 64
+
+#: Probe angles per circle and samples per ray of star_domination_check.
+STAR_PROBE_ANGLES = 8
+STAR_DENSITY = 80
 
 #: (probe rule, exponent window) of the interval's closed-form HCP fit
 #: by germ point class: V grows like delta**0.5 off 1, like delta off 0.
@@ -141,12 +156,7 @@ def _coerce_samples(samples):
     return "real", array
 
 
-def _facet_orientations(facets):
-    """Representative half-circle angles; +/- symmetry covers the rest."""
-    return [2.0 * math.pi * m / facets for m in range((facets + 1) // 2)]
-
-
-def _siciak_real(points, z, degree, facets):
+def _siciak_real(points, z, degree):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape != (points.shape[1],):
         raise DomainError(
@@ -157,12 +167,11 @@ def _siciak_real(points, z, degree, facets):
 
     if np.max(np.abs(z.imag)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
         return _sampled_lp(points, degree, evaluation)[0].value, 0.0
-    phases = [cmath.exp(1j * theta) for theta in _facet_orientations(facets)]
-    slack = math.log(1.0 / math.cos(math.pi / facets)) / degree
-    return _sampled_lp(points, degree, evaluation, phases)[0].value, slack
+    best = _sampled_lp(points, degree, evaluation, HALF_FACET_PHASES)[0]
+    return best.value, FACET_SLACK / degree
 
 
-def _siciak_planar(points, z, degree, facets):
+def _siciak_planar(points, z, degree):
     if points.shape[0] < degree + 1:
         raise TooFewPointsError(
             f"{points.shape[0]} planar samples cannot bound degree {degree}")
@@ -174,16 +183,15 @@ def _siciak_planar(points, z, degree, facets):
     target = _complex_chebyshev(np.asarray([complex(z)]), degree,
                                 center, scale).ravel()
     blocks = []
-    for m in range(facets):
-        phase = cmath.exp(2j * math.pi * m / facets)
+    for m in range(FACETS):
+        phase = cmath.exp(2j * math.pi * m / FACETS)
         rotated = phase * columns
         blocks.append(np.hstack([rotated.real, -rotated.imag]))
     constraints = np.vstack(blocks)
     objective = np.concatenate([target.real, -target.imag])
     lp_matrix, lp_objective, _ = _reduce_columns(constraints, objective)
     solution = solve_sup_norm_lp(lp_matrix, lp_objective)
-    slack = math.log(1.0 / math.cos(math.pi / facets)) / degree
-    return solution.value, slack
+    return solution.value, FACET_SLACK / degree
 
 
 def _complex_chebyshev(points, degree, center, scale):
@@ -192,7 +200,7 @@ def _complex_chebyshev(points, degree, center, scale):
                             / scale, degree)
 
 
-def siciak_lp(samples, z, degree, facets=DEFAULT_FACETS):
+def siciak_lp(samples, z, degree):
     """Discrete extremal lower bound of the Green function at z.
 
     ``samples`` is a real (m, n) array, such as the output of
@@ -205,14 +213,12 @@ def siciak_lp(samples, z, degree, facets=DEFAULT_FACETS):
     """
     if degree < 1:
         raise DomainError("degree must be at least 1")
-    if facets < 8:
-        raise DomainError("need at least 8 facet directions")
     kind, points = _coerce_samples(samples)
     try:
         if kind == "real":
-            peak, slack = _siciak_real(points, z, degree, facets)
+            peak, slack = _siciak_real(points, z, degree)
         else:
-            peak, slack = _siciak_planar(points, z, degree, facets)
+            peak, slack = _siciak_planar(points, z, degree)
     except UnboundedProblemError as exc:
         raise TooFewPointsError(
             f"discrete set looks polar at degree {degree}: {exc}") from exc
@@ -327,7 +333,7 @@ class DiskBoundReport:
     violations: int
 
 
-def segment_disk_bound_check(b, r, epsilon, grid=64):
+def segment_disk_bound_check(b, r, epsilon):
     """Sup of V_{[-eps, eps]} over the disk D(b, r) against c*log(1+r).
 
     The constant is c = max(1, 2/dist(b, endpoints)).  Needs a real
@@ -345,10 +351,8 @@ def segment_disk_bound_check(b, r, epsilon, grid=64):
         raise DomainError(
             "disk radius must be positive and keep the disk away from "
             "the segment endpoints (r < epsilon - |b|)")
-    if grid < 8:
-        raise DomainError("need at least 8 grid angles")
-    angles = 2.0 * math.pi * np.arange(grid) / grid
-    rings = r * np.linspace(0.25, 1.0, max(2, grid // 16))
+    angles = 2.0 * math.pi * np.arange(DISK_GRID) / DISK_GRID
+    rings = r * np.linspace(0.25, 1.0, DISK_GRID // 16)
     supremum = 0.0
     for ring in rings:
         zs = b + ring * np.exp(1j * angles)
@@ -396,18 +400,17 @@ def segment_closed_form(angles, epsilon):
     return None
 
 
-def _star_green(germ, epsilon, degree, facets, density):
+def _star_green(germ, epsilon, degree):
     """Evaluator for the realized star of a germ at parameter scale eps."""
     angles = sorted(a % (2.0 * math.pi) for a in germ.ray_angles())
     closed = segment_closed_form(angles, epsilon)
     if closed is not None:
         return closed
-    points = star_points(angles, epsilon, density)
-    return lambda z: siciak_lp(points, z, degree, facets).value
+    points = star_points(angles, epsilon, STAR_DENSITY)
+    return lambda z: siciak_lp(points, z, degree).value
 
 
-def star_domination_check(germ, epsilon, degree, grid=8, *,
-                          density=80, facets=DEFAULT_FACETS):
+def star_domination_check(germ, epsilon, degree):
     """Bounded-ratio check between trace and star Green functions.
 
     For probe parameters z in the disk of radius epsilon (off the star
@@ -418,12 +421,11 @@ def star_domination_check(germ, epsilon, degree, grid=8, *,
     """
     if epsilon <= 0.0 or epsilon > 1.0:
         raise DomainError("epsilon must lie in (0, 1]")
-    if grid < 4:
-        raise DomainError("need at least 4 probe angles")
     degrees = (int(degree), int(degree) + max(1, int(degree) // 2))
-    samples = sample_real_trace(germ, epsilon, density)
-    star = _star_green(germ, epsilon, degrees[0], facets, density)
-    probe_angles = 2.0 * math.pi * (np.arange(grid) + 0.5) / grid
+    samples = sample_real_trace(germ, epsilon, STAR_DENSITY)
+    star = _star_green(germ, epsilon, degrees[0])
+    probe_angles = (2.0 * math.pi * (np.arange(STAR_PROBE_ANGLES) + 0.5)
+                    / STAR_PROBE_ANGLES)
     probes = [epsilon * rho * cmath.exp(1j * theta)
               for rho in (0.4, 0.6, 0.8) for theta in probe_angles]
     reference = [star(z) for z in probes]
@@ -432,13 +434,12 @@ def star_domination_check(germ, epsilon, degree, grid=8, *,
     excluded = len(probes) - len(kept)
     if not kept:
         raise ProbeGridError(
-            "every probe point fell on the star set; widen the grid")
+            "every probe point fell on the star set")
     max_ratios = []
     for deg in degrees:
         worst = 0.0
         for z, rhs in kept:
-            trace_value = siciak_lp(samples, germ.evaluate(z), deg,
-                                    facets).value
+            trace_value = siciak_lp(samples, germ.evaluate(z), deg).value
             worst = max(worst, trace_value / rhs)
         max_ratios.append(worst)
     base = max(max_ratios[0], 1e-12)

@@ -164,8 +164,7 @@ def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
         iterations += 1
 
 
-def solve_sup_norm_lp(constraints, objective, *, tol=FEASIBILITY_TOL,
-                      max_iterations=MAX_ITERATIONS):
+def solve_sup_norm_lp(constraints, objective):
     """Maximize ``objective @ w`` subject to ``constraints @ w <= 1``.
 
     Parameters
@@ -187,7 +186,7 @@ def solve_sup_norm_lp(constraints, objective, *, tol=FEASIBILITY_TOL,
         If an entering column has no positive pivot (numerical breakdown
         of the tableau) or the final basis is singular.
     PivotLimitError
-        If ``max_iterations`` pivots do not reach an optimum.
+        If MAX_ITERATIONS pivots do not reach an optimum.
     """
     G = np.asarray(constraints, dtype=float)
     f = np.asarray(objective, dtype=float)
@@ -221,7 +220,8 @@ def solve_sup_norm_lp(constraints, objective, *, tol=FEASIBILITY_TOL,
     phase1[M:] = 1.0
     blocked = np.zeros(M + N, dtype=bool)
     blocked[M:] = True
-    iters = _pivot_loop(tableau, basis, phase1, blocked, tol, max_iterations,
+    tol = FEASIBILITY_TOL
+    iters = _pivot_loop(tableau, basis, phase1, blocked, tol, MAX_ITERATIONS,
                         target=1e-14 * scale)
     infeasibility = float(phase1[basis] @ tableau[:, -1])
     if infeasibility > tol * scale:
@@ -241,7 +241,7 @@ def solve_sup_norm_lp(constraints, objective, *, tol=FEASIBILITY_TOL,
     residual = np.inf
     for attempt in range(4):
         iters += _pivot_loop(tableau, basis, phase2, blocked, tol,
-                             max_iterations - iters)
+                             MAX_ITERATIONS - iters)
         # Re-derive the solution from a fresh factorization of the
         # final basis; the pivoted tableau only chooses the basis.
         basis_matrix = full[:, basis]

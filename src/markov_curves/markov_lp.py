@@ -29,7 +29,7 @@ import numpy as np
 
 from .curve_model import (DomainError, InconsistentGermError, NumericError,
                           sample_real_trace, tangent_vector)
-from .lp import UnboundedProblemError, solve_sup_norm_lp
+from .lp import SimplexError, UnboundedProblemError, solve_sup_norm_lp
 
 #: Above this condition estimate the sample/basis pairing is rejected.
 CONDITION_LIMIT = 1e12
@@ -40,6 +40,8 @@ FLAT_TOL = 1e-14
 DEFAULT_DEGREES = (2, 3, 4, 6, 8, 12)
 DEFAULT_DENSITY = 120
 
+CAUCHY_QUAD_POINTS = 512
+
 
 class TooFewSamplesError(ValueError):
     """Fewer samples than basis dimensions: the factor is unbounded."""
@@ -49,13 +51,17 @@ class ConditioningError(RuntimeError):
     """Sample/basis pairing too ill-conditioned to trust."""
 
 
-def _chebyshev_table(u, degree):
-    """T_0..T_degree at u, shape (*u.shape, degree+1). Complex safe."""
+def _chebyshev_table(u, degree, second_kind=False):
+    """T_0..T_degree at u, shape (*u.shape, degree+1). Complex safe.
+
+    With ``second_kind`` the same recurrence starts from U_1 = 2u and
+    gives U_0..U_degree.
+    """
     u = np.asarray(u)
     table = np.empty(u.shape + (degree + 1,), dtype=u.dtype)
     table[..., 0] = 1.0
     if degree >= 1:
-        table[..., 1] = u
+        table[..., 1] = 2.0 * u if second_kind else u
     for j in range(2, degree + 1):
         table[..., j] = 2.0 * u * table[..., j - 1] - table[..., j - 2]
     return table
@@ -65,14 +71,8 @@ def _chebyshev_derivative_table(u, degree):
     """T_0'..T_degree' at scalar u via T_m' = m * U_{m-1}."""
     out = np.zeros(degree + 1, dtype=np.asarray(u).dtype)
     if degree >= 1:
-        # Second-kind values U_0..U_{degree-1}.
-        second = np.empty(degree, dtype=out.dtype)
-        second[0] = 1.0
-        if degree >= 2:
-            second[1] = 2.0 * u
-        for j in range(2, degree):
-            second[j] = 2.0 * u * second[j - 1] - second[j - 2]
-        out[1:] = np.arange(1, degree + 1) * second
+        out[1:] = np.arange(1, degree + 1) * _chebyshev_table(
+            u, degree - 1, second_kind=True)
     return out
 
 
@@ -168,16 +168,16 @@ class PolynomialBasis:
         derivs = [_chebyshev_derivative_table(u[d], self.degree) /
                   self.half_width[d]
                   for d in range(self.ambient_dim)]
+        alpha = np.asarray(self.indices)
         row = np.zeros(self.count)
-        for pos, alpha in enumerate(self.indices):
-            for d in range(self.ambient_dim):
-                if v[d] == 0.0:
-                    continue
-                term = v[d] * derivs[d][alpha[d]]
-                for other in range(self.ambient_dim):
-                    if other != d:
-                        term *= values[other][alpha[other]]
-                row[pos] += term
+        for d in range(self.ambient_dim):
+            if v[d] == 0.0:
+                continue
+            term = v[d] * derivs[d][alpha[:, d]]
+            for other in range(self.ambient_dim):
+                if other != d:
+                    term *= values[other][alpha[:, other]]
+            row += term
         return row
 
 
@@ -365,7 +365,9 @@ def scaling_study(germ, degrees=DEFAULT_DEGREES, epsilons=(0.5, 0.25, 0.125, 0.0
                                 v=tuple(direction), degree=n)
         try:
             return markov_factor(problem).factor
-        except Exception as exc:
+        except (TooFewSamplesError, ConditioningError, SimplexError,
+                DomainError, FloatingPointError,
+                np.linalg.LinAlgError) as exc:
             raise NumericError(
                 f"scaling cell degree={n} epsilon={eps:g} failed: {exc}"
             ) from exc
@@ -426,18 +428,16 @@ class CauchyDerivativeReport:
     slack: float
 
 
-def cauchy_derivative_check(germ, coefficients, radius, quad_points=512):
+def cauchy_derivative_check(germ, coefficients, radius):
     """Check the disk-derivative bound for one polynomial.
 
     ``coefficients`` maps monomial multi-indices to real coefficients.
     The supremum over the circle |z| = r is discretized with
-    ``quad_points`` equispaced points; the reported constant is
+    CAUCHY_QUAD_POINTS equispaced points; the reported constant is
     1/norm(L), exact for the leading-order extraction.
     """
     if not (0.0 < radius < 1.0):
         raise DomainError("radius must lie in (0, 1)")
-    if quad_points < 16:
-        raise DomainError("need at least 16 circle points")
     order, lead = germ.branch.leading_vector()
     lead_norm = float(np.linalg.norm(lead))
     if float(np.max(np.abs(lead.imag))) > 1e-12 * (1.0 + lead_norm):
@@ -447,7 +447,8 @@ def cauchy_derivative_check(germ, coefficients, radius, quad_points=512):
     direction = tangent_vector(germ)
     gradient = monomial_gradient(coefficients, germ.basepoint)
     lhs = abs(float(direction @ gradient))
-    circle = radius * np.exp(2j * math.pi * np.arange(quad_points) / quad_points)
+    circle = radius * np.exp(2j * math.pi * np.arange(CAUCHY_QUAD_POINTS)
+                             / CAUCHY_QUAD_POINTS)
     values = np.abs(evaluate_monomials(coefficients, germ.evaluate(circle)))
     peak = float(values.max())
     constant = 1.0 / lead_norm

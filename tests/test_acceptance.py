@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion so `pytest -v` prints each line.
 
 Every test asserts `result.passed` with `result.detail` as the message,
-so a failure shows the measured numbers, not just a boolean.
+so a failure shows the measured numbers, not just a boolean.  The
+criterion results come from the two `verify` runs of the module's
+fixture, so the suite runs twice, not once more per test.
 """
 
 import io
@@ -24,42 +26,6 @@ def check(result):
     line = f"criterion {result.index:02d} {result.name}: {result.detail}"
     print(line)
     assert result.passed, line
-
-
-def test_criterion_01_endpoint_markov_factors():
-    check(acceptance.criterion_endpoint_markov())
-
-
-def test_criterion_02_interior_interval_scaling():
-    check(acceptance.criterion_interior_scaling())
-
-
-def test_criterion_03_boundary_interval_scaling():
-    check(acceptance.criterion_boundary_scaling())
-
-
-def test_criterion_04_cusp_multiplicity_and_scaling():
-    check(acceptance.criterion_cusp_scaling())
-
-
-def test_criterion_05_interval_endpoint_hcp():
-    check(acceptance.criterion_interval_hcp())
-
-
-def test_criterion_06_geodesic_exponents():
-    check(acceptance.criterion_geodesic_exponent())
-
-
-def test_criterion_07_siciak_matches_interval_green():
-    check(acceptance.criterion_siciak_convergence())
-
-
-def test_criterion_08_zero_violation_suites():
-    check(acceptance.criterion_zero_violation_suites())
-
-
-def test_criterion_09_star_domination_stability():
-    check(acceptance.criterion_star_domination())
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +55,49 @@ def verify_twice(tmp_path_factory):
                            codes=(first_code, second_code),
                            elapsed=elapsed, out=out.getvalue(),
                            results=results)
+
+
+def criterion(verify_twice, index):
+    """Criterion ``index`` of the first `verify` run."""
+    result = verify_twice.results[0][index - 1]
+    assert result.index == index
+    return result
+
+
+def test_criterion_01_endpoint_markov_factors(verify_twice):
+    check(criterion(verify_twice, 1))
+
+
+def test_criterion_02_interior_interval_scaling(verify_twice):
+    check(criterion(verify_twice, 2))
+
+
+def test_criterion_03_boundary_interval_scaling(verify_twice):
+    check(criterion(verify_twice, 3))
+
+
+def test_criterion_04_cusp_multiplicity_and_scaling(verify_twice):
+    check(criterion(verify_twice, 4))
+
+
+def test_criterion_05_interval_endpoint_hcp(verify_twice):
+    check(criterion(verify_twice, 5))
+
+
+def test_criterion_06_geodesic_exponents(verify_twice):
+    check(criterion(verify_twice, 6))
+
+
+def test_criterion_07_siciak_matches_interval_green(verify_twice):
+    check(criterion(verify_twice, 7))
+
+
+def test_criterion_08_zero_violation_suites(verify_twice):
+    check(criterion(verify_twice, 8))
+
+
+def test_criterion_09_star_domination_stability(verify_twice):
+    check(criterion(verify_twice, 9))
 
 
 def test_criterion_10_runtime_and_reproducibility(verify_twice):

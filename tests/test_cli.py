@@ -268,7 +268,8 @@ class TestMain:
         assert (f"{config}:2:1: unknown study '{study}'"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("key", ["grid", "count", "seed", "--config"])
+    @pytest.mark.parametrize("key", ["grid", "count", "seed", "facets",
+                                     "deltas", "--config"])
     def test_removed_key_exits_two_with_position(self, tmp_path, capsys,
                                                  key):
         config = tmp_path / "old.cfg"
@@ -283,6 +284,25 @@ class TestMain:
         config.write_text(SCAN_CONFIG + f"{key} = 8\n", encoding="utf-8")
         assert main(["markov-scan", "--config", str(config)]) == 2
         assert f"{config}:8:1: unknown key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("study,old,new,line", [
+        ("markov_scan", "epsilons = 0.5,", "epsilons = 2.0, 0.5,", 6),
+        ("markov_scan", "epsilons = 0.5,", "epsilons = 0.0, 0.5,", 6),
+        ("markov_scan", "degrees = 3,", "degrees = 0, 3,", 5),
+        ("markov_scan", "density = 64", "density = 0", 7),
+        ("green_eval", "density = 64", "density = 1", 7),
+    ])
+    def test_out_of_range_value_exits_two_with_position(
+            self, tmp_path, capsys, study, old, new, line):
+        config = tmp_path / "range.cfg"
+        config.write_text(SCAN_CONFIG.replace("markov_scan", study)
+                          .replace(old, new), encoding="utf-8")
+        key = new.split()[0]
+        command = study.replace("_", "-")
+        assert main([command, "--config", str(config),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert (f"{config}:{line}:1: key '{key}' needs values"
+                in capsys.readouterr().err)
 
     def test_scan_through_entry_point(self, tmp_path):
         config = tmp_path / "scan.cfg"

@@ -183,10 +183,10 @@ class TestGeodesicDistance:
 
 def test_norm_lower_bound_holds_for_builtins():
     for germ in builtin_germs().values():
-        report = norm_lower_bound_check(germ.branch, rho=0.5)
+        report = norm_lower_bound_check(germ.branch)
         assert report.violations == 0
         assert report.infimum > 0.0
-    cusp = norm_lower_bound_check(builtin_germs()["cusp_2_3"].branch, rho=0.5)
+    cusp = norm_lower_bound_check(builtin_germs()["cusp_2_3"].branch)
     # |phi(z)| / |z|**2 = sqrt(1 + |z|**2 ...) >= 1 for the monomial cusp.
     assert cusp.infimum >= 1.0 - 1e-9
 

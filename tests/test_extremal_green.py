@@ -93,7 +93,7 @@ class TestSiciakLp:
     def test_matches_interval_green_at_reference_points(self):
         samples = chebyshev_grid(-1.0, 1.0, 2001)
         for z in (2.0, 1 + 1j, -3.0):
-            ev = siciak_lp(samples, z, degree=16, facets=16)
+            ev = siciak_lp(samples, z, degree=16)
             target = green_interval(z)
             assert abs(ev.value - target) <= 0.02 + ev.facet_slack
 
@@ -111,7 +111,7 @@ class TestSiciakLp:
     def test_planar_star_at_member_point(self):
         pts = star_points((0.0, math.pi / 2, math.pi, 3 * math.pi / 2),
                           0.5, 30)
-        ev = siciak_lp(pts, 0.0, degree=6, facets=16)
+        ev = siciak_lp(pts, 0.0, degree=6)
         assert ev.value <= ev.facet_slack + 1e-9
 
     def test_polar_configuration_is_reported(self):
@@ -133,8 +133,6 @@ class TestSiciakLp:
         samples = chebyshev_grid(-1.0, 1.0, 50)
         with pytest.raises(DomainError):
             siciak_lp(samples, 2.0, degree=0)
-        with pytest.raises(DomainError):
-            siciak_lp(samples, 2.0, degree=8, facets=4)
 
 
 class TestHcpFit:
@@ -216,13 +214,13 @@ class TestSegmentDiskBound:
 class TestStarDomination:
     def test_interval_ratios_stay_near_one(self):
         germ = builtin_germs()["interval_interior"]
-        report = star_domination_check(germ, 0.25, 6, grid=6)
+        report = star_domination_check(germ, 0.25, 6)
         assert max(report.max_ratios) <= 1.01
         assert report.relative_change <= 0.1
 
     def test_cusp_example_is_stable(self):
         germ = builtin_germs()["cusp_2_3"]
-        report = star_domination_check(germ, 0.25, 8, grid=8)
+        report = star_domination_check(germ, 0.25, 8)
         assert report.degrees == (8, 12)
         assert report.excluded == 0
         assert report.relative_change <= 0.1
@@ -232,12 +230,10 @@ class TestStarDomination:
         germ = builtin_germs()["cusp_2_3"]
         with pytest.raises(DomainError):
             star_domination_check(germ, 0.0, 8)
-        with pytest.raises(DomainError):
-            star_domination_check(germ, 0.25, 8, grid=2)
 
 
 def test_siciak_accepts_sample_sets():
     germ = builtin_germs()["interval_interior"]
     samples = sample_real_trace(germ, 1.0, 800)
-    ev = siciak_lp(samples, np.array([2.0, 0.0]), degree=12, facets=16)
+    ev = siciak_lp(samples, np.array([2.0, 0.0]), degree=12)
     assert abs(ev.value - green_interval(2.0)) <= 0.02 + ev.facet_slack

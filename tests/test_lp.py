@@ -88,12 +88,13 @@ def test_entering_column_without_positive_pivot_is_not_unbounded():
     assert not isinstance(info.value, UnboundedProblemError)
 
 
-def test_pivot_budget_raises_pivot_limit():
+def test_pivot_budget_raises_pivot_limit(monkeypatch):
     # The tableau has one row per coefficient and one column per
     # constraint row and artificial: 11 and 2 * 2001 + 11.
+    monkeypatch.setattr(lp, "MAX_ITERATIONS", 3)
     with pytest.raises(PivotLimitError, match="after 3 pivots on a tableau "
                        "of 11 rows and 4013 variable columns"):
-        solve_sup_norm_lp(*endpoint_problem(10), max_iterations=3)
+        solve_sup_norm_lp(*endpoint_problem(10))
 
 
 def brute_force_maximum(constraints, objective):
@@ -212,11 +213,9 @@ def star_probe_family():
     germ = builtin_germs()["cusp_2_3"]
     points = sample_real_trace(germ, 0.25, 80)
     z = np.atleast_1d(germ.evaluate(0.2 * cmath.exp(1j * math.pi / 8)))
-    phases = [cmath.exp(1j * angle)
-              for angle in extremal_green._facet_orientations(16)]
     markov_lp._sampled_lp(points, 12,
                           lambda basis: basis.evaluate(z[None, :]).ravel(),
-                          phases)
+                          extremal_green.HALF_FACET_PHASES)
 
 
 def planar_siciak():
