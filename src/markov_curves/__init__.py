@@ -11,8 +11,8 @@ from .curve_model import (BUILTIN_GERM_IDS, CurveGerm, DomainError,
                           GermFormatError, InconsistentGermError,
                           InvalidBranchError, NormBoundReport, NumericError,
                           PuiseuxBranch, StarSet, TruncatedSeries,
-                          builtin_germs, chebyshev_grid, eval_branch,
-                          geodesic_distance, load_germ, multiplicity,
+                          builtin_germs, chebyshev_grid,
+                          geodesic_distance, load_germ,
                           norm_lower_bound_check, parse_germ_text,
                           sample_real_trace, tangent_vector)
 from .extremal_green import (BernsteinWalshReport, DegenerateSegmentError,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from .curve_model import (builtin_germs, chebyshev_grid, multiplicity,
+from .curve_model import (builtin_germs, chebyshev_grid,
                           norm_lower_bound_check)
 from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE, HCP_DELTAS,
                              INTERVAL_HCP_RULES, bernstein_walsh_check,
@@ -116,7 +116,7 @@ def criterion_boundary_scaling():
 def criterion_cusp_scaling():
     """Cusp (2,3): exact multiplicity plus scaling exponent windows."""
     germ = builtin_germs()["cusp_2_3"]
-    order = multiplicity(germ.branch)
+    order = germ.branch.k
     fit = _scaling_fit("cusp_2_3", CUSP_DEGREES, CUSP_DENSITY)
     mult_ok = order == 2
     deg_ok = 2.0 <= fit.alpha_deg <= 4.2
@@ -152,7 +152,7 @@ def criterion_geodesic_exponent():
     passed = True
     for germ_id in ("cusp_2_3", "cusp_3_4"):
         branch = builtin_germs()[germ_id].branch
-        order = multiplicity(branch)
+        order = branch.k
         _, (fit,) = geodesic_rows(f"c06_geodesic_{germ_id}", STUDY, branch)
         slope = fit.fitted_exponent
         passed = passed and fit.status == "ok"

@@ -12,7 +12,9 @@ Real points of the trace sit over finitely many parameter rays.  A star
 set records which rays: indices l with 0 <= l_1 < ... < l_r <= k - 1
 realize the rays ``[0, eps * exp(2*pi*i*l/k)]``.  A germ carries two
 stars; the "minus" star is realized after an extra rotation by pi, so a
-regular germ (k = 1) can reach the reflected half of its trace.
+regular germ (k = 1) can reach the reflected half of its trace.  The
+point class follows from k and the stars: singular when k >= 2, else a
+regular interior point with two rays or a boundary point with one.
 
 This module owns the germ data model, Chebyshev-distributed sampling of
 the real trace, arc-length (geodesic) distances inside the complexified
@@ -40,8 +42,6 @@ MAX_SUBDIVISIONS = 2 ** 16
 NORM_RHO = 0.5
 NORM_RADIAL = 8
 NORM_ANGULAR = 16
-
-POINT_CLASSES = ("singular", "regular_interior", "regular_boundary")
 
 
 class DomainError(ValueError):
@@ -86,11 +86,10 @@ class TruncatedSeries:
     """Polynomial truncation of a power series, sparse in the exponents.
 
     ``terms`` holds (exponent, coefficient) pairs with strictly
-    increasing positive exponents, all bounded by ``truncation_degree``.
+    increasing positive exponents.
     """
 
     terms: tuple
-    truncation_degree: int
 
     def __post_init__(self):
         cleaned = tuple((int(e), complex(a)) for e, a in self.terms if a != 0)
@@ -99,10 +98,6 @@ class TruncatedSeries:
             raise InvalidBranchError("series exponents must be >= 1")
         if any(x >= y for x, y in zip(exps, exps[1:])):
             raise InvalidBranchError("series exponents must strictly increase")
-        if exps and exps[-1] > self.truncation_degree:
-            raise InvalidBranchError(
-                f"exponent {exps[-1]} exceeds truncation degree "
-                f"{self.truncation_degree}")
         object.__setattr__(self, "terms", cleaned)
 
     def order(self):
@@ -173,7 +168,7 @@ class PuiseuxBranch:
         return 1 + len(self.tail)
 
     def evaluate(self, z):
-        """phi(z) without domain checks; see :func:`eval_branch`."""
+        """phi(z) without domain checks; see :meth:`CurveGerm.evaluate`."""
         z = np.asarray(z, dtype=complex)
         coords = [self.c * z ** self.k]
         coords += [series.evaluate(z) for series in self.tail]
@@ -186,35 +181,12 @@ class PuiseuxBranch:
         return np.stack(coords, axis=-1)
 
     def leading_vector(self):
-        """Coefficient vector of z**m at the lowest order m."""
-        m = multiplicity(self)
+        """Coefficient vector of z**k, the lowest order of the branch."""
         lead = np.zeros(self.ambient_dim, dtype=complex)
-        if self.k == m:
-            lead[0] = self.c
+        lead[0] = self.c
         for j, series in enumerate(self.tail, start=1):
-            lead[j] = series.coefficient(m)
-        return m, lead
-
-
-def eval_branch(branch, z):
-    """Evaluate phi at parameters z in the closed unit disk."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) > 1.0 + 1e-12):
-        raise DomainError("parameter outside the closed unit disk")
-    return branch.evaluate(z)
-
-
-def multiplicity(branch):
-    """Minimum vanishing order of the coordinates at z = 0.
-
-    Equals k for every valid branch; recomputed from the data rather
-    than read off the field.
-    """
-    orders = [branch.k]
-    orders += [s.order() for s in branch.tail if s.order() is not None]
-    if not orders:
-        raise InvalidBranchError("all coordinates identically zero")
-    return int(min(orders))
+            lead[j] = series.coefficient(self.k)
+        return lead
 
 
 @dataclass(frozen=True)
@@ -250,17 +222,8 @@ class CurveGerm:
     branch: PuiseuxBranch
     star_plus: StarSet
     star_minus: object  # StarSet or None (boundary germs have one side)
-    point_class: str
-    label: str = ""
 
     def __post_init__(self):
-        if self.point_class not in POINT_CLASSES:
-            raise DomainError(
-                f"point_class must be one of {POINT_CLASSES}")
-        if self.point_class == "singular" and self.branch.k < 2:
-            raise DomainError("a singular germ needs k >= 2")
-        if self.point_class != "singular" and self.branch.k != 1:
-            raise DomainError("a regular germ needs k = 1")
         basepoint = tuple(float(v) for v in self.basepoint)
         if len(basepoint) != self.branch.ambient_dim:
             raise DomainError("basepoint dimension != ambient dimension")
@@ -272,8 +235,14 @@ class CurveGerm:
         object.__setattr__(self, "basepoint", basepoint)
 
     @property
-    def multiplicity(self):
-        return multiplicity(self.branch)
+    def point_class(self):
+        """``singular`` when k >= 2; otherwise ``regular_interior`` with
+        two realized rays and ``regular_boundary`` with one."""
+        if self.branch.k >= 2:
+            return "singular"
+        if len(self.ray_angles()) == 2:
+            return "regular_interior"
+        return "regular_boundary"
 
     def ray_angles(self):
         """All realized ray angles: plus star direct, minus star after
@@ -286,9 +255,13 @@ class CurveGerm:
         return tuple(angles)
 
     def evaluate(self, z):
-        """Trace point at parameter z (basepoint included)."""
-        values = eval_branch(self.branch, z)
-        return values + np.asarray(self.basepoint, dtype=complex)
+        """Trace point at parameters z in the closed unit disk (basepoint
+        included)."""
+        z = np.asarray(z, dtype=complex)
+        if np.any(np.abs(z) > 1.0 + 1e-12):
+            raise DomainError("parameter outside the closed unit disk")
+        return self.branch.evaluate(z) + np.asarray(self.basepoint,
+                                                    dtype=complex)
 
 
 def tangent_vector(germ):
@@ -298,9 +271,9 @@ def tangent_vector(germ):
     along the germ's first realized ray, normalized to unit Euclidean
     length, with the first nonzero component made positive.
     """
-    m, lead = germ.branch.leading_vector()
+    lead = germ.branch.leading_vector()
     theta = germ.ray_angles()[0]
-    vec = lead * cmath.exp(1j * m * theta)
+    vec = lead * cmath.exp(1j * germ.branch.k * theta)
     if np.max(np.abs(vec.imag)) > REAL_TRACE_TOL * (1.0 + np.linalg.norm(vec.real)):
         raise InconsistentGermError(
             "leading direction is not real along the first star ray")
@@ -408,7 +381,6 @@ class NormBoundReport:
     """Empirical lower bound of ``norm(phi(z)) / |z|**k`` near 0."""
 
     infimum: float
-    coarse_infimum: float
     violations: int
 
 
@@ -433,20 +405,7 @@ def norm_lower_bound_check(branch):
     coarse = _ratio_infimum(branch, NORM_RADIAL, NORM_ANGULAR)
     fine = _ratio_infimum(branch, 2 * NORM_RADIAL, 2 * NORM_ANGULAR)
     degraded = fine <= 0.0 or fine < 0.5 * coarse
-    return NormBoundReport(
-        infimum=fine,
-        coarse_infimum=coarse,
-        violations=int(degraded),
-    )
-
-
-def _monomial_series(exponent, coefficient=1.0):
-    return TruncatedSeries(terms=((exponent, coefficient),),
-                           truncation_degree=exponent)
-
-
-def _zero_series(truncation_degree=1):
-    return TruncatedSeries(terms=(), truncation_degree=truncation_degree)
+    return NormBoundReport(infimum=fine, violations=int(degraded))
 
 
 def builtin_germs():
@@ -454,31 +413,28 @@ def builtin_germs():
     def cusp(p, q):
         return CurveGerm(
             basepoint=(0.0, 0.0),
-            branch=PuiseuxBranch(k=p, c=1.0, tail=(_monomial_series(q),)),
+            branch=PuiseuxBranch(k=p, c=1.0,
+                                 tail=(TruncatedSeries(terms=((q, 1.0),)),)),
             star_plus=StarSet(k=p, angle_indices=(0,)),
             star_minus=StarSet(k=p, angle_indices=(0,)),
-            point_class="singular",
-            label=f"cusp_{p}_{q}",
         )
 
-    line = PuiseuxBranch(k=1, c=1.0, tail=(_zero_series(),))
-    parabola = PuiseuxBranch(k=1, c=1.0, tail=(_monomial_series(2),))
+    line = PuiseuxBranch(k=1, c=1.0, tail=(TruncatedSeries(terms=()),))
+    parabola = PuiseuxBranch(k=1, c=1.0,
+                             tail=(TruncatedSeries(terms=((2, 1.0),)),))
     return {
         "interval_interior": CurveGerm(
             basepoint=(0.0, 0.0), branch=line,
             star_plus=StarSet(k=1, angle_indices=(0,)),
-            star_minus=StarSet(k=1, angle_indices=(0,)),
-            point_class="regular_interior", label="interval_interior"),
+            star_minus=StarSet(k=1, angle_indices=(0,))),
         "interval_boundary": CurveGerm(
             basepoint=(0.0, 0.0), branch=line,
             star_plus=StarSet(k=1, angle_indices=(0,)),
-            star_minus=None,
-            point_class="regular_boundary", label="interval_boundary"),
+            star_minus=None),
         "parabola_regular": CurveGerm(
             basepoint=(0.0, 0.0), branch=parabola,
             star_plus=StarSet(k=1, angle_indices=(0,)),
-            star_minus=StarSet(k=1, angle_indices=(0,)),
-            point_class="regular_interior", label="parabola_regular"),
+            star_minus=StarSet(k=1, angle_indices=(0,))),
         "cusp_2_3": cusp(2, 3),
         "cusp_2_5": cusp(2, 5),
         "cusp_3_4": cusp(3, 4),
@@ -496,7 +452,7 @@ def _parse_scalar(text, line, kind, key):
                               f"got '{text}'", line) from None
 
 
-def parse_germ_text(text, source="<germ>"):
+def parse_germ_text(text):
     """Parse the flat key=value germ grammar. See the README for the format."""
     scalars = {}
     terms = {}
@@ -534,7 +490,7 @@ def parse_germ_text(text, source="<germ>"):
     for key in scalars:
         if key not in known:
             raise GermFormatError(f"unknown key '{key}'", lines[key])
-    for key in ("ambient_dim", "k", "c_re", "point_class"):
+    for key in ("ambient_dim", "k", "c_re"):
         if key not in scalars:
             raise GermFormatError(f"missing required key '{key}'", None)
 
@@ -549,9 +505,8 @@ def parse_germ_text(text, source="<germ>"):
     tail = []
     for coord in range(2, n + 1):
         pairs = sorted(terms.pop(coord, []))
-        degree = max((e for e, _ in pairs), default=1)
         try:
-            tail.append(TruncatedSeries(terms=tuple(pairs), truncation_degree=degree))
+            tail.append(TruncatedSeries(terms=tuple(pairs)))
         except InvalidBranchError as exc:
             raise GermFormatError(f"coordinate {coord}: {exc}", None) from None
     if terms:
@@ -584,20 +539,24 @@ def parse_germ_text(text, source="<germ>"):
 
     try:
         branch = PuiseuxBranch(k=k, c=complex(c_re, c_im), tail=tuple(tail))
-        return CurveGerm(
+        germ = CurveGerm(
             basepoint=basepoint,
             branch=branch,
             star_plus=parse_star("star_plus"),
             star_minus=parse_star("star_minus"),
-            point_class=scalars["point_class"].strip(),
-            label=source,
         )
     except (InvalidBranchError, DomainError) as exc:
         raise GermFormatError(str(exc), None) from None
+    declared = scalars.get("point_class", germ.point_class)
+    if declared != germ.point_class:
+        raise GermFormatError(
+            f"point_class '{declared}' contradicts k = {k} and the stars, "
+            f"which make the germ {germ.point_class}", lines["point_class"])
+    return germ
 
 
 def load_germ(path):
     """Load a germ definition file."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return parse_germ_text(text, source=str(path))
+    return parse_germ_text(text)

@@ -33,7 +33,7 @@ from pathlib import Path
 from .acceptance import run_all
 from .curve_model import (BUILTIN_GERM_IDS, DomainError, GermFormatError,
                           NumericError, builtin_germs, load_germ,
-                          multiplicity, sample_real_trace)
+                          sample_real_trace)
 from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE, HCP_DELTAS,
                              INTERVAL_HCP_RULES, ProbeRuleError,
                              TooFewPointsError, green_interval, hcp_fit,
@@ -263,12 +263,17 @@ def _geodesic_fit(scenario):
 
 
 def _hcp_probe(scenario):
-    """Green evaluator, probe rule, and pass window for the germ."""
+    """Green evaluator, probe rule, and pass window for the germ.
+
+    A regular germ whose tail is zero traces a segment and uses the
+    interval's closed form and window; every other germ goes through
+    the Siciak LP on its sampled trace, with no window.
+    """
     germ = scenario.germ
-    if germ.point_class in INTERVAL_HCP_RULES:
+    order = germ.branch.k
+    if order == 1 and not any(series.terms for series in germ.branch.tail):
         probe, window = INTERVAL_HCP_RULES[germ.point_class]
         return green_interval, probe, window
-    order = multiplicity(germ.branch)
     degree = max(scenario.degrees) if scenario.degrees else 8
     samples = sample_real_trace(germ, 0.25, scenario.density)
 

@@ -288,7 +288,6 @@ def hcp_fit(green, deltas, probe_rule):
 @dataclass(frozen=True)
 class BernsteinWalshReport:
     lhs: float
-    sample_norm: float
     envelope: float
     ratio: float
     slack: float
@@ -319,8 +318,7 @@ def bernstein_walsh_check(coefficients, samples, z, green_value):
     ratio = lhs / envelope if envelope > 0.0 else (0.0 if lhs == 0.0
                                                    else math.inf)
     holds = lhs <= envelope * (1.0 + 1e-9) + 1e-15
-    return BernsteinWalshReport(lhs=lhs, sample_norm=sample_norm,
-                                envelope=envelope, ratio=ratio,
+    return BernsteinWalshReport(lhs=lhs, envelope=envelope, ratio=ratio,
                                 slack=envelope - lhs, holds=bool(holds))
 
 

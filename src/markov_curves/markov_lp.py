@@ -216,11 +216,11 @@ def _reduce_columns(matrix, functional):
     functional has a component the sampled function space cannot see,
     since the discrete problem is then effectively unbounded, and
     ConditioningError when the effective condition number of the kept
-    columns exceeds CONDITION_LIMIT.
+    columns exceeds CONDITION_LIMIT.  Every caller's matrix has a column
+    that is never zero (the constant basis element, or the rotated T_0),
+    so the largest singular value is positive.
     """
     singular, vt = np.linalg.svd(matrix, full_matrices=False)[1:]
-    if singular[0] == 0.0:
-        return matrix, functional, np.eye(matrix.shape[1])
     cutoff = singular[0] * max(matrix.shape) * np.finfo(float).eps
     rank = int(np.sum(singular > cutoff))
     condition = float(singular[0] / singular[rank - 1])
@@ -422,7 +422,6 @@ class CauchyDerivativeReport:
     lhs: float
     bound: float
     constant: float
-    radius: float
     order: int
     holds: bool
     slack: float
@@ -438,7 +437,8 @@ def cauchy_derivative_check(germ, coefficients, radius):
     """
     if not (0.0 < radius < 1.0):
         raise DomainError("radius must lie in (0, 1)")
-    order, lead = germ.branch.leading_vector()
+    order = germ.branch.k
+    lead = germ.branch.leading_vector()
     lead_norm = float(np.linalg.norm(lead))
     if float(np.max(np.abs(lead.imag))) > 1e-12 * (1.0 + lead_norm):
         raise InconsistentGermError(
@@ -456,5 +456,4 @@ def cauchy_derivative_check(germ, coefficients, radius):
     slack = bound - lhs
     holds = lhs <= bound * (1.0 + 1e-9) + 1e-12
     return CauchyDerivativeReport(lhs=lhs, bound=bound, constant=constant,
-                                  radius=float(radius), order=order,
-                                  holds=bool(holds), slack=slack)
+                                  order=order, holds=bool(holds), slack=slack)

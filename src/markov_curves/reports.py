@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curve_model import DomainError, geodesic_distance, multiplicity
+from .curve_model import DomainError, geodesic_distance
 
 CSV_HEADER = ("scenario", "study", "degree", "epsilon", "value",
               "fitted_exponent", "slack", "status")
@@ -103,7 +103,6 @@ def geodesic_rows(scenario, study, branch):
     slope's deviation from the branch multiplicity, which decides the
     status.
     """
-    order = multiplicity(branch)
     distances = [geodesic_distance(branch, 0.0, r) for r in GEODESIC_RADII]
     raw = [ReportRow(scenario, study, None, radius, distance)
            for radius, distance in zip(GEODESIC_RADII, distances)]
@@ -111,7 +110,7 @@ def geodesic_rows(scenario, study, branch):
                               np.ones(len(GEODESIC_RADII))])
     (slope, intercept), *_ = np.linalg.lstsq(design, np.log(distances),
                                              rcond=None)
-    deviation = abs(float(slope) - order)
+    deviation = abs(float(slope) - branch.k)
     return raw, [ReportRow(scenario, study, None, None,
                            value=float(math.exp(intercept)),
                            fitted_exponent=float(slope), slack=deviation,

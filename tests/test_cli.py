@@ -126,7 +126,7 @@ class TestConfigParsing:
                                              encoding="utf-8")
         text = GEODESIC_CONFIG.replace("cusp_2_3", "local.germ")
         scenarios = parse_config_text(text, base_dir=str(tmp_path))
-        assert scenarios[0].germ.multiplicity == 2
+        assert scenarios[0].germ.branch.k == 2
 
     def test_broken_germ_file_reports_position(self, tmp_path):
         (tmp_path / "broken.germ").write_text("k = \n", encoding="utf-8")
@@ -344,3 +344,22 @@ class TestMain:
             encoding="utf-8").splitlines()
         alpha = float(fit[1].split(",")[5])
         assert abs(alpha - 0.5) <= 0.03
+
+    def test_hcp_fit_regular_germ_off_a_segment_uses_the_lp(self, tmp_path):
+        config = tmp_path / "hcp.cfg"
+        config.write_text(
+            "[line]\nstudy = hcp_fit\ngerm = interval_interior\n"
+            "degrees = 8\ndensity = 120\n\n"
+            "[parabola]\nstudy = hcp_fit\ngerm = parabola_regular\n"
+            "degrees = 8\ndensity = 120\n", encoding="utf-8")
+        code = main(["hcp-fit", "--config", str(config),
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+
+        def cells(name):
+            lines = (tmp_path / f"{name}_raw.csv").read_text(
+                encoding="utf-8").splitlines()[1:]
+            return [line.split(",")[1:] for line in lines]
+
+        assert len(cells("parabola")) == len(cells("line")) == 10
+        assert cells("parabola") != cells("line")

@@ -10,8 +10,7 @@ from markov_curves.curve_model import (CurveGerm, DomainError,
                                        InvalidBranchError, PuiseuxBranch,
                                        StarSet, TruncatedSeries,
                                        builtin_germs, chebyshev_grid,
-                                       eval_branch, geodesic_distance,
-                                       load_germ, multiplicity,
+                                       geodesic_distance, load_germ,
                                        norm_lower_bound_check,
                                        parse_germ_text, sample_real_trace,
                                        tangent_vector)
@@ -38,8 +37,7 @@ def test_chebyshev_grid_includes_endpoints():
 
 class TestTruncatedSeries:
     def test_evaluates_like_a_sparse_polynomial(self):
-        series = TruncatedSeries(terms=((3, 1.0), (5, -2.0)),
-                                 truncation_degree=5)
+        series = TruncatedSeries(terms=((3, 1.0), (5, -2.0)))
         for z in (0.3, -0.7, 0.2 + 0.1j):
             assert series.evaluate(z) == pytest.approx(z**3 - 2 * z**5)
             assert series.evaluate_derivative(z) == pytest.approx(
@@ -47,21 +45,17 @@ class TestTruncatedSeries:
 
     def test_rejects_disordered_exponents(self):
         with pytest.raises(InvalidBranchError):
-            TruncatedSeries(terms=((5, 1.0), (3, 1.0)), truncation_degree=5)
-
-    def test_rejects_exponent_beyond_truncation(self):
-        with pytest.raises(InvalidBranchError):
-            TruncatedSeries(terms=((4, 1.0),), truncation_degree=3)
+            TruncatedSeries(terms=((5, 1.0), (3, 1.0)))
 
 
 class TestPuiseuxBranch:
     def test_zero_leading_coefficient_rejected(self):
-        tail = (TruncatedSeries(terms=((3, 1.0),), truncation_degree=3),)
+        tail = (TruncatedSeries(terms=((3, 1.0),)),)
         with pytest.raises(InvalidBranchError):
             PuiseuxBranch(k=2, c=0.0, tail=tail)
 
     def test_tail_must_start_past_k(self):
-        tail = (TruncatedSeries(terms=((2, 1.0),), truncation_degree=2),)
+        tail = (TruncatedSeries(terms=((2, 1.0),)),)
         with pytest.raises(InvalidBranchError):
             PuiseuxBranch(k=2, c=1.0, tail=tail)
 
@@ -71,24 +65,32 @@ class TestPuiseuxBranch:
         point = branch.evaluate(z)
         assert point[0] == pytest.approx(z**2)
         assert point[1] == pytest.approx(z**3)
-        order, lead = branch.leading_vector()
-        assert order == 2
-        np.testing.assert_allclose(lead, [1.0, 0.0])
+        np.testing.assert_allclose(branch.leading_vector(), [1.0, 0.0])
 
     def test_eval_branch_rejects_points_outside_disk(self):
-        branch = builtin_germs()["cusp_2_3"].branch
-        with pytest.raises(DomainError):
-            eval_branch(branch, 1.5)
+        germ = builtin_germs()["cusp_2_3"]
+        with pytest.raises(DomainError, match="closed unit disk"):
+            germ.evaluate(1.5)
+
+
+#: The point class of each built-in germ.
+BUILTIN_POINT_CLASSES = {
+    "interval_interior": "regular_interior",
+    "interval_boundary": "regular_boundary",
+    "parabola_regular": "regular_interior",
+    "cusp_2_3": "singular", "cusp_2_5": "singular", "cusp_3_4": "singular",
+}
 
 
 @pytest.mark.parametrize("germ_id,expected", [
     ("interval_interior", 1), ("parabola_regular", 1),
     ("cusp_2_3", 2), ("cusp_2_5", 2), ("cusp_3_4", 3),
+    ("interval_boundary", 1),
 ])
 def test_multiplicity_of_builtins(germ_id, expected):
     germ = builtin_germs()[germ_id]
-    assert multiplicity(germ.branch) == expected
-    assert germ.multiplicity == expected
+    assert germ.branch.k == expected
+    assert germ.point_class == BUILTIN_POINT_CLASSES[germ_id]
 
 
 def test_tangent_vector_is_unit_with_positive_leading_entry():
@@ -195,7 +197,7 @@ class TestGermGrammar:
     def test_round_trip_matches_builtin(self):
         germ = parse_germ_text(CUSP_TEXT)
         builtin = builtin_germs()["cusp_2_3"]
-        assert multiplicity(germ.branch) == 2
+        assert germ.branch.k == 2
         assert germ.point_class == builtin.point_class
         np.testing.assert_allclose(germ.evaluate(0.4), builtin.evaluate(0.4))
         assert sorted(germ.ray_angles()) == sorted(builtin.ray_angles())
@@ -204,7 +206,7 @@ class TestGermGrammar:
         path = tmp_path / "cusp.germ"
         path.write_text(CUSP_TEXT, encoding="utf-8")
         germ = load_germ(path)
-        assert multiplicity(germ.branch) == 2
+        assert germ.branch.k == 2
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(GermFormatError) as info:
@@ -222,10 +224,10 @@ class TestGermGrammar:
         assert "c_re" in str(info.value)
 
     def test_missing_required_key(self):
-        broken = CUSP_TEXT.replace("point_class = singular\n", "")
+        broken = CUSP_TEXT.replace("c_re = 1.0\n", "")
         with pytest.raises(GermFormatError) as info:
             parse_germ_text(broken)
-        assert "point_class" in str(info.value)
+        assert "c_re" in str(info.value)
 
     def test_star_index_out_of_range(self):
         with pytest.raises(GermFormatError):
@@ -238,6 +240,21 @@ class TestGermGrammar:
         with pytest.raises(GermFormatError):
             parse_germ_text(broken)
 
+    def test_point_class_is_optional(self):
+        germ = parse_germ_text(CUSP_TEXT.replace("point_class = singular\n",
+                                                 ""))
+        assert germ.point_class == "singular"
+
+    def test_point_class_contradicting_the_stars_reports_line(self):
+        # One ray at k = 1 makes a boundary point, not an interior one.
+        text = CUSP_TEXT.replace("k = 2", "k = 1").replace(
+            "star_minus = 0", "star_minus = none").replace(
+            "point_class = singular", "point_class = regular_interior")
+        with pytest.raises(GermFormatError) as info:
+            parse_germ_text(text)
+        assert info.value.line == 7
+        assert "regular_boundary" in str(info.value)
+
 
 def test_ray_angles_rotates_minus_star():
     germ = builtin_germs()["cusp_2_3"]
@@ -248,7 +265,6 @@ def test_ray_angles_rotates_minus_star():
 def test_germ_evaluate_offsets_basepoint():
     germ = builtin_germs()["cusp_2_3"]
     shifted = CurveGerm(basepoint=(1.0, -2.0), branch=germ.branch,
-                        star_plus=germ.star_plus, star_minus=germ.star_minus,
-                        point_class=germ.point_class, label="shifted")
+                        star_plus=germ.star_plus, star_minus=germ.star_minus)
     np.testing.assert_allclose(shifted.evaluate(0.5),
                                germ.evaluate(0.5) + np.array([1.0, -2.0]))
