@@ -452,6 +452,37 @@ def _parse_scalar(text, line, kind, key):
                               f"got '{text}'", line) from None
 
 
+def _coordinate_series(coord, entries):
+    """The series of one coordinate from its (exponent, coefficient, line)
+    terms; an error names the line of the first term, in exponent
+    order, that breaks the series."""
+    entries = sorted(entries, key=lambda entry: entry[0])
+    series = TruncatedSeries(terms=())
+    for end in range(1, len(entries) + 1):
+        try:
+            series = TruncatedSeries(
+                terms=tuple(entry[:2] for entry in entries[:end]))
+        except InvalidBranchError as exc:
+            raise GermFormatError(f"coordinate {coord}: {exc}",
+                                  entries[end - 1][2]) from None
+    return series
+
+
+def _branch_error_line(k, c, tail, lines, terms):
+    """Line of the key a PuiseuxBranch rejected, in the order it checks:
+    k, then the leading coefficient, then each coordinate's order."""
+    if k < 1:
+        return lines["k"]
+    if c == 0:
+        return lines["c_re"]
+    for coord, series in enumerate(tail, start=2):
+        order = series.order()
+        if order is not None and order <= (k if k >= 2 else 0):
+            return next(line for exponent, coefficient, line in terms[coord]
+                        if exponent == order and coefficient != 0)
+    return None
+
+
 def parse_germ_text(text):
     """Parse the flat key=value germ grammar. See the README for the format."""
     scalars = {}
@@ -481,7 +512,8 @@ def parse_germ_text(text):
                     "term values are 're' or 're,im'", lineno)
             re_part = _parse_scalar(parts[0], lineno, float, key)
             im_part = _parse_scalar(parts[1], lineno, float, key) if len(parts) == 2 else 0.0
-            terms.setdefault(coord, []).append((exponent, complex(re_part, im_part)))
+            terms.setdefault(coord, []).append(
+                (exponent, complex(re_part, im_part), lineno))
         else:
             scalars[key] = value
             lines[key] = lineno
@@ -502,17 +534,12 @@ def parse_germ_text(text):
     if n < 2:
         raise GermFormatError("ambient_dim must be >= 2", lines["ambient_dim"])
 
-    tail = []
-    for coord in range(2, n + 1):
-        pairs = sorted(terms.pop(coord, []))
-        try:
-            tail.append(TruncatedSeries(terms=tuple(pairs)))
-        except InvalidBranchError as exc:
-            raise GermFormatError(f"coordinate {coord}: {exc}", None) from None
-    if terms:
-        bad = sorted(terms)[0]
-        raise GermFormatError(
-            f"term coordinate {bad} outside 2..{n}", None)
+    tail = [_coordinate_series(coord, terms.get(coord, []))
+            for coord in range(2, n + 1)]
+    outside = sorted(set(terms) - set(range(2, n + 1)))
+    if outside:
+        raise GermFormatError(f"term coordinate {outside[0]} outside 2..{n}",
+                              terms[outside[0]][0][2])
 
     def parse_star(key):
         if key not in scalars:
@@ -537,16 +564,24 @@ def parse_germ_text(text):
         basepoint = tuple(_parse_scalar(p, lines["basepoint"], float, "basepoint")
                           for p in parts)
 
+    c = complex(c_re, c_im)
     try:
-        branch = PuiseuxBranch(k=k, c=complex(c_re, c_im), tail=tuple(tail))
+        branch = PuiseuxBranch(k=k, c=c, tail=tuple(tail))
+    except InvalidBranchError as exc:
+        raise GermFormatError(
+            str(exc), _branch_error_line(k, c, tail, lines, terms)) from None
+    try:
         germ = CurveGerm(
             basepoint=basepoint,
             branch=branch,
             star_plus=parse_star("star_plus"),
             star_minus=parse_star("star_minus"),
         )
-    except (InvalidBranchError, DomainError) as exc:
-        raise GermFormatError(str(exc), None) from None
+    except DomainError as exc:
+        # Only "no star at all" is left unchecked; a 'none' star names its
+        # line, two absent keys have none.
+        line = lines.get("star_plus", lines.get("star_minus"))
+        raise GermFormatError(str(exc), line) from None
     declared = scalars.get("point_class", germ.point_class)
     if declared != germ.point_class:
         raise GermFormatError(

@@ -22,7 +22,6 @@ Exit codes: 0 ok, 1 violation, 2 config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import re
 import sys
@@ -242,19 +241,20 @@ def _green_eval(scenario):
     for epsilon in scenario.epsilons:
         points = star_points(angles, epsilon, scenario.density)
         closed = segment_closed_form(angles, epsilon)
-        for degree, probe in itertools.product(scenario.degrees,
-                                               GREEN_PROBES):
-            result = siciak_lp(points, probe * epsilon, degree)
-            slack = None
-            status = "ok"
-            if closed is not None:
-                reference = closed(probe * epsilon)
-                slack = result.value - reference
-                if abs(slack) > GREEN_TOLERANCE + result.facet_slack:
-                    status = "violation"
-            raw.append(ReportRow(scenario.name, "green_eval", degree,
-                                 epsilon, result.value, slack=slack,
-                                 status=status))
+        for degree in scenario.degrees:
+            results = siciak_lp(points, [probe * epsilon
+                                         for probe in GREEN_PROBES], degree)
+            for probe, result in zip(GREEN_PROBES, results):
+                slack = None
+                status = "ok"
+                if closed is not None:
+                    reference = closed(probe * epsilon)
+                    slack = result.value - reference
+                    if abs(slack) > GREEN_TOLERANCE + result.facet_slack:
+                        status = "violation"
+                raw.append(ReportRow(scenario.name, "green_eval", degree,
+                                     epsilon, result.value, slack=slack,
+                                     status=status))
     return raw, []
 
 
@@ -263,7 +263,7 @@ def _geodesic_fit(scenario):
 
 
 def _hcp_probe(scenario):
-    """Green evaluator, probe rule, and pass window for the germ.
+    """Green evaluator of a probe list, probe rule, and pass window.
 
     A regular germ whose tail is zero traces a segment and uses the
     interval's closed form and window; every other germ goes through
@@ -273,12 +273,14 @@ def _hcp_probe(scenario):
     order = germ.branch.k
     if order == 1 and not any(series.terms for series in germ.branch.tail):
         probe, window = INTERVAL_HCP_RULES[germ.point_class]
-        return green_interval, probe, window
+        return (lambda points: [green_interval(z) for z in points],
+                probe, window)
     degree = max(scenario.degrees) if scenario.degrees else 8
     samples = sample_real_trace(germ, 0.25, scenario.density)
 
-    def evaluator(point):
-        return siciak_lp(samples, point, degree).value
+    def evaluator(points):
+        return [result.value
+                for result in siciak_lp(samples, points, degree)]
 
     def probe(delta):
         return germ.evaluate(1j * delta ** (1.0 / order))

@@ -16,6 +16,11 @@ Re(exp(2 pi i m / 16) p) <= 1 over the 16 facet directions, and an
 objective |p(z)| for nonreal z becomes the best facet orientation of
 Re(p(z)).  The relaxation slack log(1/cos(pi/16))/degree is reported,
 never silently absorbed.
+
+The LP is built once per sample set and degree: siciak_lp takes a
+sequence of evaluation points, and its basis, constraint matrix and
+rank reduction serve every point, which then costs only its own
+objective and solves.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ import numpy as np
 
 from .curve_model import DomainError, chebyshev_grid, sample_real_trace
 from .lp import UnboundedProblemError, solve_sup_norm_lp
-from .markov_lp import (TooFewSamplesError, _chebyshev_table,
-                        _reduce_columns, _sampled_lp)
+from .markov_lp import (SampledLp, TooFewSamplesError, _chebyshev_table,
+                        _reduce_columns)
 
 #: Ratio reports ignore probe points whose reference value is below this.
 RHS_TOLERANCE = 1e-6
@@ -156,22 +161,32 @@ def _coerce_samples(samples):
     return "real", array
 
 
-def _siciak_real(points, z, degree):
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.shape != (points.shape[1],):
+def _siciak_real(points, targets, degree):
+    """(LP optimum, facet slack) per target on one real sample set."""
+    dims = points.shape[1]
+    targets = np.asarray(targets, dtype=complex)
+    if targets.ndim == 1 and dims == 1:
+        targets = targets[:, None]
+    if targets.ndim != 2 or targets.shape[1] != dims:
         raise DomainError(
-            f"evaluation point must have dimension {points.shape[1]}")
+            f"expected a sequence of evaluation points of dimension {dims}")
+    lp = SampledLp(points, degree)
+    peaks = []
+    for z in targets:
+        row = lp.basis.evaluate(z[None, :]).ravel()
+        if np.max(np.abs(z.imag)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
+            peaks.append((lp.solve(row).value, 0.0))
+        else:
+            peaks.append((lp.solve(row, HALF_FACET_PHASES).value,
+                          FACET_SLACK / degree))
+    return peaks
 
-    def evaluation(basis):
-        return basis.evaluate(z[None, :]).ravel()
 
-    if np.max(np.abs(z.imag)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
-        return _sampled_lp(points, degree, evaluation)[0].value, 0.0
-    best = _sampled_lp(points, degree, evaluation, HALF_FACET_PHASES)[0]
-    return best.value, FACET_SLACK / degree
-
-
-def _siciak_planar(points, z, degree):
+def _siciak_planar(points, targets, degree):
+    """(LP optimum, facet slack) per target on one planar point list."""
+    targets = np.asarray(targets, dtype=complex)
+    if targets.ndim != 1:
+        raise DomainError("expected a sequence of complex evaluation points")
     if points.shape[0] < degree + 1:
         raise TooFewPointsError(
             f"{points.shape[0]} planar samples cannot bound degree {degree}")
@@ -180,18 +195,27 @@ def _siciak_planar(points, z, degree):
     if scale <= 0.0:
         raise TooFewPointsError("all planar samples coincide")
     columns = _complex_chebyshev(points, degree, center, scale)
-    target = _complex_chebyshev(np.asarray([complex(z)]), degree,
-                                center, scale).ravel()
-    blocks = []
+    # Filled in place and dropped once reduced: only the reduced matrix
+    # lives through the solves of the batch.
+    rows = points.shape[0]
+    constraints = np.empty((FACETS * rows, 2 * (degree + 1)))
     for m in range(FACETS):
         phase = cmath.exp(2j * math.pi * m / FACETS)
         rotated = phase * columns
-        blocks.append(np.hstack([rotated.real, -rotated.imag]))
-    constraints = np.vstack(blocks)
-    objective = np.concatenate([target.real, -target.imag])
-    lp_matrix, lp_objective, _ = _reduce_columns(constraints, objective)
-    solution = solve_sup_norm_lp(lp_matrix, lp_objective)
-    return solution.value, FACET_SLACK / degree
+        block = constraints[m * rows:(m + 1) * rows]
+        block[:, :degree + 1] = rotated.real
+        block[:, degree + 1:] = -rotated.imag
+    reduction = _reduce_columns(constraints)
+    del constraints
+    peaks = []
+    for z in targets:
+        target = _complex_chebyshev(np.asarray([z]), degree,
+                                    center, scale).ravel()
+        objective = np.concatenate([target.real, -target.imag])
+        solution = solve_sup_norm_lp(reduction.matrix,
+                                     reduction.project(objective))
+        peaks.append((solution.value, FACET_SLACK / degree))
+    return peaks
 
 
 def _complex_chebyshev(points, degree, center, scale):
@@ -200,32 +224,38 @@ def _complex_chebyshev(points, degree, center, scale):
                             / scale, degree)
 
 
-def siciak_lp(samples, z, degree):
-    """Discrete extremal lower bound of the Green function at z.
+def siciak_lp(samples, points, degree):
+    """Discrete extremal lower bounds of the Green function at points.
 
     ``samples`` is a real (m, n) array, such as the output of
-    sample_real_trace, or a planar list of complex points.  The LP
-    maximizes |p(z)| over polynomials bounded by 1 on the samples; the
-    returned value is acosh(max(M, 1))/degree, which reproduces the
-    closed form exactly on segments and never goes negative.  The
-    polygonal relaxation slack is carried in the result, not folded
-    into the value.
+    sample_real_trace, or a planar list of complex points.  ``points``
+    is a sequence of evaluation points: n-vectors on an (m, n) set
+    (scalars when n = 1), complex numbers on a planar list.  The LP
+    maximizes |p(z)| over polynomials bounded by 1 on the samples; each
+    value is acosh(max(M, 1))/degree, which reproduces the closed form
+    exactly on segments and never goes negative.  The polygonal
+    relaxation slack is carried in each result, not folded into the
+    value.
+
+    The constraint matrix and its rank reduction are built once for all
+    points; returns one GreenEvaluation per point, in order.
     """
     if degree < 1:
         raise DomainError("degree must be at least 1")
-    kind, points = _coerce_samples(samples)
+    kind, sample_points = _coerce_samples(samples)
     try:
         if kind == "real":
-            peak, slack = _siciak_real(points, z, degree)
+            peaks = _siciak_real(sample_points, points, degree)
         else:
-            peak, slack = _siciak_planar(points, z, degree)
+            peaks = _siciak_planar(sample_points, points, degree)
     except UnboundedProblemError as exc:
         raise TooFewPointsError(
             f"discrete set looks polar at degree {degree}: {exc}") from exc
     except TooFewSamplesError as exc:
         raise TooFewPointsError(str(exc)) from exc
-    value = math.acosh(max(float(peak), 1.0)) / degree
-    return GreenEvaluation(value=value, facet_slack=slack)
+    return [GreenEvaluation(value=math.acosh(max(float(peak), 1.0)) / degree,
+                            facet_slack=slack)
+            for peak, slack in peaks]
 
 
 @dataclass(frozen=True)
@@ -250,10 +280,12 @@ class HcpFit:
 def hcp_fit(green, deltas, probe_rule):
     """Fit  V(probe(delta)) ~ constant * delta**alpha  by least squares.
 
-    ``green`` maps a probe point to a Green value and ``probe_rule``
-    maps a distance to a probe point.  Needs at least 4 distances
-    spanning at least 2 decades; a nonpositive value at positive
-    distance means the probe rule walked onto the set.
+    ``probe_rule`` maps a distance to a probe point and ``green`` maps
+    the sequence of probe points, largest distance first, to their
+    Green values, so an LP-backed evaluator builds its matrix once.
+    Needs at least 4 distances spanning at least 2 decades; a
+    nonpositive value at positive distance means the probe rule walked
+    onto the set, and the error names the largest such distance.
     """
     deltas = sorted((float(d) for d in deltas), reverse=True)
     if len(deltas) < 4:
@@ -264,14 +296,13 @@ def hcp_fit(green, deltas, probe_rule):
         raise DomainError("probe distances must be positive")
     if deltas[0] / deltas[-1] < 100.0:
         raise DomainError("probe distances must span at least 2 decades")
-    values = []
-    for delta in deltas:
-        value = float(green(probe_rule(delta)))
+    values = [float(value)
+              for value in green([probe_rule(delta) for delta in deltas])]
+    for delta, value in zip(deltas, values, strict=True):
         if value <= 0.0:
             raise ProbeRuleError(
                 f"probe at distance {delta:g} landed on the set "
                 f"(value {value:g})")
-        values.append(value)
     log_d = np.log(deltas)
     log_v = np.log(values)
     design = np.column_stack([log_d, np.ones_like(log_d)])
@@ -398,14 +429,14 @@ def segment_closed_form(angles, epsilon):
     return None
 
 
-def _star_green(germ, epsilon, degree):
-    """Evaluator for the realized star of a germ at parameter scale eps."""
+def _star_green(germ, epsilon, degree, probes):
+    """Green values of the realized star of a germ at parameter scale eps."""
     angles = sorted(a % (2.0 * math.pi) for a in germ.ray_angles())
     closed = segment_closed_form(angles, epsilon)
     if closed is not None:
-        return closed
+        return [closed(z) for z in probes]
     points = star_points(angles, epsilon, STAR_DENSITY)
-    return lambda z: siciak_lp(points, z, degree).value
+    return [result.value for result in siciak_lp(points, probes, degree)]
 
 
 def star_domination_check(germ, epsilon, degree):
@@ -421,24 +452,24 @@ def star_domination_check(germ, epsilon, degree):
         raise DomainError("epsilon must lie in (0, 1]")
     degrees = (int(degree), int(degree) + max(1, int(degree) // 2))
     samples = sample_real_trace(germ, epsilon, STAR_DENSITY)
-    star = _star_green(germ, epsilon, degrees[0])
     probe_angles = (2.0 * math.pi * (np.arange(STAR_PROBE_ANGLES) + 0.5)
                     / STAR_PROBE_ANGLES)
     probes = [epsilon * rho * cmath.exp(1j * theta)
               for rho in (0.4, 0.6, 0.8) for theta in probe_angles]
-    reference = [star(z) for z in probes]
+    reference = _star_green(germ, epsilon, degrees[0], probes)
     kept = [(z, rhs) for z, rhs in zip(probes, reference)
             if rhs > RHS_TOLERANCE]
     excluded = len(probes) - len(kept)
     if not kept:
         raise ProbeGridError(
             "every probe point fell on the star set")
+    trace_points = [germ.evaluate(z) for z, _ in kept]
     max_ratios = []
     for deg in degrees:
         worst = 0.0
-        for z, rhs in kept:
-            trace_value = siciak_lp(samples, germ.evaluate(z), deg).value
-            worst = max(worst, trace_value / rhs)
+        results = siciak_lp(samples, trace_points, deg)
+        for result, (_, rhs) in zip(results, kept):
+            worst = max(worst, result.value / rhs)
         max_ratios.append(worst)
     base = max(max_ratios[0], 1e-12)
     change = abs(max_ratios[1] - max_ratios[0]) / base

@@ -207,86 +207,119 @@ class MarkovResult:
     basis: PolynomialBasis
 
 
-def _reduce_columns(matrix, functional):
-    """Restrict (matrix, functional) to the numerically spanned columns.
+@dataclass(frozen=True)
+class ColumnReduction:
+    """The numerically spanned columns of one constraint matrix.
 
-    Returns (reduced matrix, reduced functional, back map); the back
-    map lifts reduced coefficient vectors to the full basis
-    (minimal-norm representative).  Raises TooFewSamplesError when the
-    functional has a component the sampled function space cannot see,
-    since the discrete problem is then effectively unbounded, and
-    ConditioningError when the effective condition number of the kept
-    columns exceeds CONDITION_LIMIT.  Every caller's matrix has a column
-    that is never zero (the constant basis element, or the rotated T_0),
-    so the largest singular value is positive.
+    ``matrix`` is the constraint matrix restricted to those columns and
+    ``back_map`` lifts reduced coefficient vectors to the full basis
+    (minimal-norm representative); ``condition`` is the effective
+    condition number of the kept columns.
+    """
+
+    matrix: np.ndarray
+    back_map: np.ndarray
+    condition: float
+
+    def project(self, functional):
+        """Restrict a functional to the kept columns.
+
+        Raises TooFewSamplesError when the functional has a component
+        the sampled function space cannot see, since the discrete
+        problem is then effectively unbounded, and then
+        ConditioningError when the condition number exceeds
+        CONDITION_LIMIT.
+        """
+        if self.back_map.shape[0] == self.back_map.shape[1]:
+            # Full rank: the back map is the identity.
+            projected = functional
+        else:
+            projected = self.back_map.T @ functional
+            leak = float(np.linalg.norm(functional
+                                        - self.back_map @ projected))
+            scale = float(np.linalg.norm(functional))
+            if leak > 1e-6 * max(1.0, scale):
+                raise TooFewSamplesError(
+                    "samples do not resolve the objective functional "
+                    f"(unresolved component {leak:.3e}); add sample points")
+        if not np.isfinite(self.condition) or self.condition > CONDITION_LIMIT:
+            raise ConditioningError(
+                f"basis condition estimate {self.condition:.3e} "
+                f"exceeds {CONDITION_LIMIT:.1e}; lower the degree or rescale")
+        return projected
+
+
+def _reduce_columns(matrix):
+    """SVD, rank and condition of a constraint matrix, as a ColumnReduction.
+
+    Every caller's matrix has a column that is never zero (the constant
+    basis element, or the rotated T_0), so the largest singular value
+    is positive.  The checks wait for ColumnReduction.project, which
+    sees the functional.
     """
     singular, vt = np.linalg.svd(matrix, full_matrices=False)[1:]
     cutoff = singular[0] * max(matrix.shape) * np.finfo(float).eps
     rank = int(np.sum(singular > cutoff))
     condition = float(singular[0] / singular[rank - 1])
     if rank == matrix.shape[1]:
-        reduced = (matrix, functional, np.eye(matrix.shape[1]))
-    else:
-        back_map = vt[:rank].T
-        projected = back_map.T @ functional
-        leak = float(np.linalg.norm(functional - back_map @ projected))
-        scale = float(np.linalg.norm(functional))
-        if leak > 1e-6 * max(1.0, scale):
-            raise TooFewSamplesError(
-                "samples do not resolve the objective functional "
-                f"(unresolved component {leak:.3e}); add sample points")
-        reduced = (matrix @ back_map, projected, back_map)
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise ConditioningError(
-            f"basis condition estimate {condition:.3e} "
-            f"exceeds {CONDITION_LIMIT:.1e}; lower the degree or rescale")
-    return reduced
+        return ColumnReduction(matrix, np.eye(rank), condition)
+    back_map = vt[:rank].T
+    return ColumnReduction(matrix @ back_map, back_map, condition)
 
 
-def _sampled_lp(points, degree, functional, phases=(1.0, -1.0)):
-    """Maximize a linear functional over polynomials bounded on samples.
+class SampledLp:
+    """Polynomials bounded by 1 on one real sample set, at one degree.
 
-    ``points`` is an (m, n) real sample array and ``functional`` maps
-    the PolynomialBasis of degree ``degree`` built on them to the row
-    of the functional.  Each phase gives the objective
-    ``Re(phase * row)`` subject to ``|p| <= 1`` on the samples.
-    Returns (best solution, back map, basis); the back map lifts
-    reduced coefficient vectors to the full basis.
+    Built once per sample set and degree: the PolynomialBasis on the
+    (m, n) ``points``, the sample matrix and its ColumnReduction, and
+    the constraints ``|A w| <= 1`` stacked as ``{A; -A}``.  Each
+    objective then costs only its projection and its solves.
 
-    Raises TooFewSamplesError when the samples cannot bound the basis
-    or do not resolve the functional, ConditioningError when the basis
-    matrix cannot be trusted, and UnboundedProblemError from the
-    solver.
+    Raises TooFewSamplesError when there are fewer samples than basis
+    dimensions.
     """
-    basis = PolynomialBasis.from_points(points, degree)
-    if points.shape[0] < basis.count:
-        raise TooFewSamplesError(
-            f"{points.shape[0]} samples cannot bound a degree-{degree} "
-            f"basis of dimension {basis.count}")
-    matrix = basis.evaluate(points)
-    # Restriction to an algebraic curve can have a genuine kernel
-    # (x**3 - y**2 vanishes identically on a (2,3) cusp trace), which
-    # would leave permanently degenerate artificials in the simplex.
-    # Project onto the column space the samples actually span; curve
-    # ideal members have zero tangential derivative, so a derivative
-    # functional survives the projection whenever the samples resolve
-    # it.
-    lp_matrix, lp_functional, back_map = _reduce_columns(
-        matrix, functional(basis))
-    constraints = np.vstack([lp_matrix, -lp_matrix])
-    # The default phases solve both orientations of a real functional.
-    # {A; -A} is symmetric, so both have the same value in exact
-    # arithmetic, yet one solve alone is not safe.  Artificials that
-    # stay basic at zero after phase one can grow in phase two
-    # (lp.solve_sup_norm_lp), leaving a wrong basis: on parabola_regular
-    # (n=12, eps=0.125, density 300) the forward solve returns 0.0 and
-    # the mirrored one 184.0444695071.  Taking the larger value hides
-    # that defect until the simplex is repaired.
-    solutions = [solve_sup_norm_lp(constraints,
-                                   np.real(phase * lp_functional))
-                 for phase in phases]
-    best = max(solutions, key=lambda solution: solution.value)
-    return best, back_map, basis
+
+    def __init__(self, points, degree):
+        self.basis = PolynomialBasis.from_points(points, degree)
+        if points.shape[0] < self.basis.count:
+            raise TooFewSamplesError(
+                f"{points.shape[0]} samples cannot bound a degree-{degree} "
+                f"basis of dimension {self.basis.count}")
+        # Restriction to an algebraic curve can have a genuine kernel
+        # (x**3 - y**2 vanishes identically on a (2,3) cusp trace), which
+        # would leave permanently degenerate artificials in the simplex.
+        # Project onto the column space the samples actually span; curve
+        # ideal members have zero tangential derivative, so a derivative
+        # functional survives the projection whenever the samples resolve
+        # it.
+        self.reduction = _reduce_columns(self.basis.evaluate(points))
+        matrix = self.reduction.matrix
+        self.constraints = np.vstack([matrix, -matrix])
+
+    def solve(self, row, phases=(1.0, -1.0)):
+        """Maximize ``Re(phase * row) @ w`` subject to ``|p| <= 1``.
+
+        ``row`` is the functional in the full basis.  Each phase gives
+        one objective; the best solution is returned, with coefficients
+        in the reduced basis (``reduction.back_map`` lifts them).
+
+        Raises TooFewSamplesError when the samples do not resolve the
+        functional, ConditioningError when the basis matrix cannot be
+        trusted, and UnboundedProblemError from the solver.
+        """
+        functional = self.reduction.project(row)
+        # The default phases solve both orientations of a real functional.
+        # {A; -A} is symmetric, so both have the same value in exact
+        # arithmetic, yet one solve alone is not safe.  Artificials that
+        # stay basic at zero after phase one can grow in phase two
+        # (lp.solve_sup_norm_lp), leaving a wrong basis: on parabola_regular
+        # (n=12, eps=0.125, density 300) the forward solve returns 0.0 and
+        # the mirrored one 184.0444695071.  Taking the larger value hides
+        # that defect until the simplex is repaired.
+        solutions = [solve_sup_norm_lp(self.constraints,
+                                       np.real(phase * functional))
+                     for phase in phases]
+        return max(solutions, key=lambda solution: solution.value)
 
 
 def markov_factor(problem):
@@ -299,14 +332,15 @@ def markov_factor(problem):
     x0 = np.asarray(problem.x0, dtype=float)
     v = np.asarray(problem.v, dtype=float)
     try:
-        chosen, back_map, basis = _sampled_lp(
-            np.asarray(problem.samples, dtype=float), problem.degree,
-            lambda b: b.derivative_row(x0, v))
+        lp = SampledLp(np.asarray(problem.samples, dtype=float),
+                       problem.degree)
+        chosen = lp.solve(lp.basis.derivative_row(x0, v))
     except UnboundedProblemError as exc:
         raise TooFewSamplesError(str(exc)) from exc
     return MarkovResult(factor=chosen.value,
-                        coefficients=back_map @ chosen.coefficients,
-                        basis=basis)
+                        coefficients=lp.reduction.back_map
+                        @ chosen.coefficients,
+                        basis=lp.basis)
 
 
 @dataclass(frozen=True)

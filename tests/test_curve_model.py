@@ -240,6 +240,20 @@ class TestGermGrammar:
         with pytest.raises(GermFormatError):
             parse_germ_text(broken)
 
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("term.2.3 = 1.0", "term.2.2 = 1.0", 8, "vanishes to order 2"),
+        ("c_re = 1.0", "c_re = 0.0", 4, "leading coefficient is zero"),
+        ("term.2.3 = 1.0", "term.2.3 = 1.0\nterm.2.03 = 2.0", 9,
+         "coordinate 2: series exponents must strictly increase"),
+        ("term.2.3 = 1.0", "term.2.3 = 1.0\nterm.3.4 = 1.0", 9,
+         "term coordinate 3 outside 2..2"),
+    ], ids=["order", "leading", "series", "coordinate"])
+    def test_branch_errors_report_the_key_line(self, old, new, line,
+                                               message):
+        with pytest.raises(GermFormatError, match=message) as info:
+            parse_germ_text(CUSP_TEXT.replace(old, new))
+        assert info.value.line == line
+
     def test_point_class_is_optional(self):
         germ = parse_germ_text(CUSP_TEXT.replace("point_class = singular\n",
                                                  ""))

@@ -1,10 +1,12 @@
 """Green functions, the Siciak LP, HCP fits, and the inequality checkers."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from markov_curves import extremal_green, markov_lp
 from markov_curves.curve_model import (DomainError, builtin_germs,
                                        chebyshev_grid, sample_real_trace)
 from markov_curves.extremal_green import (DegenerateSegmentError,
@@ -19,6 +21,26 @@ from markov_curves.extremal_green import (DegenerateSegmentError,
 LOG_2_PLUS_SQRT3 = 1.3169578969248166
 LOG_1_PLUS_SQRT2 = 0.8813735870195430
 LOG_3_PLUS_2SQRT2 = 1.7627471740390861
+
+
+def interval_green(points):
+    return [green_interval(z) for z in points]
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of each LP layer function, at every module it is bound."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(markov_lp, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (markov_lp, extremal_green):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class TestClosedForms:
@@ -92,32 +114,32 @@ class TestStarPoints:
 class TestSiciakLp:
     def test_matches_interval_green_at_reference_points(self):
         samples = chebyshev_grid(-1.0, 1.0, 2001)
-        for z in (2.0, 1 + 1j, -3.0):
-            ev = siciak_lp(samples, z, degree=16)
+        probes = (2.0, 1 + 1j, -3.0)
+        for z, ev in zip(probes, siciak_lp(samples, probes, degree=16)):
             target = green_interval(z)
             assert abs(ev.value - target) <= 0.02 + ev.facet_slack
 
     def test_zero_at_a_sample_point(self):
         samples = chebyshev_grid(-1.0, 1.0, 101)
-        inside = siciak_lp(samples, complex(samples[30]), degree=10)
+        (inside,) = siciak_lp(samples, [complex(samples[30])], degree=10)
         assert inside.value <= inside.facet_slack + 1e-12
 
     def test_monotone_under_point_removal(self):
         samples = chebyshev_grid(-1.0, 1.0, 201)
-        full = siciak_lp(samples, 2.0, degree=12).value
-        thinned = siciak_lp(samples[::4], 2.0, degree=12).value
-        assert thinned >= full - 1e-12
+        (full,) = siciak_lp(samples, [2.0], degree=12)
+        (thinned,) = siciak_lp(samples[::4], [2.0], degree=12)
+        assert thinned.value >= full.value - 1e-12
 
     def test_planar_star_at_member_point(self):
         pts = star_points((0.0, math.pi / 2, math.pi, 3 * math.pi / 2),
                           0.5, 30)
-        ev = siciak_lp(pts, 0.0, degree=6)
+        (ev,) = siciak_lp(pts, [0.0], degree=6)
         assert ev.value <= ev.facet_slack + 1e-9
 
     def test_polar_configuration_is_reported(self):
         samples = np.array([0.0, 0.1, 0.2])
         with pytest.raises(TooFewPointsError):
-            siciak_lp(samples, 2.0, degree=8)
+            siciak_lp(samples, [2.0], degree=8)
 
     @pytest.mark.parametrize("z", [(1.0, 0.0), (1.0 + 1.0j, 0.0)],
                              ids=["real", "nonreal"])
@@ -127,38 +149,74 @@ class TestSiciakLp:
         t = np.linspace(-1.0, 1.0, 40)
         samples = np.column_stack([t, t])
         with pytest.raises(TooFewPointsError, match="unresolved component"):
-            siciak_lp(samples, np.array(z), degree=2)
+            siciak_lp(samples, [z], degree=2)
 
     def test_argument_validation(self):
         samples = chebyshev_grid(-1.0, 1.0, 50)
         with pytest.raises(DomainError):
-            siciak_lp(samples, 2.0, degree=0)
+            siciak_lp(samples, [2.0], degree=0)
+        with pytest.raises(DomainError):
+            siciak_lp(samples, 2.0, degree=4)
+
+    @pytest.mark.parametrize("case", ["trace", "planar_star"])
+    def test_batch_matches_one_point_calls_bit_for_bit(self, monkeypatch,
+                                                       case):
+        if case == "trace":
+            germ = builtin_germs()["cusp_2_3"]
+            samples = sample_real_trace(germ, 0.25, 80)
+            # Beyond the sampled trace, then off the real plane.
+            points = [germ.evaluate(0.4),
+                      germ.evaluate(0.2 * cmath.exp(1j * math.pi / 8))]
+        else:
+            samples = star_points((0.0, math.pi / 2, math.pi,
+                                   3 * math.pi / 2), 0.5, 30)
+            points = [0.2 + 0.1j, -0.3, 0.1j]
+        singles = [siciak_lp(samples, [z], degree=6)[0] for z in points]
+        calls = count_calls(monkeypatch, "_reduce_columns")
+        batch = siciak_lp(samples, points, degree=6)
+        assert calls == {"_reduce_columns": 1}
+        assert batch == singles
+        assert len({ev.facet_slack for ev in batch}) == (
+            2 if case == "trace" else 1)
 
 
 class TestHcpFit:
     def test_interval_endpoint_exponent_is_half(self):
         deltas = np.logspace(-4, -1, 10)
-        fit = hcp_fit(green_interval, deltas, lambda d: 1.0 + d)
+        fit = hcp_fit(interval_green, deltas, lambda d: 1.0 + d)
         assert fit.alpha == pytest.approx(0.5, abs=0.03)
         assert fit.r_squared > 0.999
         assert fit.deltas[0] > fit.deltas[-1]
 
     def test_interval_interior_exponent_is_one(self):
         deltas = np.logspace(-4, -1, 8)
-        fit = hcp_fit(green_interval, deltas, lambda d: complex(0.0, d))
+        fit = hcp_fit(interval_green, deltas, lambda d: complex(0.0, d))
         assert fit.alpha == pytest.approx(1.0, abs=0.03)
 
     def test_needs_four_deltas_spanning_two_decades(self):
         with pytest.raises(DomainError):
-            hcp_fit(green_interval, [0.1, 0.05, 0.02], lambda d: 1.0 + d)
+            hcp_fit(interval_green, [0.1, 0.05, 0.02], lambda d: 1.0 + d)
         with pytest.raises(DomainError):
-            hcp_fit(green_interval, [0.1, 0.09, 0.08, 0.07],
+            hcp_fit(interval_green, [0.1, 0.09, 0.08, 0.07],
                     lambda d: 1.0 + d)
 
     def test_probe_inside_the_set_is_an_error(self):
         deltas = np.logspace(-4, -1, 6)
         with pytest.raises(ProbeRuleError):
-            hcp_fit(green_interval, deltas, lambda d: 0.5)
+            hcp_fit(interval_green, deltas, lambda d: 0.5)
+
+    def test_probe_error_names_the_largest_failing_delta(self):
+        # Probes below 0.01 land on the set; the largest is 10**-2.2.
+        deltas = np.logspace(-4, -1, 6)
+        seen = []
+
+        def green(points):
+            seen.extend(points)
+            return [0.0 if z < 0.01 else z for z in points]
+
+        with pytest.raises(ProbeRuleError, match="distance 0.00630957 "):
+            hcp_fit(green, deltas, lambda d: d)
+        assert seen == sorted(deltas, reverse=True)
 
 
 class TestBernsteinWalsh:
@@ -218,9 +276,13 @@ class TestStarDomination:
         assert max(report.max_ratios) <= 1.01
         assert report.relative_change <= 0.1
 
-    def test_cusp_example_is_stable(self):
+    def test_cusp_example_is_stable(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_reduce_columns",
+                            "solve_sup_norm_lp")
         germ = builtin_germs()["cusp_2_3"]
         report = star_domination_check(germ, 0.25, 8)
+        # One LP build per degree; 24 probes, 8 facet phases each.
+        assert calls == {"_reduce_columns": 2, "solve_sup_norm_lp": 384}
         assert report.degrees == (8, 12)
         assert report.excluded == 0
         assert report.relative_change <= 0.1
@@ -235,5 +297,5 @@ class TestStarDomination:
 def test_siciak_accepts_sample_sets():
     germ = builtin_germs()["interval_interior"]
     samples = sample_real_trace(germ, 1.0, 800)
-    ev = siciak_lp(samples, np.array([2.0, 0.0]), degree=12)
+    (ev,) = siciak_lp(samples, [np.array([2.0, 0.0])], degree=12)
     assert abs(ev.value - green_interval(2.0)) <= 0.02 + ev.facet_slack

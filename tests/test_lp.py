@@ -213,16 +213,16 @@ def star_probe_family():
     germ = builtin_germs()["cusp_2_3"]
     points = sample_real_trace(germ, 0.25, 80)
     z = np.atleast_1d(germ.evaluate(0.2 * cmath.exp(1j * math.pi / 8)))
-    markov_lp._sampled_lp(points, 12,
-                          lambda basis: basis.evaluate(z[None, :]).ravel(),
-                          extremal_green.HALF_FACET_PHASES)
+    sampled = markov_lp.SampledLp(points, 12)
+    sampled.solve(sampled.basis.evaluate(z[None, :]).ravel(),
+                  extremal_green.HALF_FACET_PHASES)
 
 
 def planar_siciak():
     """A planar Siciak LP on 4,480 rows: the widest tableau of the cases."""
     points = extremal_green.star_points(
         (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), 0.5, 70)
-    extremal_green.siciak_lp(points, 0.2 + 0.1j, degree=6)
+    extremal_green.siciak_lp(points, [0.2 + 0.1j], degree=6)
 
 
 def coefficient_problems():

@@ -10,9 +10,9 @@ from markov_curves import markov_lp
 from markov_curves.curve_model import DomainError, builtin_germs, \
     sample_real_trace, tangent_vector
 from markov_curves.markov_lp import (ConditioningError, MarkovProblem,
-                                     NumericError, PolynomialBasis,
+                                     NumericError, PolynomialBasis, SampledLp,
                                      TooFewSamplesError, _chebyshev_table,
-                                     _sampled_lp, cauchy_derivative_check,
+                                     cauchy_derivative_check,
                                      evaluate_monomials, fit_scaling,
                                      markov_factor, monomial_gradient,
                                      scaling_study)
@@ -313,7 +313,7 @@ class TestPhaseTwoArtificials:
         problem = self.problem()
         x0 = np.asarray(problem.x0, dtype=float)
         v = np.asarray(problem.v, dtype=float)
-        forward = _sampled_lp(problem.samples, problem.degree,
-                              lambda b: b.derivative_row(x0, v),
-                              phases=(1.0,))[0]
+        sampled = SampledLp(problem.samples, problem.degree)
+        forward = sampled.solve(sampled.basis.derivative_row(x0, v),
+                                phases=(1.0,))
         assert forward.value == pytest.approx(self.OPTIMUM, rel=1e-9)

@@ -16,3 +16,7 @@ def test_library_example_runs():
         exec(compile(block, str(README), "exec"), {})
     printed = out.getvalue().splitlines()
     assert printed[0].startswith("72.008"), printed
+    # One Siciak batch, two points: value and facet slack per line.
+    value, slack = map(float, printed[3].split())
+    assert abs(value - float(printed[2])) <= 0.02 and slack == 0.0
+    assert len(printed[4].split()) == 2
