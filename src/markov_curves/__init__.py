@@ -8,9 +8,9 @@ with a quantitative acceptance suite.
 """
 
 from .curve_model import (BUILTIN_GERM_IDS, CurveGerm, DomainError,
-                          GermFormatError, InconsistentGermError,
+                          FormatError, InconsistentGermError,
                           InvalidBranchError, NormBoundReport, NumericError,
-                          PuiseuxBranch, StarSet, TruncatedSeries,
+                          PuiseuxBranch, TruncatedSeries,
                           builtin_germs, chebyshev_grid,
                           geodesic_distance, load_germ,
                           norm_lower_bound_check, parse_germ_text,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .curve_model import (builtin_germs, chebyshev_grid,
                           norm_lower_bound_check)
-from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE, HCP_DELTAS,
+from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE,
                              INTERVAL_HCP_RULES, bernstein_walsh_check,
                              green_interval, hcp_fit, segment_disk_bound_check,
                              siciak_lp, star_domination_check)
@@ -136,8 +136,7 @@ def criterion_cusp_scaling():
 def criterion_interval_hcp():
     """Endpoint Hoelder exponent of the interval Green function."""
     probe, (low, high) = INTERVAL_HCP_RULES["regular_boundary"]
-    fit = hcp_fit(lambda points: [green_interval(z) for z in points],
-                  HCP_DELTAS, probe)
+    fit = hcp_fit(lambda points: [green_interval(z) for z in points], probe)
     passed = low <= fit.alpha <= high
     rows, fit_rows = hcp_rows("c05_interval_hcp", STUDY, fit,
                               _status(passed))

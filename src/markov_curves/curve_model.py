@@ -8,24 +8,28 @@ where the tail series psi_j vanish to order greater than k (order at
 least 1 when k = 1).  The exponent k is both the vanishing order of the
 parametrization and the multiplicity of the germ at the basepoint.
 
-Real points of the trace sit over finitely many parameter rays.  A star
-set records which rays: indices l with 0 <= l_1 < ... < l_r <= k - 1
-realize the rays ``[0, eps * exp(2*pi*i*l/k)]``.  A germ carries two
-stars; the "minus" star is realized after an extra rotation by pi, so a
-regular germ (k = 1) can reach the reflected half of its trace.  The
-point class follows from k and the stars: singular when k >= 2, else a
-regular interior point with two rays or a boundary point with one.
+Real points of the trace sit over finitely many parameter rays.  A germ
+carries two stars, tuples of indices l with 0 <= l_1 < ... < l_r <= k - 1:
+the "plus" star realizes the rays ``[0, eps * exp(2*pi*i*l/k)]`` and the
+"minus" star the same rays after an extra rotation by pi, so a regular
+germ (k = 1) can reach the reflected half of its trace.  Every term of
+the branch must be real on every realized ray; ``CurveGerm`` checks this
+once, where it is built.  The point class follows from k and the stars:
+singular when k >= 2, else a regular interior point with two rays or a
+boundary point with one.
 
-This module owns the germ data model, Chebyshev-distributed sampling of
-the real trace, arc-length (geodesic) distances inside the complexified
-curve, and the empirical check that ``norm(phi(z))`` dominates
-``|z|**k`` near the basepoint.
+This module owns the germ data model, the flat ``key = value`` reader
+shared by germ files and scenario configs, Chebyshev-distributed
+sampling of the real trace, arc-length (geodesic) distances inside the
+complexified curve, and the empirical check that ``norm(phi(z))``
+dominates ``|z|**k`` near the basepoint.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,26 +52,109 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class InvalidBranchError(ValueError):
+class GermError(ValueError):
+    """Germ data rejected where it is built.
+
+    ``field`` names the germ-file key at fault (``k``, ``c_re``,
+    ``term.<coord>.<exponent>``, ``star_plus``, ...), so a parser can
+    point at that key's line; a TruncatedSeries, which knows no
+    coordinate, names the exponent.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
+class InvalidBranchError(GermError):
     """Branch data that does not describe a curve germ."""
 
 
-class InconsistentGermError(ValueError):
-    """Star angles that do not produce a real trace for the branch."""
+class InconsistentGermError(GermError):
+    """Stars or a basepoint that do not fit the branch, or a realized
+    ray whose image leaves R^n."""
 
 
 class NumericError(RuntimeError):
     """A numerical routine failed to converge."""
 
 
-class GermFormatError(ValueError):
-    """Malformed germ definition text."""
+class FormatError(ValueError):
+    """Malformed config or germ text, reported as ``source:line:column``."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line, column, source):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        self.column = column
+        self.source = source
+        where = source if line is None else f"{source}:{line}:{column}"
+        super().__init__(f"{where}: {message}")
+
+
+_SECTION = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
+
+
+def read_sections(text, source):
+    """Split flat text into ``[(name, line, {key: (value, line, column)})]``.
+
+    ``#`` starts a comment, a ``[name]`` line opens a section and
+    ``key = value`` lines fill the current one; keys before the first
+    header land in a section named None.  A repeated section or key, or
+    a line that is neither, raises FormatError.
+    """
+    sections = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        stripped = line.strip()
+        if not stripped:
+            continue
+        column = 1 + len(line) - len(line.lstrip())
+        if stripped.startswith("["):
+            match = _SECTION.match(stripped)
+            if not match:
+                raise FormatError("malformed section header", number, column,
+                                  source)
+            name = match.group(1)
+            if any(name == existing for existing, _, _ in sections):
+                raise FormatError(f"duplicate section '{name}'", number,
+                                  column, source)
+            sections.append((name, number, {}))
+            continue
+        key, equals, value = (part.strip() for part in stripped.partition("="))
+        if not equals or not key:
+            raise FormatError("expected 'key = value'", number, column, source)
+        if not sections:
+            sections.append((None, number, {}))
+        keys = sections[-1][2]
+        if key in keys:
+            raise FormatError(f"duplicate key '{key}'", number, column, source)
+        keys[key] = (value, number, column)
+    return sections
+
+
+_KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+
+
+def convert_list(entry, kind, key, source, counts=None):
+    """The comma-separated values of a ``(value, line, column)`` entry as a
+    tuple of ``kind``, empty items skipped; a FormatError at the key when
+    an item does not convert or the count is not one of ``counts``."""
+    value, line, column = entry
+    try:
+        items = tuple(kind(item.strip()) for item in value.split(",")
+                      if item.strip())
+    except ValueError:
+        items = None
+    if items is None or (counts is not None and len(items) not in counts):
+        one, many = _KIND_NAMES[kind]
+        if counts is None:
+            wanted = f"a comma-separated list of {many}"
+        elif counts == (1,):
+            wanted = one
+        else:
+            wanted = f"{' or '.join(map(str, counts))} comma-separated {many}"
+        raise FormatError(f"key '{key}' expects {wanted}, got '{value}'",
+                          line, column, source)
+    return items
 
 
 def chebyshev_grid(a, b, count):
@@ -93,11 +180,14 @@ class TruncatedSeries:
 
     def __post_init__(self):
         cleaned = tuple((int(e), complex(a)) for e, a in self.terms if a != 0)
-        exps = [e for e, _ in cleaned]
-        if any(e < 1 for e in exps):
-            raise InvalidBranchError("series exponents must be >= 1")
-        if any(x >= y for x, y in zip(exps, exps[1:])):
-            raise InvalidBranchError("series exponents must strictly increase")
+        previous = 0
+        for e, _ in cleaned:
+            if e < 1:
+                raise InvalidBranchError("series exponents must be >= 1", e)
+            if e <= previous:
+                raise InvalidBranchError(
+                    "series exponents must strictly increase", e)
+            previous = e
         object.__setattr__(self, "terms", cleaned)
 
     def order(self):
@@ -148,12 +238,14 @@ class PuiseuxBranch:
 
     def __post_init__(self):
         if self.k < 1:
-            raise InvalidBranchError("k must be a positive integer")
+            raise InvalidBranchError("k must be a positive integer", "k")
         if self.c == 0:
             raise InvalidBranchError(
-                "leading coefficient is zero: the branch would collapse")
+                "leading coefficient is zero: the branch would collapse",
+                "c_re")
         if not self.tail:
-            raise InvalidBranchError("ambient dimension must be at least 2")
+            raise InvalidBranchError("ambient dimension must be at least 2",
+                                     "ambient_dim")
         object.__setattr__(self, "tail", tuple(self.tail))
         floor = self.k if self.k >= 2 else 0
         for j, series in enumerate(self.tail, start=2):
@@ -161,7 +253,8 @@ class PuiseuxBranch:
             if order is not None and order <= floor:
                 raise InvalidBranchError(
                     f"coordinate {j} vanishes to order {order}, "
-                    f"which must exceed {floor} for k = {self.k}")
+                    f"which must exceed {floor} for k = {self.k}",
+                    f"term.{j}.{order}")
 
     @property
     def ambient_dim(self):
@@ -190,49 +283,49 @@ class PuiseuxBranch:
 
 
 @dataclass(frozen=True)
-class StarSet:
-    """Indices l of the parameter rays ``[0, eps*exp(2*pi*i*l/k)]``."""
-
-    k: int
-    angle_indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(l) for l in self.angle_indices)
-        if not idx:
-            raise DomainError("a star set carries at least one ray")
-        if len(idx) > self.k:
-            raise DomainError("a star set has at most k rays")
-        if any(x >= y for x, y in zip(idx, idx[1:])):
-            raise DomainError("angle indices must strictly increase")
-        if idx[0] < 0 or idx[-1] > self.k - 1:
-            raise DomainError("angle indices must lie in [0, k-1]")
-        object.__setattr__(self, "angle_indices", idx)
-
-    def angles(self, rotation=0.0):
-        """Realized ray angles, with an optional extra rotation."""
-        return tuple(rotation + 2.0 * math.pi * l / self.k
-                     for l in self.angle_indices)
-
-
-@dataclass(frozen=True)
 class CurveGerm:
-    """A pointed real-curve germ with its parameter stars."""
+    """A pointed real-curve germ with its parameter stars.
+
+    ``star_plus`` and ``star_minus`` are tuples of ray indices in
+    [0, k - 1], strictly increasing; an empty tuple realizes no ray on
+    that side (boundary germs have one side).  Every term of the branch,
+    leading term included, must be real on every realized ray.
+    """
 
     basepoint: tuple
     branch: PuiseuxBranch
-    star_plus: StarSet
-    star_minus: object  # StarSet or None (boundary germs have one side)
+    star_plus: tuple
+    star_minus: tuple
 
     def __post_init__(self):
+        k = self.branch.k
         basepoint = tuple(float(v) for v in self.basepoint)
         if len(basepoint) != self.branch.ambient_dim:
-            raise DomainError("basepoint dimension != ambient dimension")
-        for star in (self.star_plus, self.star_minus):
-            if star is not None and star.k != self.branch.k:
-                raise DomainError("star set k differs from branch k")
-        if self.star_plus is None and self.star_minus is None:
-            raise DomainError("a germ needs at least one star")
+            raise InconsistentGermError(
+                "basepoint dimension != ambient dimension", "basepoint")
         object.__setattr__(self, "basepoint", basepoint)
+        for field in ("star_plus", "star_minus"):
+            star = tuple(int(l) for l in getattr(self, field))
+            if (any(not 0 <= l < k for l in star)
+                    or any(x >= y for x, y in zip(star, star[1:]))):
+                raise InconsistentGermError(
+                    f"{field} indices must strictly increase within "
+                    f"0..{k - 1}", field)
+            object.__setattr__(self, field, star)
+        if not self.star_plus + self.star_minus:
+            raise InconsistentGermError("a germ needs at least one star",
+                                        "star_plus")
+        terms = [(1, k, self.branch.c, "c_re")]
+        terms += [(j, e, a, f"term.{j}.{e}")
+                  for j, series in enumerate(self.branch.tail, start=2)
+                  for e, a in series.terms]
+        for theta in self.ray_angles():
+            for j, e, a, field in terms:
+                if abs((a * cmath.exp(1j * e * theta)).imag) > (
+                        REAL_TRACE_TOL * abs(a)):
+                    raise InconsistentGermError(
+                        f"the z**{e} term of coordinate {j} is not real on "
+                        f"the ray at angle {theta:.6f}", field)
 
     @property
     def point_class(self):
@@ -240,19 +333,18 @@ class CurveGerm:
         two realized rays and ``regular_boundary`` with one."""
         if self.branch.k >= 2:
             return "singular"
-        if len(self.ray_angles()) == 2:
+        if len(self.star_plus + self.star_minus) == 2:
             return "regular_interior"
         return "regular_boundary"
 
     def ray_angles(self):
         """All realized ray angles: plus star direct, minus star after
         a rotation by pi."""
-        angles = []
-        if self.star_plus is not None:
-            angles.extend(self.star_plus.angles(0.0))
-        if self.star_minus is not None:
-            angles.extend(self.star_minus.angles(math.pi))
-        return tuple(angles)
+        k = self.branch.k
+        return tuple(rotation + 2.0 * math.pi * l / k
+                     for rotation, star in ((0.0, self.star_plus),
+                                            (math.pi, self.star_minus))
+                     for l in star)
 
     def evaluate(self, z):
         """Trace point at parameters z in the closed unit disk (basepoint
@@ -269,19 +361,14 @@ def tangent_vector(germ):
 
     Direction of the lowest-order term of t -> phi(t * e^{i*theta})
     along the germ's first realized ray, normalized to unit Euclidean
-    length, with the first nonzero component made positive.
+    length, with the first nonzero component made positive.  The
+    direction is real and nonzero because CurveGerm checks every term on
+    every ray and the leading coefficient is nonzero.
     """
     lead = germ.branch.leading_vector()
     theta = germ.ray_angles()[0]
-    vec = lead * cmath.exp(1j * germ.branch.k * theta)
-    if np.max(np.abs(vec.imag)) > REAL_TRACE_TOL * (1.0 + np.linalg.norm(vec.real)):
-        raise InconsistentGermError(
-            "leading direction is not real along the first star ray")
-    v = vec.real
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise InvalidBranchError("zero leading direction")
-    v = v / norm
+    v = (lead * cmath.exp(1j * germ.branch.k * theta)).real
+    v = v / np.linalg.norm(v)
     for comp in v:
         if comp != 0.0:
             if comp < 0.0:
@@ -415,26 +502,18 @@ def builtin_germs():
             basepoint=(0.0, 0.0),
             branch=PuiseuxBranch(k=p, c=1.0,
                                  tail=(TruncatedSeries(terms=((q, 1.0),)),)),
-            star_plus=StarSet(k=p, angle_indices=(0,)),
-            star_minus=StarSet(k=p, angle_indices=(0,)),
-        )
+            star_plus=(0,), star_minus=(0,))
 
     line = PuiseuxBranch(k=1, c=1.0, tail=(TruncatedSeries(terms=()),))
     parabola = PuiseuxBranch(k=1, c=1.0,
                              tail=(TruncatedSeries(terms=((2, 1.0),)),))
     return {
-        "interval_interior": CurveGerm(
-            basepoint=(0.0, 0.0), branch=line,
-            star_plus=StarSet(k=1, angle_indices=(0,)),
-            star_minus=StarSet(k=1, angle_indices=(0,))),
-        "interval_boundary": CurveGerm(
-            basepoint=(0.0, 0.0), branch=line,
-            star_plus=StarSet(k=1, angle_indices=(0,)),
-            star_minus=None),
-        "parabola_regular": CurveGerm(
-            basepoint=(0.0, 0.0), branch=parabola,
-            star_plus=StarSet(k=1, angle_indices=(0,)),
-            star_minus=StarSet(k=1, angle_indices=(0,))),
+        "interval_interior": CurveGerm(basepoint=(0.0, 0.0), branch=line,
+                                       star_plus=(0,), star_minus=(0,)),
+        "interval_boundary": CurveGerm(basepoint=(0.0, 0.0), branch=line,
+                                       star_plus=(0,), star_minus=()),
+        "parabola_regular": CurveGerm(basepoint=(0.0, 0.0), branch=parabola,
+                                      star_plus=(0,), star_minus=(0,)),
         "cusp_2_3": cusp(2, 3),
         "cusp_2_5": cusp(2, 5),
         "cusp_3_4": cusp(3, 4),
@@ -443,155 +522,87 @@ def builtin_germs():
 
 BUILTIN_GERM_IDS = tuple(builtin_germs().keys())
 
-
-def _parse_scalar(text, line, kind, key):
-    try:
-        return kind(text)
-    except ValueError:
-        raise GermFormatError(f"key '{key}' expects {kind.__name__}, "
-                              f"got '{text}'", line) from None
+#: Germ-file keys besides the ``term.<coord>.<exponent>`` tail terms.
+_GERM_KEYS = ("ambient_dim", "k", "c_re", "star_plus", "star_minus",
+              "point_class", "basepoint")
 
 
-def _coordinate_series(coord, entries):
-    """The series of one coordinate from its (exponent, coefficient, line)
-    terms; an error names the line of the first term, in exponent
-    order, that breaks the series."""
-    entries = sorted(entries, key=lambda entry: entry[0])
-    series = TruncatedSeries(terms=())
-    for end in range(1, len(entries) + 1):
+def _parse_germ(text, source):
+    sections = read_sections(text, source)
+    headers = [line for name, line, _ in sections if name is not None]
+    if headers:
+        raise FormatError("a germ file has no [sections]", headers[0], 1,
+                          source)
+    keys = sections[0][2] if sections else {}
+    positions = {key: entry[1:] for key, entry in keys.items()}
+
+    def scalar(key, kind):
+        if key not in keys:
+            raise FormatError(f"missing required key '{key}'", None, None,
+                              source)
+        return convert_list(keys[key], kind, key, source, (1,))[0]
+
+    n = scalar("ambient_dim", int)
+    k = scalar("k", int)
+    c = scalar("c_re", float)
+    terms = {}
+    for key, entry in keys.items():
+        if not key.startswith("term."):
+            if key not in _GERM_KEYS:
+                raise FormatError(f"unknown key '{key}'", *entry[1:], source)
+            continue
         try:
-            series = TruncatedSeries(
-                terms=tuple(entry[:2] for entry in entries[:end]))
+            coord, exponent = (int(piece) for piece in key.split(".")[1:])
+        except ValueError:
+            raise FormatError("term keys look like 'term.<coord>.<exponent>'",
+                              *entry[1:], source) from None
+        if not 2 <= coord <= n:
+            raise FormatError(f"term coordinate {coord} outside 2..{n}",
+                              *entry[1:], source)
+        value = complex(*convert_list(entry, float, key, source, (1, 2)))
+        terms.setdefault(coord, []).append((exponent, value))
+        positions[f"term.{coord}.{exponent}"] = entry[1:]
+
+    def star(key):
+        if key not in keys or keys[key][0].lower() in ("", "none"):
+            return ()
+        return convert_list(keys[key], int, key, source)
+
+    tail = []
+    for coord in range(2, n + 1):
+        try:
+            tail.append(TruncatedSeries(terms=tuple(sorted(
+                terms.get(coord, ()), key=lambda term: term[0]))))
         except InvalidBranchError as exc:
-            raise GermFormatError(f"coordinate {coord}: {exc}",
-                                  entries[end - 1][2]) from None
-    return series
-
-
-def _branch_error_line(k, c, tail, lines, terms):
-    """Line of the key a PuiseuxBranch rejected, in the order it checks:
-    k, then the leading coefficient, then each coordinate's order."""
-    if k < 1:
-        return lines["k"]
-    if c == 0:
-        return lines["c_re"]
-    for coord, series in enumerate(tail, start=2):
-        order = series.order()
-        if order is not None and order <= (k if k >= 2 else 0):
-            return next(line for exponent, coefficient, line in terms[coord]
-                        if exponent == order and coefficient != 0)
-    return None
+            raise FormatError(f"coordinate {coord}: {exc}",
+                              *positions[f"term.{coord}.{exc.field}"],
+                              source) from None
+    try:
+        germ = CurveGerm(
+            basepoint=(convert_list(keys["basepoint"], float, "basepoint",
+                                    source)
+                       if "basepoint" in keys else (0.0,) * n),
+            branch=PuiseuxBranch(k=k, c=c, tail=tuple(tail)),
+            star_plus=star("star_plus"), star_minus=star("star_minus"))
+    except GermError as exc:
+        raise FormatError(str(exc), *positions.get(exc.field, (None, None)),
+                          source) from None
+    declared = keys.get("point_class", (germ.point_class,))[0]
+    if declared != germ.point_class:
+        raise FormatError(
+            f"point_class '{declared}' contradicts k = {k} and the stars, "
+            f"which make the germ {germ.point_class}",
+            *positions["point_class"], source)
+    return germ
 
 
 def parse_germ_text(text):
     """Parse the flat key=value germ grammar. See the README for the format."""
-    scalars = {}
-    terms = {}
-    lines = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise GermFormatError("expected 'key = value'", lineno)
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if not key:
-            raise GermFormatError("empty key", lineno)
-        if key in scalars or key in terms:
-            raise GermFormatError(f"duplicate key '{key}'", lineno)
-        if key.startswith("term."):
-            pieces = key.split(".")
-            if len(pieces) != 3:
-                raise GermFormatError(
-                    "term keys look like 'term.<coord>.<exponent>'", lineno)
-            coord = _parse_scalar(pieces[1], lineno, int, key)
-            exponent = _parse_scalar(pieces[2], lineno, int, key)
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) not in (1, 2):
-                raise GermFormatError(
-                    "term values are 're' or 're,im'", lineno)
-            re_part = _parse_scalar(parts[0], lineno, float, key)
-            im_part = _parse_scalar(parts[1], lineno, float, key) if len(parts) == 2 else 0.0
-            terms.setdefault(coord, []).append(
-                (exponent, complex(re_part, im_part), lineno))
-        else:
-            scalars[key] = value
-            lines[key] = lineno
-    known = {"ambient_dim", "k", "c_re", "c_im", "star_plus", "star_minus",
-             "point_class", "basepoint"}
-    for key in scalars:
-        if key not in known:
-            raise GermFormatError(f"unknown key '{key}'", lines[key])
-    for key in ("ambient_dim", "k", "c_re"):
-        if key not in scalars:
-            raise GermFormatError(f"missing required key '{key}'", None)
-
-    n = _parse_scalar(scalars["ambient_dim"], lines["ambient_dim"], int, "ambient_dim")
-    k = _parse_scalar(scalars["k"], lines["k"], int, "k")
-    c_re = _parse_scalar(scalars["c_re"], lines["c_re"], float, "c_re")
-    c_im = (_parse_scalar(scalars["c_im"], lines["c_im"], float, "c_im")
-            if "c_im" in scalars else 0.0)
-    if n < 2:
-        raise GermFormatError("ambient_dim must be >= 2", lines["ambient_dim"])
-
-    tail = [_coordinate_series(coord, terms.get(coord, []))
-            for coord in range(2, n + 1)]
-    outside = sorted(set(terms) - set(range(2, n + 1)))
-    if outside:
-        raise GermFormatError(f"term coordinate {outside[0]} outside 2..{n}",
-                              terms[outside[0]][0][2])
-
-    def parse_star(key):
-        if key not in scalars:
-            return None
-        value = scalars[key].strip()
-        if not value or value.lower() == "none":
-            return None
-        indices = []
-        for item in value.split(","):
-            indices.append(_parse_scalar(item.strip(), lines[key], int, key))
-        try:
-            return StarSet(k=k, angle_indices=tuple(indices))
-        except DomainError as exc:
-            raise GermFormatError(str(exc), lines[key]) from None
-
-    basepoint = tuple(0.0 for _ in range(n))
-    if "basepoint" in scalars:
-        parts = [p.strip() for p in scalars["basepoint"].split(",")]
-        if len(parts) != n:
-            raise GermFormatError(
-                f"basepoint needs {n} coordinates", lines["basepoint"])
-        basepoint = tuple(_parse_scalar(p, lines["basepoint"], float, "basepoint")
-                          for p in parts)
-
-    c = complex(c_re, c_im)
-    try:
-        branch = PuiseuxBranch(k=k, c=c, tail=tuple(tail))
-    except InvalidBranchError as exc:
-        raise GermFormatError(
-            str(exc), _branch_error_line(k, c, tail, lines, terms)) from None
-    try:
-        germ = CurveGerm(
-            basepoint=basepoint,
-            branch=branch,
-            star_plus=parse_star("star_plus"),
-            star_minus=parse_star("star_minus"),
-        )
-    except DomainError as exc:
-        # Only "no star at all" is left unchecked; a 'none' star names its
-        # line, two absent keys have none.
-        line = lines.get("star_plus", lines.get("star_minus"))
-        raise GermFormatError(str(exc), line) from None
-    declared = scalars.get("point_class", germ.point_class)
-    if declared != germ.point_class:
-        raise GermFormatError(
-            f"point_class '{declared}' contradicts k = {k} and the stars, "
-            f"which make the germ {germ.point_class}", lines["point_class"])
-    return germ
+    return _parse_germ(text, "<germ>")
 
 
 def load_germ(path):
-    """Load a germ definition file."""
+    """Load a germ definition file; errors name the file."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return parse_germ_text(text)
+    return _parse_germ(text, str(path))

@@ -1,7 +1,8 @@
 """Scenario runner and I/O surface: config parsing, studies, CSV, CLI.
 
 A configuration file is flat key=value text grouped under bracketed
-section headers; each section is one scenario:
+section headers, read by ``curve_model.read_sections`` like a germ
+file; each section is one scenario:
 
     [cusp_scan]
     study = markov_scan
@@ -23,17 +24,16 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .acceptance import run_all
-from .curve_model import (BUILTIN_GERM_IDS, DomainError, GermFormatError,
-                          NumericError, builtin_germs, load_germ,
-                          sample_real_trace)
-from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE, HCP_DELTAS,
+from .curve_model import (BUILTIN_GERM_IDS, DomainError, FormatError,
+                          NumericError, builtin_germs, convert_list,
+                          load_germ, read_sections, sample_real_trace)
+from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE,
                              INTERVAL_HCP_RULES, ProbeRuleError,
                              TooFewPointsError, green_interval, hcp_fit,
                              segment_closed_form, siciak_lp, star_points)
@@ -43,20 +43,9 @@ from .reports import ReportRow, emit_csv, geodesic_rows, hcp_rows, scan_rows
 
 STUDIES = ("markov_scan", "green_eval", "geodesic_fit", "hcp_fit")
 
-_SECTION = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 _NUMERIC_FAILURES = (NumericError, ConditioningError, TooFewSamplesError,
                      TooFewPointsError, SimplexError, ProbeRuleError,
                      DomainError, FloatingPointError)
-
-
-class ConfigError(ValueError):
-    """Configuration problem with its source position."""
-
-    def __init__(self, message, line=0, column=0, source="<config>"):
-        self.line = line
-        self.column = column
-        self.source = source
-        super().__init__(f"{source}:{line}:{column}: {message}")
 
 
 @dataclass(frozen=True)
@@ -75,141 +64,74 @@ class Scenario:
 # Configuration parsing
 
 
-def _split_comment(line):
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
-def _parse_list(text, kind, key, line, source):
-    items = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            items.append(kind(chunk))
-        except ValueError:
-            raise ConfigError(
-                f"key '{key}' expects a comma-separated list of "
-                f"{kind.__name__}s, got '{chunk}'", line,
-                1 + len(text) - len(text.lstrip()), source) from None
-    return tuple(items)
-
-
-_KEY_KINDS = {
-    "study": "str", "germ": "str",
-    "degrees": "int_list", "epsilons": "float_list", "density": "int",
-}
+#: The keys a scenario section may hold.
+_CONFIG_KEYS = ("study", "germ", "degrees", "epsilons", "density")
 
 
 def parse_config_text(text, source="<config>", base_dir="."):
     """Parse scenario sections; errors carry line and column."""
-    sections = []
-    current = None
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = _split_comment(raw).rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        column = 1 + len(line) - len(line.lstrip())
-        match = _SECTION.match(stripped)
-        if match:
-            name = match.group(1)
-            if any(name == existing["name"] for existing in sections):
-                raise ConfigError(f"duplicate scenario '{name}'",
-                                  number, column, source)
-            current = {"name": name, "line": number, "keys": {}}
-            sections.append(current)
-            continue
-        if stripped.startswith("["):
-            raise ConfigError("malformed section header", number, column,
-                              source)
-        if "=" not in stripped:
-            raise ConfigError("expected 'key = value'", number, column,
-                              source)
-        if current is None:
-            raise ConfigError("key outside of any [scenario] section",
-                              number, column, source)
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KEY_KINDS:
-            raise ConfigError(
-                f"unknown key '{key}' (valid: {', '.join(sorted(_KEY_KINDS))})",
-                number, column, source)
-        if key in current["keys"]:
-            raise ConfigError(f"duplicate key '{key}'", number, column,
-                              source)
-        current["keys"][key] = (value, number, column)
-    return [_build_scenario(section, source, base_dir)
-            for section in sections]
+    scenarios = []
+    for name, line, keys in read_sections(text, source):
+        if name is None:
+            raise FormatError("key outside of any [scenario] section", line,
+                              next(iter(keys.values()))[2], source)
+        scenarios.append(_build_scenario(name, line, keys, source, base_dir))
+    return scenarios
 
 
-def _build_scenario(section, source, base_dir):
-    keys = section["keys"]
-    name = section["name"]
-    study, study_line, study_col = keys.get("study", (None, 0, 0))
-    if study is None:
-        raise ConfigError(f"scenario '{name}' is missing 'study'",
-                          section["line"], 1, source)
+def _build_scenario(name, line, keys, source, base_dir):
+    for key, (_, key_line, column) in keys.items():
+        if key not in _CONFIG_KEYS:
+            raise FormatError(f"unknown key '{key}' (valid: "
+                              f"{', '.join(sorted(_CONFIG_KEYS))})",
+                              key_line, column, source)
+
+    def required(key):
+        if not keys.get(key, ("",))[0]:
+            raise FormatError(f"scenario '{name}' is missing '{key}'", line, 1,
+                              source)
+        return keys[key]
+
+    study = required("study")[0]
     if study not in STUDIES:
-        raise ConfigError(
+        raise FormatError(
             f"unknown study '{study}' (valid: {', '.join(STUDIES)})",
-            study_line, study_col, source)
-    parsed = {}
-    for key, (value, line, column) in keys.items():
-        kind = _KEY_KINDS[key]
-        if kind == "int":
-            try:
-                parsed[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"key '{key}' expects an integer, got "
-                                  f"'{value}'", line, column, source) from None
-        elif kind == "int_list":
-            parsed[key] = _parse_list(value, int, key, line, source)
-        elif kind == "float_list":
-            parsed[key] = _parse_list(value, float, key, line, source)
-        else:
-            parsed[key] = value
+            *keys["study"][1:], source)
     # The library's bounds; star_points needs two points per ray.
     least = 2 if study == "green_eval" else 1
-    for key, valid, wanted in (
-            ("degrees", lambda n: n >= 1, "at least 1"),
-            ("epsilons", lambda e: 0.0 < e <= 1.0, "in (0, 1]"),
-            ("density", lambda n: n >= least, f"at least {least}")):
-        values = parsed.get(key, ())
-        for value in values if isinstance(values, tuple) else (values,):
-            if not valid(value):
-                raise ConfigError(f"key '{key}' needs values {wanted}, got "
-                                  f"{value}", *keys[key][1:], source)
-    germ_id = parsed.get("germ", "")
-    if not germ_id:
-        raise ConfigError(f"scenario '{name}' is missing 'germ'",
-                          section["line"], 1, source)
-    germ_line, germ_col = keys["germ"][1], keys["germ"][2]
-    germ = _resolve_germ(germ_id, base_dir, germ_line, germ_col, source)
+    fields = {}
+    for key, kind, counts, valid, wanted in (
+            ("degrees", int, None, lambda n: n >= 1, "at least 1"),
+            ("epsilons", float, None, lambda e: 0.0 < e <= 1.0, "in (0, 1]"),
+            ("density", int, (1,), lambda n: n >= least, f"at least {least}")):
+        if key in keys:
+            values = convert_list(keys[key], kind, key, source, counts)
+            for value in values:
+                if not valid(value):
+                    raise FormatError(f"key '{key}' needs values {wanted}, "
+                                      f"got {value}", *keys[key][1:], source)
+            fields[key] = values[0] if counts else values
+    germ = _resolve_germ(required("germ"), base_dir, source)
     for key in ("degrees", "epsilons"):
-        if study in ("markov_scan", "green_eval") and not parsed.get(key):
-            line, column = (keys[key][1:] if key in keys
-                            else (section["line"], 1))
-            raise ConfigError(f"scenario '{name}' needs a nonempty "
-                              f"{key[:-1]} list", line, column, source)
-    fields = {key: parsed[key] for key in ("degrees", "epsilons", "density")
-              if key in parsed}
+        if study in ("markov_scan", "green_eval") and not fields.get(key):
+            raise FormatError(f"scenario '{name}' needs a nonempty "
+                              f"{key[:-1]} list",
+                              *keys.get(key, (None, line, 1))[1:], source)
     return Scenario(name=name, study=study, germ=germ, **fields)
 
 
-def _resolve_germ(identifier, base_dir, line, column, source):
+def _resolve_germ(entry, base_dir, source):
+    identifier, line, column = entry
     if identifier in BUILTIN_GERM_IDS:
         return builtin_germs()[identifier]
     candidate = Path(base_dir) / identifier
     if identifier.endswith(".germ") or candidate.exists():
         try:
             return load_germ(candidate)
-        except (OSError, GermFormatError) as exc:
-            raise ConfigError(f"germ file '{identifier}': {exc}", line,
+        except (OSError, FormatError) as exc:
+            raise FormatError(f"germ file '{identifier}': {exc}", line,
                               column, source) from None
-    raise ConfigError(
+    raise FormatError(
         f"unknown germ id '{identifier}'; valid ids: "
         f"{', '.join(BUILTIN_GERM_IDS)} (or a path to a .germ file)",
         line, column, source)
@@ -220,7 +142,8 @@ def load_config(path):
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}", source=str(path))
+        raise FormatError(f"cannot read config: {exc}", None, None,
+                          str(path))
     return parse_config_text(text, source=str(path),
                              base_dir=str(path.parent))
 
@@ -290,7 +213,7 @@ def _hcp_probe(scenario):
 
 def _hcp_fit(scenario):
     evaluator, probe, window = _hcp_probe(scenario)
-    fit = hcp_fit(evaluator, HCP_DELTAS, probe)
+    fit = hcp_fit(evaluator, probe)
     status = "ok"
     if window is not None and not (window[0] <= fit.alpha <= window[1]):
         status = "violation"
@@ -325,9 +248,9 @@ def run_scenario(config_path, out_dir=".", study_filter=None):
         if study_filter is not None:
             scenarios = [s for s in scenarios if s.study == study_filter]
             if not scenarios:
-                raise ConfigError(
+                raise FormatError(
                     f"no scenario with study '{study_filter}' in config",
-                    source=str(config_path))
+                    None, None, str(config_path))
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         exit_code = 0
@@ -344,7 +267,7 @@ def run_scenario(config_path, out_dir=".", study_filter=None):
             if any(row.status == "violation" for row in raw + fit):
                 exit_code = 1
         return exit_code
-    except ConfigError as exc:
+    except FormatError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

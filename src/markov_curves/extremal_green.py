@@ -56,7 +56,7 @@ GREEN_PROBES = (2.0, 1.0 + 1.0j, -3.0)
 #: (plus the facet slack on star sets); beyond it a row is a violation.
 GREEN_TOLERANCE = 0.02
 
-#: Default probe distances for HCP fits: 1e-4 .. 1e-1, log-spaced.
+#: Probe distances of every HCP fit: 1e-4 .. 1e-1, log-spaced.
 HCP_DELTAS = tuple(np.logspace(-4.0, -1.0, 10))
 
 #: Angles per circle of segment_disk_bound_check (DISK_GRID // 16 circles).
@@ -269,33 +269,23 @@ class HcpFit:
     r_squared: float
 
     def __post_init__(self):
-        if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
-            raise DomainError("deltas must be strictly decreasing")
         if any(v < 0.0 for v in self.values):
             raise DomainError("Green values are nonnegative")
         if not math.isfinite(self.alpha):
             raise DomainError("fitted exponent must be finite")
 
 
-def hcp_fit(green, deltas, probe_rule):
-    """Fit  V(probe(delta)) ~ constant * delta**alpha  by least squares.
+def hcp_fit(green, probe_rule):
+    """Fit  V(probe(delta)) ~ constant * delta**alpha  by least squares
+    over the distances HCP_DELTAS.
 
     ``probe_rule`` maps a distance to a probe point and ``green`` maps
     the sequence of probe points, largest distance first, to their
-    Green values, so an LP-backed evaluator builds its matrix once.
-    Needs at least 4 distances spanning at least 2 decades; a
+    Green values, so an LP-backed evaluator builds its matrix once.  A
     nonpositive value at positive distance means the probe rule walked
     onto the set, and the error names the largest such distance.
     """
-    deltas = sorted((float(d) for d in deltas), reverse=True)
-    if len(deltas) < 4:
-        raise DomainError("need at least 4 probe distances")
-    if len(set(deltas)) != len(deltas):
-        raise DomainError("probe distances must be distinct")
-    if min(deltas) <= 0.0:
-        raise DomainError("probe distances must be positive")
-    if deltas[0] / deltas[-1] < 100.0:
-        raise DomainError("probe distances must span at least 2 decades")
+    deltas = [float(d) for d in reversed(HCP_DELTAS)]
     values = [float(value)
               for value in green([probe_rule(delta) for delta in deltas])]
     for delta, value in zip(deltas, values, strict=True):

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve_model import (DomainError, InconsistentGermError, NumericError,
-                          sample_real_trace, tangent_vector)
+from .curve_model import (DomainError, NumericError, sample_real_trace,
+                          tangent_vector)
 from .lp import SimplexError, UnboundedProblemError, solve_sup_norm_lp
 
 #: Above this condition estimate the sample/basis pairing is rejected.
@@ -36,9 +36,6 @@ CONDITION_LIMIT = 1e12
 
 #: Degenerate-coordinate threshold relative to the box diameter.
 FLAT_TOL = 1e-14
-
-DEFAULT_DEGREES = (2, 3, 4, 6, 8, 12)
-DEFAULT_DENSITY = 120
 
 CAUCHY_QUAD_POINTS = 512
 
@@ -375,8 +372,7 @@ def fit_scaling(design):
                      design=tuple(design))
 
 
-def scaling_study(germ, degrees=DEFAULT_DEGREES, epsilons=(0.5, 0.25, 0.125, 0.0625),
-                  density=DEFAULT_DENSITY):
+def scaling_study(germ, degrees, epsilons, density):
     """Markov factors over a (degree, epsilon) grid and their joint fit.
 
     Returns the FitResult; its ``design`` holds every cell.
@@ -474,10 +470,6 @@ def cauchy_derivative_check(germ, coefficients, radius):
     order = germ.branch.k
     lead = germ.branch.leading_vector()
     lead_norm = float(np.linalg.norm(lead))
-    if float(np.max(np.abs(lead.imag))) > 1e-12 * (1.0 + lead_norm):
-        raise InconsistentGermError(
-            "leading coefficient vector is not real; the germ has no "
-            "real tangent direction at the basepoint")
     direction = tangent_vector(germ)
     gradient = monomial_gradient(coefficients, germ.basepoint)
     lhs = abs(float(direction @ gradient))

@@ -5,9 +5,9 @@ import math
 import pytest
 
 from markov_curves import markov_lp
-from markov_curves.curve_model import BUILTIN_GERM_IDS, DomainError
-from markov_curves.experiments_cli import (ConfigError, ReportRow,
-                                           emit_csv, main,
+from markov_curves.curve_model import (BUILTIN_GERM_IDS, DomainError,
+                                       FormatError)
+from markov_curves.experiments_cli import (ReportRow, emit_csv, main,
                                            parse_config_text, run_scenario)
 
 SCAN_CONFIG = """\
@@ -51,19 +51,19 @@ class TestConfigParsing:
 
     def test_duplicate_section(self):
         text = SCAN_CONFIG + "\n" + SCAN_CONFIG
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text(text)
-        assert "duplicate scenario" in str(info.value)
+        assert "duplicate section 'interval_scan'" in str(info.value)
         assert info.value.line == 10
 
     def test_key_outside_section(self):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text("study = markov_scan\n")
         assert info.value.line == 1
         assert "outside" in str(info.value)
 
     def test_unknown_key_lists_valid_ones(self):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text(SCAN_CONFIG + "wobble = 3\n")
         assert "unknown key 'wobble'" in str(info.value)
         assert "degrees" in str(info.value)
@@ -71,50 +71,50 @@ class TestConfigParsing:
 
     def test_unknown_study_lists_valid_ones(self):
         text = SCAN_CONFIG.replace("markov_scan", "mystery")
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text(text)
         assert "unknown study 'mystery'" in str(info.value)
         assert "geodesic_fit" in str(info.value)
 
     def test_missing_study(self):
         text = "[scan]\ngerm = interval_interior\n"
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text(text)
         assert "missing 'study'" in str(info.value)
 
     def test_missing_germ(self):
         text = "[scan]\nstudy = geodesic_fit\n"
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text(text)
         assert "missing 'germ'" in str(info.value)
 
     def test_duplicate_key(self):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text(SCAN_CONFIG + "density = 80\n")
         assert "duplicate key 'density'" in str(info.value)
 
     def test_bad_integer_value(self):
         text = SCAN_CONFIG.replace("density = 64", "density = soup")
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text(text)
         assert "expects an integer" in str(info.value)
         assert info.value.line == 7
 
     def test_bad_list_entry(self):
         text = SCAN_CONFIG.replace("degrees = 3, 5, 7", "degrees = 3, x, 7")
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text(text)
         assert "comma-separated list" in str(info.value)
 
     def test_empty_degree_list_rejected(self):
         text = SCAN_CONFIG.replace("degrees = 3, 5, 7", "degrees = ")
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text(text)
         assert "nonempty degree list" in str(info.value)
 
     def test_unknown_germ_names_the_valid_ids(self):
         text = SCAN_CONFIG.replace("interval_interior", "moebius")
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text(text)
         message = str(info.value)
         assert "unknown germ id 'moebius'" in message
@@ -131,7 +131,7 @@ class TestConfigParsing:
     def test_broken_germ_file_reports_position(self, tmp_path):
         (tmp_path / "broken.germ").write_text("k = \n", encoding="utf-8")
         text = GEODESIC_CONFIG.replace("cusp_2_3", "broken.germ")
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(FormatError) as info:
             parse_config_text(text, base_dir=str(tmp_path))
         assert "broken.germ" in str(info.value)
         assert info.value.line == 3
@@ -303,6 +303,29 @@ class TestMain:
                      "--out-dir", str(tmp_path)]) == 2
         assert (f"{config}:{line}:1: key '{key}' needs values"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["markov-scan", "hcp-fit",
+                                         "geodesic-fit"])
+    @pytest.mark.parametrize("germ_text,line", [
+        # k = 3 realizes the ray at angle 2*pi/3, where z**4 is not real.
+        ("ambient_dim = 2\nk = 3\nc_re = 1.0\nstar_plus = 1\n"
+         "term.2.4 = 1.0\n", 5),
+        # Every realized ray has z**k = +-t**k, so no valid c is complex.
+        (CUSP_GERM_TEXT.replace("c_re = 1.0", "c_re = 1.0\nc_im = 0.5"), 4),
+    ], ids=["term-off-the-ray", "c_im"])
+    def test_germ_off_the_real_trace_exits_two(self, tmp_path, capsys,
+                                               command, germ_text, line):
+        (tmp_path / "bad.germ").write_text(germ_text, encoding="utf-8")
+        config = tmp_path / "bad.cfg"
+        config.write_text(
+            SCAN_CONFIG.replace("interval_interior", "bad.germ")
+            .replace("markov_scan", command.replace("-", "_")),
+            encoding="utf-8")
+        assert main([command, "--config", str(config),
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad.germ:{line}:1: " in err
+        assert "Traceback" not in err
 
     def test_scan_through_entry_point(self, tmp_path):
         config = tmp_path / "scan.cfg"

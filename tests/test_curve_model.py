@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from markov_curves.curve_model import (CurveGerm, DomainError,
-                                       GermFormatError, InconsistentGermError,
+from markov_curves.curve_model import (CurveGerm, DomainError, FormatError,
+                                       InconsistentGermError,
                                        InvalidBranchError, PuiseuxBranch,
-                                       StarSet, TruncatedSeries,
+                                       TruncatedSeries,
                                        builtin_germs, chebyshev_grid,
                                        geodesic_distance, load_germ,
                                        norm_lower_bound_check,
@@ -103,18 +103,50 @@ def test_tangent_vector_is_unit_with_positive_leading_entry():
                                [1.0, 0.0], atol=1e-14)
 
 
-class TestStarSet:
+class TestGermStars:
+    def germ(self, star_plus, star_minus=()):
+        branch = builtin_germs()["cusp_2_3"].branch
+        return CurveGerm(basepoint=(0.0, 0.0), branch=branch,
+                         star_plus=star_plus, star_minus=star_minus)
+
     def test_angle_indices_must_fit_k(self):
-        with pytest.raises(DomainError):
-            StarSet(k=2, angle_indices=(0, 1, 1))
-        with pytest.raises(DomainError):
-            StarSet(k=2, angle_indices=(2,))
+        with pytest.raises(InconsistentGermError) as info:
+            self.germ((0, 1, 1))
+        assert info.value.field == "star_plus"
+        with pytest.raises(InconsistentGermError) as info:
+            self.germ((0,), (2,))
+        assert info.value.field == "star_minus"
+        with pytest.raises(InconsistentGermError):
+            self.germ((), ())
 
     def test_rotation_offsets_angles(self):
-        star = StarSet(k=2, angle_indices=(0, 1))
-        np.testing.assert_allclose(star.angles(), [0.0, math.pi])
-        np.testing.assert_allclose(star.angles(rotation=math.pi),
-                                   [math.pi, 2 * math.pi])
+        germ = self.germ((0, 1), (0, 1))
+        np.testing.assert_allclose(germ.ray_angles(),
+                                   [0.0, math.pi, math.pi, 2 * math.pi])
+
+    def test_term_not_real_on_a_realized_ray(self):
+        # On the ray at angle pi/2 of k = 4, z**5 picks up the phase i.
+        branch = PuiseuxBranch(k=4, c=1.0,
+                               tail=(TruncatedSeries(((5, 1.0),)),))
+        with pytest.raises(InconsistentGermError) as info:
+            CurveGerm(basepoint=(0.0, 0.0), branch=branch,
+                      star_plus=(0, 1), star_minus=())
+        assert info.value.field == "term.2.5"
+        # A complex leading coefficient is never real on a realized ray.
+        with pytest.raises(InconsistentGermError) as info:
+            CurveGerm(basepoint=(0.0, 0.0),
+                      branch=PuiseuxBranch(k=2, c=1.0 + 0.5j,
+                                           tail=branch.tail),
+                      star_plus=(0,), star_minus=())
+        assert info.value.field == "c_re"
+
+    def test_complex_term_real_on_its_rays(self):
+        # (i z)**5 is real on the ray at angle pi/2: i * i**5 = -1.
+        branch = PuiseuxBranch(k=4, c=1.0,
+                               tail=(TruncatedSeries(((5, 1j),)),))
+        germ = CurveGerm(basepoint=(0.0, 0.0), branch=branch,
+                         star_plus=(1,), star_minus=())
+        assert sample_real_trace(germ, 0.5, 5).shape == (5, 2)
 
 
 class TestSampleRealTrace:
@@ -148,10 +180,13 @@ class TestSampleRealTrace:
         np.testing.assert_allclose(sample[0], [0.0, 0.0])
 
     def test_nonreal_trace_is_reported(self):
-        germ = parse_germ_text(CUSP_TEXT.replace("term.2.3 = 1.0",
-                                                 "term.2.3 = 1.0,0.5"))
-        with pytest.raises(InconsistentGermError):
-            sample_real_trace(germ, 0.5, 5)
+        # Caught where the germ is built, at the offending term's line.
+        with pytest.raises(FormatError,
+                           match="z\\*\\*3 term of coordinate 2 is not real"
+                           ) as info:
+            parse_germ_text(CUSP_TEXT.replace("term.2.3 = 1.0",
+                                              "term.2.3 = 1.0,0.5"))
+        assert info.value.line == 8
 
     def test_epsilon_beyond_disk_rejected(self):
         germ = builtin_germs()["cusp_2_3"]
@@ -209,35 +244,35 @@ class TestGermGrammar:
         assert germ.branch.k == 2
 
     def test_unknown_key_reports_line(self):
-        with pytest.raises(GermFormatError) as info:
+        with pytest.raises(FormatError) as info:
             parse_germ_text(CUSP_TEXT + "wibble = 3\n")
         assert info.value.line == 9
 
     def test_duplicate_key_reports_line(self):
-        with pytest.raises(GermFormatError) as info:
+        with pytest.raises(FormatError) as info:
             parse_germ_text(CUSP_TEXT + "k = 3\n")
         assert info.value.line == 9
 
     def test_bad_float_names_key(self):
-        with pytest.raises(GermFormatError) as info:
+        with pytest.raises(FormatError) as info:
             parse_germ_text(CUSP_TEXT.replace("c_re = 1.0", "c_re = one"))
         assert "c_re" in str(info.value)
 
     def test_missing_required_key(self):
         broken = CUSP_TEXT.replace("c_re = 1.0\n", "")
-        with pytest.raises(GermFormatError) as info:
+        with pytest.raises(FormatError) as info:
             parse_germ_text(broken)
         assert "c_re" in str(info.value)
 
     def test_star_index_out_of_range(self):
-        with pytest.raises(GermFormatError):
+        with pytest.raises(FormatError):
             parse_germ_text(CUSP_TEXT.replace("star_plus = 0",
                                               "star_plus = 5"))
 
     def test_singular_class_requires_k_at_least_two(self):
         broken = CUSP_TEXT.replace("k = 2", "k = 1").replace(
             "term.2.3 = 1.0", "term.2.2 = 1.0")
-        with pytest.raises(GermFormatError):
+        with pytest.raises(FormatError):
             parse_germ_text(broken)
 
     @pytest.mark.parametrize("old, new, line, message", [
@@ -250,9 +285,23 @@ class TestGermGrammar:
     ], ids=["order", "leading", "series", "coordinate"])
     def test_branch_errors_report_the_key_line(self, old, new, line,
                                                message):
-        with pytest.raises(GermFormatError, match=message) as info:
+        with pytest.raises(FormatError, match=message) as info:
             parse_germ_text(CUSP_TEXT.replace(old, new))
         assert info.value.line == line
+
+    def test_sections_are_not_allowed(self):
+        with pytest.raises(FormatError, match="no \\[sections\\]") as info:
+            parse_germ_text("[cusp]\n" + CUSP_TEXT)
+        assert info.value.line == 1
+
+    def test_load_germ_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.germ"
+        path.write_text(CUSP_TEXT.replace("k = 2", "k = two"),
+                        encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_germ(path)
+        assert str(info.value).startswith(
+            f"{path}:3:1: key 'k' expects an integer, got 'two'")
 
     def test_point_class_is_optional(self):
         germ = parse_germ_text(CUSP_TEXT.replace("point_class = singular\n",
@@ -264,7 +313,7 @@ class TestGermGrammar:
         text = CUSP_TEXT.replace("k = 2", "k = 1").replace(
             "star_minus = 0", "star_minus = none").replace(
             "point_class = singular", "point_class = regular_interior")
-        with pytest.raises(GermFormatError) as info:
+        with pytest.raises(FormatError) as info:
             parse_germ_text(text)
         assert info.value.line == 7
         assert "regular_boundary" in str(info.value)

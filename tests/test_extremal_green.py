@@ -9,7 +9,7 @@ import pytest
 from markov_curves import extremal_green, markov_lp
 from markov_curves.curve_model import (DomainError, builtin_germs,
                                        chebyshev_grid, sample_real_trace)
-from markov_curves.extremal_green import (DegenerateSegmentError,
+from markov_curves.extremal_green import (HCP_DELTAS, DegenerateSegmentError,
                                           GreenEvaluation, ProbeRuleError,
                                           TooFewPointsError,
                                           bernstein_walsh_check,
@@ -182,41 +182,31 @@ class TestSiciakLp:
 
 class TestHcpFit:
     def test_interval_endpoint_exponent_is_half(self):
-        deltas = np.logspace(-4, -1, 10)
-        fit = hcp_fit(interval_green, deltas, lambda d: 1.0 + d)
+        fit = hcp_fit(interval_green, lambda d: 1.0 + d)
         assert fit.alpha == pytest.approx(0.5, abs=0.03)
         assert fit.r_squared > 0.999
-        assert fit.deltas[0] > fit.deltas[-1]
+        assert fit.deltas == tuple(sorted(HCP_DELTAS, reverse=True))
 
     def test_interval_interior_exponent_is_one(self):
-        deltas = np.logspace(-4, -1, 8)
-        fit = hcp_fit(interval_green, deltas, lambda d: complex(0.0, d))
+        fit = hcp_fit(interval_green, lambda d: complex(0.0, d))
         assert fit.alpha == pytest.approx(1.0, abs=0.03)
 
-    def test_needs_four_deltas_spanning_two_decades(self):
-        with pytest.raises(DomainError):
-            hcp_fit(interval_green, [0.1, 0.05, 0.02], lambda d: 1.0 + d)
-        with pytest.raises(DomainError):
-            hcp_fit(interval_green, [0.1, 0.09, 0.08, 0.07],
-                    lambda d: 1.0 + d)
-
     def test_probe_inside_the_set_is_an_error(self):
-        deltas = np.logspace(-4, -1, 6)
         with pytest.raises(ProbeRuleError):
-            hcp_fit(interval_green, deltas, lambda d: 0.5)
+            hcp_fit(interval_green, lambda d: 0.5)
 
     def test_probe_error_names_the_largest_failing_delta(self):
-        # Probes below 0.01 land on the set; the largest is 10**-2.2.
-        deltas = np.logspace(-4, -1, 6)
+        # Probes below 0.01 land on the set; HCP_DELTAS puts a point at
+        # 10**-2, so the largest failing one is 10**(-7/3).
         seen = []
 
         def green(points):
             seen.extend(points)
             return [0.0 if z < 0.01 else z for z in points]
 
-        with pytest.raises(ProbeRuleError, match="distance 0.00630957 "):
-            hcp_fit(green, deltas, lambda d: d)
-        assert seen == sorted(deltas, reverse=True)
+        with pytest.raises(ProbeRuleError, match="distance 0.00464159 "):
+            hcp_fit(green, lambda d: d)
+        assert seen == sorted(HCP_DELTAS, reverse=True)
 
 
 class TestBernsteinWalsh:

@@ -1,16 +1,26 @@
-"""README's library example runs as printed."""
+"""README's library example runs as printed, and its config and germ
+file examples parse."""
 
 import io
 import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
+from markov_curves import builtin_germs, parse_germ_text
+from markov_curves.experiments_cli import parse_config_text
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_library_example_runs():
+def blocks(language):
     text = README.read_text(encoding="utf-8")
-    block = re.search(r"```python\n(.*?)```", text, flags=re.DOTALL).group(1)
+    return re.findall(rf"```{language}\n(.*?)```", text, flags=re.DOTALL)
+
+
+def test_library_example_runs():
+    (block,) = blocks("python")
     out = io.StringIO()
     with redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
@@ -20,3 +30,21 @@ def test_library_example_runs():
     value, slack = map(float, printed[3].split())
     assert abs(value - float(printed[2])) <= 0.02 and slack == 0.0
     assert len(printed[4].split()) == 2
+
+
+def test_config_and_germ_examples_parse():
+    config, germ_text = blocks("ini")
+    (scenario,) = parse_config_text(config)
+    assert (scenario.name, scenario.study) == ("cusp_scan", "markov_scan")
+    assert scenario.degrees == (2, 3, 4, 6, 8, 12)
+    assert scenario.epsilons == (0.5, 0.25, 0.125, 0.0625)
+    assert scenario.density == 120
+    cusp = builtin_germs()["cusp_2_3"]
+    assert scenario.germ == cusp
+    germ = parse_germ_text(germ_text)
+    assert (germ.star_plus, germ.star_minus) == (cusp.star_plus,
+                                                 cusp.star_minus)
+    assert germ.point_class == cusp.point_class
+    for z in (0.0, 0.3, -0.5j, 0.2 + 0.7j):
+        np.testing.assert_allclose(germ.evaluate(z), cusp.evaluate(z),
+                                   rtol=0, atol=1e-15)
