@@ -3,7 +3,7 @@
 The package models real curve germs through Puiseux branch
 parametrizations, computes discrete tangential Markov factors as
 linear programs, evaluates Green functions (exactly on segments, by
-LP lower bounds elsewhere), and ships a deterministic scenario CLI
+discrete extremal LPs elsewhere), and ships a deterministic scenario CLI
 with a quantitative acceptance suite.
 """
 
@@ -30,7 +30,6 @@ from .markov_lp import (CauchyDerivativeReport, ConditioningError, FitResult,
                         TooFewSamplesError, cauchy_derivative_check,
                         markov_factor, scaling_study)
 from .reports import ReportRow, emit_csv
-from .rng import Lcg, random_bivariate, random_polynomial
 
 __version__ = "0.1.0"
 

@@ -41,8 +41,6 @@ from .lp import SimplexError
 from .markov_lp import ConditioningError, TooFewSamplesError, scaling_study
 from .reports import ReportRow, emit_csv, geodesic_rows, hcp_rows, scan_rows
 
-STUDIES = ("markov_scan", "green_eval", "geodesic_fit", "hcp_fit")
-
 _NUMERIC_FAILURES = (NumericError, ConditioningError, TooFewSamplesError,
                      TooFewPointsError, SimplexError, ProbeRuleError,
                      DomainError, FloatingPointError)
@@ -64,8 +62,14 @@ class Scenario:
 # Configuration parsing
 
 
-#: The keys a scenario section may hold.
-_CONFIG_KEYS = ("study", "germ", "degrees", "epsilons", "density")
+#: The keys each study reads beside ``study`` and ``germ``; a section
+#: that sets any other key is an error.
+_STUDY_KEYS = {
+    "markov_scan": ("degrees", "epsilons", "density"),
+    "green_eval": ("degrees", "epsilons", "density"),
+    "geodesic_fit": (),
+    "hcp_fit": ("degrees", "density"),
+}
 
 
 def parse_config_text(text, source="<config>", base_dir="."):
@@ -80,12 +84,6 @@ def parse_config_text(text, source="<config>", base_dir="."):
 
 
 def _build_scenario(name, line, keys, source, base_dir):
-    for key, (_, key_line, column) in keys.items():
-        if key not in _CONFIG_KEYS:
-            raise FormatError(f"unknown key '{key}' (valid: "
-                              f"{', '.join(sorted(_CONFIG_KEYS))})",
-                              key_line, column, source)
-
     def required(key):
         if not keys.get(key, ("",))[0]:
             raise FormatError(f"scenario '{name}' is missing '{key}'", line, 1,
@@ -93,10 +91,17 @@ def _build_scenario(name, line, keys, source, base_dir):
         return keys[key]
 
     study = required("study")[0]
-    if study not in STUDIES:
+    if study not in _STUDY_KEYS:
         raise FormatError(
-            f"unknown study '{study}' (valid: {', '.join(STUDIES)})",
+            f"unknown study '{study}' (valid: {', '.join(_STUDY_KEYS)})",
             *keys["study"][1:], source)
+    germ = _resolve_germ(required("germ"), base_dir, source)
+    allowed = ("study", "germ", *_STUDY_KEYS[study])
+    for key, (_, key_line, column) in keys.items():
+        if key not in allowed:
+            raise FormatError(f"unknown key '{key}' for study '{study}' "
+                              f"(valid: {', '.join(sorted(allowed))})",
+                              key_line, column, source)
     # The library's bounds; star_points needs two points per ray.
     least = 2 if study == "green_eval" else 1
     fields = {}
@@ -111,7 +116,6 @@ def _build_scenario(name, line, keys, source, base_dir):
                     raise FormatError(f"key '{key}' needs values {wanted}, "
                                       f"got {value}", *keys[key][1:], source)
             fields[key] = values[0] if counts else values
-    germ = _resolve_germ(required("germ"), base_dir, source)
     for key in ("degrees", "epsilons"):
         if study in ("markov_scan", "green_eval") and not fields.get(key):
             raise FormatError(f"scenario '{name}' needs a nonempty "

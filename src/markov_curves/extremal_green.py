@@ -1,21 +1,32 @@
 """Green functions with pole at infinity and their inequality checks.
 
 Segments get the exact closed form log|w| with w = z + sqrt(z*z - 1)
-on the branch with |w| >= 1.  General finite sample sets get a lower
-bound through the discrete extremal problem
+on the branch with |w| >= 1.  General finite sample sets S go through
+the discrete extremal problem
 
     M(z) = sup { |p(z)| : deg p <= n,  |p| <= 1 on the samples },
 
 solved as a linear program, with value acosh(M)/n.  For a segment the
 degree-n extremal polynomial has modulus cosh(n V) at z, so this
 normalization is exact there at every degree, and it is a monotone,
-clipped-at-zero transform of the raw LP optimum everywhere else.
+clipped-at-zero transform of the raw LP optimum everywhere else.  The
+samples lie on the set K they are drawn from, so fewer polynomials are
+excluded on S than on K: the value is at least the degree-n extremal
+value on the continuous trace, and no certified lower bound of the
+Green function of K.
 
-Complex moduli are relaxed polygonally: |p| <= 1 becomes
-Re(exp(2 pi i m / 16) p) <= 1 over the 16 facet directions, and an
-objective |p(z)| for nonreal z becomes the best facet orientation of
-Re(p(z)).  The relaxation slack log(1/cos(pi/16))/degree is reported,
-never silently absorbed.
+Complex moduli are relaxed polygonally, and each relaxation errs one
+way, by a factor of at most 1/cos(pi/16) in M, that is at most
+FACET_SLACK/n on the (1/n) log scale:
+
+* On real samples a nonreal probe's objective |p(z)| becomes the best
+  of 8 phases of Re(p(z)); it sits at most that much *below* the exact
+  modulus.
+* On a planar list |p| <= 1 becomes Re(exp(2 pi i m / 16) p) <= 1 over
+  the 16 facet directions.  The 16-gon circumscribes the unit disk, so
+  the value sits at most that much *above* the disk-constrained value.
+
+The slack is reported, never silently absorbed.
 
 The LP is built once per sample set and degree: siciak_lp takes a
 sequence of evaluation points, and its basis, constraint matrix and
@@ -118,9 +129,10 @@ def green_segment(z, a, b):
 class GreenEvaluation:
     """One discrete Green-function value.
 
-    ``facet_slack`` bounds how far below the true modulus the polygonal
-    relaxation can sit; it is zero on the real-sample real-point path,
-    where no relaxation happens.
+    ``facet_slack`` bounds how far the polygonal relaxation moves the
+    value: below the exact modulus for a nonreal point on real samples,
+    above the disk-constrained value on a planar list.  It is zero on
+    the real-sample real-point path, where no relaxation happens.
     """
 
     value: float
@@ -199,6 +211,11 @@ def _siciak_planar(points, targets, degree):
     # lives through the solves of the batch.
     rows = points.shape[0]
     constraints = np.empty((FACETS * rows, 2 * (degree + 1)))
+    # Each facet is rotated on its own.  Stacking the 8 half phases as an
+    # exactly +/- symmetric {B; -B} moves values by at most 2.6e-15
+    # relative, but under the two-phase solver it raises green_cross_star
+    # from 4,316 to 10,596 pivots (4.3 s to 10.1 s at one BLAS thread
+    # on a 2-core machine).
     for m in range(FACETS):
         phase = cmath.exp(2j * math.pi * m / FACETS)
         rotated = phase * columns
@@ -225,7 +242,7 @@ def _complex_chebyshev(points, degree, center, scale):
 
 
 def siciak_lp(samples, points, degree):
-    """Discrete extremal lower bounds of the Green function at points.
+    """Discrete extremal values of the Green function at points.
 
     ``samples`` is a real (m, n) array, such as the output of
     sample_real_trace, or a planar list of complex points.  ``points``
@@ -233,9 +250,10 @@ def siciak_lp(samples, points, degree):
     (scalars when n = 1), complex numbers on a planar list.  The LP
     maximizes |p(z)| over polynomials bounded by 1 on the samples; each
     value is acosh(max(M, 1))/degree, which reproduces the closed form
-    exactly on segments and never goes negative.  The polygonal
-    relaxation slack is carried in each result, not folded into the
-    value.
+    exactly on segments and never goes negative.  Since the samples lie
+    on the set, it is at least the degree-n extremal value on the set,
+    and no certified lower bound of its Green function.  The polygonal relaxation slack, and the way it
+    errs, is carried in each result, not folded into the value.
 
     The constraint matrix and its rank reduction are built once for all
     points; returns one GreenEvaluation per point, in order.

@@ -407,38 +407,6 @@ def scaling_study(germ, degrees, epsilons, density):
                              for n in degrees for eps in epsilons))
 
 
-def evaluate_monomials(coefficients, points):
-    """Evaluate sum c_alpha x**alpha at complex points (m, n)."""
-    points = np.asarray(points)
-    if points.ndim == 1:
-        points = points[None, :]
-    total = np.zeros(points.shape[0], dtype=complex)
-    for alpha, coeff in coefficients.items():
-        term = np.full(points.shape[0], complex(coeff))
-        for d, power in enumerate(alpha):
-            if power:
-                term *= points[:, d] ** power
-        total += term
-    return total
-
-
-def monomial_gradient(coefficients, x0):
-    """Exact gradient of a monomial-coefficient polynomial at x0."""
-    x0 = np.asarray(x0, dtype=float)
-    grad = np.zeros(x0.shape[0])
-    for alpha, coeff in coefficients.items():
-        for d, power in enumerate(alpha):
-            if power == 0:
-                continue
-            term = coeff * power
-            for other, p_other in enumerate(alpha):
-                exponent = p_other - (1 if other == d else 0)
-                if exponent:
-                    term *= x0[other] ** exponent
-            grad[d] += term
-    return grad
-
-
 @dataclass(frozen=True)
 class CauchyDerivativeReport:
     """One instance of the disk-derivative bound on a germ.
@@ -457,25 +425,24 @@ class CauchyDerivativeReport:
     slack: float
 
 
-def cauchy_derivative_check(germ, coefficients, radius):
+def cauchy_derivative_check(germ, basis, coefficients, radius):
     """Check the disk-derivative bound for one polynomial.
 
-    ``coefficients`` maps monomial multi-indices to real coefficients.
-    The supremum over the circle |z| = r is discretized with
-    CAUCHY_QUAD_POINTS equispaced points; the reported constant is
-    1/norm(L), exact for the leading-order extraction.
+    ``coefficients`` are the polynomial's coefficients in ``basis``,
+    the pair a MarkovResult carries.  The supremum over the circle
+    |z| = r is discretized with CAUCHY_QUAD_POINTS equispaced points;
+    the reported constant is 1/norm(L), exact for the leading-order
+    extraction.
     """
     if not (0.0 < radius < 1.0):
         raise DomainError("radius must lie in (0, 1)")
     order = germ.branch.k
-    lead = germ.branch.leading_vector()
-    lead_norm = float(np.linalg.norm(lead))
-    direction = tangent_vector(germ)
-    gradient = monomial_gradient(coefficients, germ.basepoint)
-    lhs = abs(float(direction @ gradient))
+    lead_norm = float(np.linalg.norm(germ.branch.leading_vector()))
+    row = basis.derivative_row(germ.basepoint, tangent_vector(germ))
+    lhs = abs(float(row @ coefficients))
     circle = radius * np.exp(2j * math.pi * np.arange(CAUCHY_QUAD_POINTS)
                              / CAUCHY_QUAD_POINTS)
-    values = np.abs(evaluate_monomials(coefficients, germ.evaluate(circle)))
+    values = np.abs(basis.evaluate(germ.evaluate(circle)) @ coefficients)
     peak = float(values.max())
     constant = 1.0 / lead_norm
     bound = constant * peak / radius ** order

@@ -96,6 +96,13 @@ def test_criterion_08_zero_violation_suites(verify_twice):
     check(criterion(verify_twice, 8))
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_criterion_08_batteries_hold_at_every_seed(seed):
+    """Criterion 8 alone: --seed picks only its random polynomials."""
+    result = acceptance.criterion_zero_violation_suites(seed)
+    assert [row.value for row in result.rows] == [0.0] * 4, result.detail
+
+
 def test_criterion_09_star_domination_stability(verify_twice):
     check(criterion(verify_twice, 9))
 

@@ -285,6 +285,24 @@ class TestMain:
         assert main(["markov-scan", "--config", str(config)]) == 2
         assert f"{config}:8:1: unknown key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study,key,valid", [
+        ("geodesic_fit", "degrees", "germ, study"),
+        ("geodesic_fit", "epsilons", "germ, study"),
+        ("geodesic_fit", "density", "germ, study"),
+        ("hcp_fit", "epsilons", "degrees, density, germ, study"),
+    ])
+    def test_key_the_study_does_not_read_exits_two(self, tmp_path, capsys,
+                                                    study, key, valid):
+        config = tmp_path / "unread.cfg"
+        config.write_text(f"[unread]\nstudy = {study}\ngerm = cusp_2_3\n"
+                          f"{key} = 1\n", encoding="utf-8")
+        command = study.replace("_", "-")
+        assert main([command, "--config", str(config),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert (f"{config}:4:1: unknown key '{key}' for study '{study}' "
+                f"(valid: {valid})" in capsys.readouterr().err)
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("study,old,new,line", [
         ("markov_scan", "epsilons = 0.5,", "epsilons = 2.0, 0.5,", 6),
         ("markov_scan", "epsilons = 0.5,", "epsilons = 0.0, 0.5,", 6),
@@ -354,6 +372,24 @@ class TestMain:
             assert cells[7] == "ok"
             assert abs(float(cells[6])) <= 0.02 + 1e-9 + abs(
                 math.log(1.0 / math.cos(math.pi / 16)) / 8.0)
+
+    def test_green_eval_one_ray_closed_form(self, tmp_path):
+        # interval_boundary realizes one ray: segment_closed_form's
+        # one-ray branch gives the reference of every probe.
+        config = tmp_path / "green.cfg"
+        config.write_text(
+            "[edge]\nstudy = green_eval\ngerm = interval_boundary\n"
+            "degrees = 8\nepsilons = 0.5\ndensity = 60\n",
+            encoding="utf-8")
+        code = main(["green-eval", "--config", str(config),
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "edge_raw.csv").read_text(
+            encoding="utf-8").splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert [cells[7] for cells in rows] == ["ok"] * 3
+        assert [float(cells[6]) for cells in rows] == pytest.approx(
+            [9.5e-4, 9.8e-5, 9.6e-4], rel=0.01)
 
     def test_hcp_fit_boundary_window(self, tmp_path):
         config = tmp_path / "hcp.cfg"

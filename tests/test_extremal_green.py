@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from markov_curves import extremal_green, markov_lp
-from markov_curves.curve_model import (DomainError, builtin_germs,
+from markov_curves.curve_model import (CurveGerm, DomainError, PuiseuxBranch,
+                                       TruncatedSeries, builtin_germs,
                                        chebyshev_grid, sample_real_trace)
 from markov_curves.extremal_green import (HCP_DELTAS, DegenerateSegmentError,
                                           GreenEvaluation, ProbeRuleError,
@@ -226,11 +227,10 @@ class TestBernsteinWalsh:
         assert report.envelope == pytest.approx(3.0)
 
     def test_random_polynomials_hold(self):
-        from markov_curves.rng import Lcg, random_polynomial
         samples = chebyshev_grid(-1.0, 1.0, 600)
-        lcg = Lcg(4)
+        rng = np.random.default_rng(4)
         for trial in range(30):
-            coeffs = random_polynomial(lcg, 9)
+            coeffs = rng.uniform(-1, 1, 10)
             for z in (1.5, 2.0 + 1.0j, -4.0):
                 report = bernstein_walsh_check(coeffs, samples, z,
                                                green_interval(z))
@@ -277,6 +277,22 @@ class TestStarDomination:
         assert report.excluded == 0
         assert report.relative_change <= 0.1
         assert report.probe_count > 0
+
+    def test_three_ray_star_goes_through_the_lp(self, monkeypatch):
+        # Rays 2 pi / 3 apart form no segment, so the star's values come
+        # from the planar Siciak LP instead of a closed form.
+        calls = count_calls(monkeypatch, "_reduce_columns")
+        branch = PuiseuxBranch(k=3, c=1.0,
+                               tail=(TruncatedSeries(terms=((6, 1.0),)),))
+        germ = CurveGerm(basepoint=(0.0, 0.0), branch=branch,
+                         star_plus=(0, 1, 2), star_minus=())
+        report = star_domination_check(germ, 0.25, 4)
+        # One reduction for the star, one per trace degree.
+        assert calls == {"_reduce_columns": 3}
+        assert report.degrees == (4, 6)
+        assert report.excluded == 0
+        assert report.max_ratios == pytest.approx((5.346, 5.352), abs=1e-3)
+        assert report.relative_change <= 0.1
 
     def test_argument_validation(self):
         germ = builtin_germs()["cusp_2_3"]

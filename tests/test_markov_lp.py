@@ -12,11 +12,8 @@ from markov_curves.curve_model import DomainError, builtin_germs, \
 from markov_curves.markov_lp import (ConditioningError, MarkovProblem,
                                      NumericError, PolynomialBasis, SampledLp,
                                      TooFewSamplesError, _chebyshev_table,
-                                     cauchy_derivative_check,
-                                     evaluate_monomials, fit_scaling,
-                                     markov_factor, monomial_gradient,
-                                     scaling_study)
-from markov_curves.rng import Lcg, random_bivariate
+                                     cauchy_derivative_check, fit_scaling,
+                                     markov_factor, scaling_study)
 
 
 def interval_problem(degree, epsilon=1.0, density=400, x0=1.0):
@@ -90,7 +87,6 @@ class TestPolynomialBasis:
 
     def test_derivative_row_matches_central_differences(self):
         rng = np.random.default_rng(11)
-        lcg = Lcg(7)
         pts = rng.uniform(-1, 1, size=(30, 2))
         basis = PolynomialBasis.from_points(pts, 4)
         for trial in range(6):
@@ -98,7 +94,7 @@ class TestPolynomialBasis:
             v = rng.normal(size=2)
             v /= np.linalg.norm(v)
             row = basis.derivative_row(x0, v)
-            coeffs = np.array([lcg.uniform() for _ in range(basis.count)])
+            coeffs = rng.uniform(-1, 1, basis.count)
             h = 1e-6
             plus = basis.evaluate((x0 + h * v)[None, :]) @ coeffs
             minus = basis.evaluate((x0 - h * v)[None, :]) @ coeffs
@@ -239,51 +235,62 @@ class TestScalingStudy:
                           epsilons=(0.5, 0.25, 0.125, 0.0625), density=80)
 
     def test_fit_scaling_recovers_planted_exponents(self):
-        lcg = Lcg(21)
+        rng = np.random.default_rng(21)
         rows = []
         for n in (2, 3, 5, 8, 13):
             for eps in (0.5, 0.25, 0.125, 0.0625):
                 value = 3.0 * n**1.7 / eps**0.9
-                value *= 1.0 + 1e-4 * lcg.uniform()
+                value *= 1.0 + 1e-4 * rng.uniform(-1, 1)
                 rows.append((n, eps, value, True))
         fit = fit_scaling(rows)
         assert fit.alpha_deg == pytest.approx(1.7, abs=1e-3)
         assert fit.alpha_eps == pytest.approx(0.9, abs=1e-3)
 
 
-class TestMonomialHelpers:
-    def test_evaluate_monomials_oracle(self):
-        coeffs = {(0, 0): 1.0, (2, 1): -3.0}
-        pts = np.array([[0.5, 2.0], [1.0, -1.0]])
-        np.testing.assert_allclose(evaluate_monomials(coeffs, pts),
-                                   [1.0 - 3.0 * 0.25 * 2.0, 4.0])
-
-    def test_monomial_gradient_oracle(self):
-        coeffs = {(1, 0): 2.0, (1, 1): 1.0, (0, 2): -1.0}
-        grad = monomial_gradient(coeffs, np.array([0.5, 3.0]))
-        np.testing.assert_allclose(grad, [2.0 + 3.0, 0.5 - 6.0])
+def box_basis(germ, degree=4):
+    """Degree-``degree`` basis on the box of half-width 1 around x0."""
+    x0 = np.asarray(germ.basepoint)
+    return PolynomialBasis.from_points(np.array([x0 - 1.0, x0 + 1.0]), degree)
 
 
 class TestCauchyDerivativeCheck:
     def test_coordinate_polynomial_is_extremal(self):
         germ = builtin_germs()["cusp_2_3"]
-        report = cauchy_derivative_check(germ, {(1, 0): 1.0}, radius=0.5)
+        basis = box_basis(germ)
+        # T_1 of the first coordinate: p(x, y) = x on this box.
+        coeffs = np.array([alpha == (1, 0) for alpha in basis.indices],
+                          dtype=float)
+        report = cauchy_derivative_check(germ, basis, coeffs, radius=0.5)
         assert report.holds
         assert report.slack == pytest.approx(0.0, abs=1e-12)
         assert report.order == 2
 
     def test_random_polynomials_satisfy_bound(self):
         germ = builtin_germs()["cusp_2_3"]
-        lcg = Lcg(40)
+        basis = box_basis(germ)
+        rng = np.random.default_rng(40)
         for trial in range(30):
-            coeffs = random_bivariate(lcg, 4)
-            report = cauchy_derivative_check(germ, coeffs, radius=0.6)
+            coeffs = rng.uniform(-1, 1, basis.count)
+            report = cauchy_derivative_check(germ, basis, coeffs, radius=0.6)
             assert report.holds, f"trial {trial}: slack {report.slack}"
+
+    @pytest.mark.parametrize("degree", [4, 6, 8])
+    def test_markov_extremal_polynomial_satisfies_bound(self, degree):
+        germ = builtin_germs()["cusp_2_3"]
+        result = markov_factor(MarkovProblem(
+            samples=sample_real_trace(germ, 0.25, 120), x0=germ.basepoint,
+            v=tangent_vector(germ), degree=degree))
+        report = cauchy_derivative_check(germ, result.basis,
+                                         result.coefficients, radius=0.25)
+        assert report.holds, f"slack {report.slack}"
+        assert report.lhs == pytest.approx(result.factor, rel=1e-11)
 
     def test_radius_must_sit_inside_unit_disk(self):
         germ = builtin_germs()["cusp_2_3"]
+        basis = box_basis(germ)
         with pytest.raises(DomainError):
-            cauchy_derivative_check(germ, {(1, 0): 1.0}, radius=1.0)
+            cauchy_derivative_check(germ, basis, np.ones(basis.count),
+                                    radius=1.0)
 
 
 class TestPhaseTwoArtificials:
