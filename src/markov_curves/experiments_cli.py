@@ -164,14 +164,17 @@ def _markov_scan(scenario):
 
 def _green_eval(scenario):
     angles = sorted(a % (2.0 * math.pi) for a in scenario.germ.ray_angles())
+    # The star is a cone and siciak_lp normalizes by the star's center and
+    # scale, so V_{eps K}(eps z) = V_K(z): one LP per degree serves every
+    # epsilon (bit for bit at dyadic epsilons).
+    points = star_points(angles, 1.0, scenario.density)
+    values = {degree: siciak_lp(points, GREEN_PROBES, degree)
+              for degree in scenario.degrees}
     raw = []
     for epsilon in scenario.epsilons:
-        points = star_points(angles, epsilon, scenario.density)
         closed = segment_closed_form(angles, epsilon)
         for degree in scenario.degrees:
-            results = siciak_lp(points, [probe * epsilon
-                                         for probe in GREEN_PROBES], degree)
-            for probe, result in zip(GREEN_PROBES, results):
+            for probe, result in zip(GREEN_PROBES, values[degree]):
                 slack = None
                 status = "ok"
                 if closed is not None:

@@ -32,6 +32,9 @@ The LP is built once per sample set and degree: siciak_lp takes a
 sequence of evaluation points, and its basis, constraint matrix and
 rank reduction serve every point, which then costs only its own
 objective and solves.
+Samples and probes are normalized by the samples' own center and
+scale, so the values are dilation invariant, V_{eps K}(eps z) = V_K(z):
+on a star of rays, a cone, one LP at epsilon 1 serves every epsilon.
 """
 
 from __future__ import annotations
@@ -252,8 +255,9 @@ def siciak_lp(samples, points, degree):
     value is acosh(max(M, 1))/degree, which reproduces the closed form
     exactly on segments and never goes negative.  Since the samples lie
     on the set, it is at least the degree-n extremal value on the set,
-    and no certified lower bound of its Green function.  The polygonal relaxation slack, and the way it
-    errs, is carried in each result, not folded into the value.
+    and no certified lower bound of its Green function.  The polygonal
+    relaxation slack, and the way it errs, is carried in each result,
+    not folded into the value.
 
     The constraint matrix and its rank reduction are built once for all
     points; returns one GreenEvaluation per point, in order.

@@ -189,7 +189,8 @@ class MarkovProblem:
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
-        if not math.isclose(float(np.linalg.norm(v)), 1.0, rel_tol=0, abs_tol=1e-9):
+        if not math.isclose(float(np.linalg.norm(v)), 1.0, rel_tol=0,
+                            abs_tol=1e-9):
             raise DomainError("direction v must have unit Euclidean norm")
         if self.degree < 0:
             raise DomainError("degree must be nonnegative")

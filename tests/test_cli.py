@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from markov_curves import markov_lp
+from markov_curves import experiments_cli, markov_lp
 from markov_curves.curve_model import (BUILTIN_GERM_IDS, DomainError,
                                        FormatError)
 from markov_curves.experiments_cli import (ReportRow, emit_csv, main,
@@ -243,6 +243,30 @@ class TestRunScenario:
         err = capsys.readouterr().err
         assert "interval_scan" in err
         assert "scaling cell degree=" in err
+
+    def test_green_eval_solves_once_per_degree(self, tmp_path, monkeypatch):
+        # The star is a cone, so one LP per degree serves every epsilon.
+        degrees = []
+        original = experiments_cli.siciak_lp
+
+        def counted(samples, points, degree):
+            degrees.append(degree)
+            return original(samples, points, degree)
+
+        monkeypatch.setattr(experiments_cli, "siciak_lp", counted)
+        config = self.write_config(tmp_path, (
+            "[star]\nstudy = green_eval\ngerm = interval_interior\n"
+            "degrees = 4, 8\nepsilons = 0.5, 0.25, 0.125, 0.0625\n"
+            "density = 40\n"))
+        assert run_scenario(config, out_dir=tmp_path) == 0
+        assert degrees == [4, 8]
+        lines = (tmp_path / "star_raw.csv").read_text(
+            encoding="utf-8").splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 4 * 2 * 3
+        for degree in ("4", "8"):
+            values = [cells[4] for cells in rows if cells[2] == degree]
+            assert values == values[:3] * 4
 
     def test_geodesic_fit_recovers_multiplicity(self, tmp_path):
         config = self.write_config(tmp_path, GEODESIC_CONFIG)

@@ -10,7 +10,8 @@ from markov_curves import extremal_green, markov_lp
 from markov_curves.curve_model import (CurveGerm, DomainError, PuiseuxBranch,
                                        TruncatedSeries, builtin_germs,
                                        chebyshev_grid, sample_real_trace)
-from markov_curves.extremal_green import (HCP_DELTAS, DegenerateSegmentError,
+from markov_curves.extremal_green import (GREEN_PROBES, HCP_DELTAS,
+                                          DegenerateSegmentError,
                                           GreenEvaluation, ProbeRuleError,
                                           TooFewPointsError,
                                           bernstein_walsh_check,
@@ -179,6 +180,28 @@ class TestSiciakLp:
         assert batch == singles
         assert len({ev.facet_slack for ev in batch}) == (
             2 if case == "trace" else 1)
+
+    @pytest.mark.parametrize("angles", [(0.0, math.pi),
+                                        (0.0, 2 * math.pi / 3,
+                                         4 * math.pi / 3)],
+                             ids=["real", "planar"])
+    def test_dilation_invariant(self, angles):
+        # V_{eps K}(eps z) = V_K(z): the star is a cone and siciak_lp
+        # normalizes by the samples' center and scale, so a dyadic
+        # epsilon reproduces the unit star's LP exactly, and any other
+        # epsilon up to roundoff.
+        def values(epsilon, degree):
+            return [ev.value for ev in siciak_lp(
+                star_points(angles, epsilon, 60),
+                [probe * epsilon for probe in GREEN_PROBES], degree)]
+
+        for degree in (4, 8):
+            unit = values(1.0, degree)
+            for epsilon in (0.5, 0.0625):
+                assert values(epsilon, degree) == unit
+            for epsilon in (0.1, 0.3):
+                assert values(epsilon, degree) == pytest.approx(unit,
+                                                                rel=1e-13)
 
 
 class TestHcpFit:
