@@ -8,19 +8,16 @@ with a quantitative acceptance suite.
 """
 
 from .curve_model import (BUILTIN_GERM_IDS, CurveGerm, DomainError,
-                          FormatError, InconsistentGermError,
-                          InvalidBranchError, NormBoundReport, NumericError,
-                          PuiseuxBranch, TruncatedSeries,
+                          FormatError, GermError, NormBoundReport,
+                          NumericError, PuiseuxBranch, TruncatedSeries,
                           builtin_germs, chebyshev_grid,
                           geodesic_distance, load_germ,
                           norm_lower_bound_check, parse_germ_text,
                           sample_real_trace, tangent_vector)
-from .extremal_green import (BernsteinWalshReport, DegenerateSegmentError,
-                             DiskBoundReport, GreenEvaluation, HcpFit,
-                             ProbeGridError, ProbeRuleError,
-                             StarDominationReport, TooFewPointsError,
-                             bernstein_walsh_check, green_interval,
-                             green_segment, hcp_fit,
+from .extremal_green import (BernsteinWalshReport, DiskBoundReport,
+                             GreenEvaluation, HcpFit, StarDominationReport,
+                             TooFewPointsError, bernstein_walsh_check,
+                             green_interval, green_segment, hcp_fit,
                              segment_disk_bound_check, siciak_lp,
                              star_domination_check, star_points)
 from .lp import (PivotLimitError, SimplexError, SupNormSolution,

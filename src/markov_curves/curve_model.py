@@ -53,7 +53,9 @@ class DomainError(ValueError):
 
 
 class GermError(ValueError):
-    """Germ data rejected where it is built.
+    """Germ data rejected where it is built: branch data that does not
+    describe a curve germ, stars or a basepoint that do not fit the
+    branch, or a realized ray whose image leaves R^n.
 
     ``field`` names the germ-file key at fault (``k``, ``c_re``,
     ``term.<coord>.<exponent>``, ``star_plus``, ...), so a parser can
@@ -66,17 +68,15 @@ class GermError(ValueError):
         self.field = field
 
 
-class InvalidBranchError(GermError):
-    """Branch data that does not describe a curve germ."""
-
-
-class InconsistentGermError(GermError):
-    """Stars or a basepoint that do not fit the branch, or a realized
-    ray whose image leaves R^n."""
-
-
 class NumericError(RuntimeError):
-    """A numerical routine failed to converge."""
+    """A numerical instrument hit its limit: ill-conditioning, too few
+    samples, a simplex failure, a probe on the set, or a quadrature
+    that did not converge.
+
+    Every such failure derives from this class, so the class alone
+    decides a study's exit code: 3 for a NumericError (or a
+    DomainError), 2 for a FormatError, 1 for a measured violation.
+    """
 
 
 class FormatError(ValueError):
@@ -131,18 +131,22 @@ def read_sections(text, source):
     return sections
 
 
-_KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+_KIND_NAMES = {int: ("an integer", "integers"),
+               float: ("a finite number", "finite numbers")}
 
 
 def convert_list(entry, kind, key, source, counts=None):
     """The comma-separated values of a ``(value, line, column)`` entry as a
     tuple of ``kind``, empty items skipped; a FormatError at the key when
-    an item does not convert or the count is not one of ``counts``."""
+    an item does not convert or is not finite, or the count is not one
+    of ``counts``."""
     value, line, column = entry
     try:
         items = tuple(kind(item.strip()) for item in value.split(",")
                       if item.strip())
     except ValueError:
+        items = None
+    if items is not None and not all(map(math.isfinite, items)):
         items = None
     if items is None or (counts is not None and len(items) not in counts):
         one, many = _KIND_NAMES[kind]
@@ -183,10 +187,9 @@ class TruncatedSeries:
         previous = 0
         for e, _ in cleaned:
             if e < 1:
-                raise InvalidBranchError("series exponents must be >= 1", e)
+                raise GermError("series exponents must be >= 1", e)
             if e <= previous:
-                raise InvalidBranchError(
-                    "series exponents must strictly increase", e)
+                raise GermError("series exponents must strictly increase", e)
             previous = e
         object.__setattr__(self, "terms", cleaned)
 
@@ -238,20 +241,20 @@ class PuiseuxBranch:
 
     def __post_init__(self):
         if self.k < 1:
-            raise InvalidBranchError("k must be a positive integer", "k")
+            raise GermError("k must be a positive integer", "k")
         if self.c == 0:
-            raise InvalidBranchError(
+            raise GermError(
                 "leading coefficient is zero: the branch would collapse",
                 "c_re")
         if not self.tail:
-            raise InvalidBranchError("ambient dimension must be at least 2",
-                                     "ambient_dim")
+            raise GermError("ambient dimension must be at least 2",
+                            "ambient_dim")
         object.__setattr__(self, "tail", tuple(self.tail))
         floor = self.k if self.k >= 2 else 0
         for j, series in enumerate(self.tail, start=2):
             order = series.order()
             if order is not None and order <= floor:
-                raise InvalidBranchError(
+                raise GermError(
                     f"coordinate {j} vanishes to order {order}, "
                     f"which must exceed {floor} for k = {self.k}",
                     f"term.{j}.{order}")
@@ -301,20 +304,19 @@ class CurveGerm:
         k = self.branch.k
         basepoint = tuple(float(v) for v in self.basepoint)
         if len(basepoint) != self.branch.ambient_dim:
-            raise InconsistentGermError(
+            raise GermError(
                 "basepoint dimension != ambient dimension", "basepoint")
         object.__setattr__(self, "basepoint", basepoint)
         for field in ("star_plus", "star_minus"):
             star = tuple(int(l) for l in getattr(self, field))
             if (any(not 0 <= l < k for l in star)
                     or any(x >= y for x, y in zip(star, star[1:]))):
-                raise InconsistentGermError(
+                raise GermError(
                     f"{field} indices must strictly increase within "
                     f"0..{k - 1}", field)
             object.__setattr__(self, field, star)
         if not self.star_plus + self.star_minus:
-            raise InconsistentGermError("a germ needs at least one star",
-                                        "star_plus")
+            raise GermError("a germ needs at least one star", "star_plus")
         terms = [(1, k, self.branch.c, "c_re")]
         terms += [(j, e, a, f"term.{j}.{e}")
                   for j, series in enumerate(self.branch.tail, start=2)
@@ -323,7 +325,7 @@ class CurveGerm:
             for j, e, a, field in terms:
                 if abs((a * cmath.exp(1j * e * theta)).imag) > (
                         REAL_TRACE_TOL * abs(a)):
-                    raise InconsistentGermError(
+                    raise GermError(
                         f"the z**{e} term of coordinate {j} is not real on "
                         f"the ray at angle {theta:.6f}", field)
 
@@ -403,7 +405,7 @@ def sample_real_trace(germ, epsilon, density):
         scale = 1.0 + np.linalg.norm(values.real, axis=-1)
         worst = np.max(np.abs(values.imag) / scale[:, None])
         if worst > REAL_TRACE_TOL:
-            raise InconsistentGermError(
+            raise GermError(
                 f"ray at angle {theta:.6f} leaves the real trace "
                 f"(residual imaginary part {worst:.3e})")
         rows.append(values.real)
@@ -573,7 +575,7 @@ def _parse_germ(text, source):
         try:
             tail.append(TruncatedSeries(terms=tuple(sorted(
                 terms.get(coord, ()), key=lambda term: term[0]))))
-        except InvalidBranchError as exc:
+        except GermError as exc:
             raise FormatError(f"coordinate {coord}: {exc}",
                               *positions[f"term.{coord}.{exc.field}"],
                               source) from None

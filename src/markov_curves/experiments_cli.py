@@ -34,16 +34,14 @@ from .curve_model import (BUILTIN_GERM_IDS, DomainError, FormatError,
                           NumericError, builtin_germs, convert_list,
                           load_germ, read_sections, sample_real_trace)
 from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE,
-                             INTERVAL_HCP_RULES, ProbeRuleError,
-                             TooFewPointsError, green_interval, hcp_fit,
+                             INTERVAL_HCP_RULES, green_interval, hcp_fit,
                              segment_closed_form, siciak_lp, star_points)
-from .lp import SimplexError
-from .markov_lp import ConditioningError, TooFewSamplesError, scaling_study
+from .markov_lp import scaling_study
 from .reports import ReportRow, emit_csv, geodesic_rows, hcp_rows, scan_rows
 
-_NUMERIC_FAILURES = (NumericError, ConditioningError, TooFewSamplesError,
-                     TooFewPointsError, SimplexError, ProbeRuleError,
-                     DomainError, FloatingPointError)
+#: Exit 3: every numeric failure derives from NumericError, and a
+#: DomainError from a study is an input the instrument cannot pose.
+_NUMERIC_FAILURES = (NumericError, DomainError)
 
 
 @dataclass(frozen=True)
@@ -60,16 +58,6 @@ class Scenario:
 
 # ----------------------------------------------------------------------
 # Configuration parsing
-
-
-#: The keys each study reads beside ``study`` and ``germ``; a section
-#: that sets any other key is an error.
-_STUDY_KEYS = {
-    "markov_scan": ("degrees", "epsilons", "density"),
-    "green_eval": ("degrees", "epsilons", "density"),
-    "geodesic_fit": (),
-    "hcp_fit": ("degrees", "density"),
-}
 
 
 def parse_config_text(text, source="<config>", base_dir="."):
@@ -91,12 +79,12 @@ def _build_scenario(name, line, keys, source, base_dir):
         return keys[key]
 
     study = required("study")[0]
-    if study not in _STUDY_KEYS:
+    if study not in _STUDIES:
         raise FormatError(
-            f"unknown study '{study}' (valid: {', '.join(_STUDY_KEYS)})",
+            f"unknown study '{study}' (valid: {', '.join(_STUDIES)})",
             *keys["study"][1:], source)
     germ = _resolve_germ(required("germ"), base_dir, source)
-    allowed = ("study", "germ", *_STUDY_KEYS[study])
+    allowed = ("study", "germ", *_STUDIES[study][1])
     for key, (_, key_line, column) in keys.items():
         if key not in allowed:
             raise FormatError(f"unknown key '{key}' for study '{study}' "
@@ -227,11 +215,14 @@ def _hcp_fit(scenario):
     return hcp_rows(scenario.name, "hcp_fit", fit, status)
 
 
-_STUDY_RUNNERS = {
-    "markov_scan": _markov_scan,
-    "green_eval": _green_eval,
-    "geodesic_fit": _geodesic_fit,
-    "hcp_fit": _hcp_fit,
+#: Each study's runner and the keys it reads beside ``study`` and
+#: ``germ``; a section that sets any other key is an error.  The
+#: subcommand is the study name with dashes.
+_STUDIES = {
+    "markov_scan": (_markov_scan, ("degrees", "epsilons", "density")),
+    "green_eval": (_green_eval, ("degrees", "epsilons", "density")),
+    "geodesic_fit": (_geodesic_fit, ()),
+    "hcp_fit": (_hcp_fit, ("degrees", "density")),
 }
 
 
@@ -262,7 +253,7 @@ def run_scenario(config_path, out_dir=".", study_filter=None):
         out.mkdir(parents=True, exist_ok=True)
         exit_code = 0
         for scenario in scenarios:
-            runner = _STUDY_RUNNERS[scenario.study]
+            runner = _STUDIES[scenario.study][0]
             try:
                 raw, fit = runner(scenario)
             except _NUMERIC_FAILURES as exc:
@@ -299,15 +290,10 @@ def build_parser():
         description="Tangential Markov factors and extremal Green "
                     "functions on curve germs")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    studies = {
-        "markov-scan": "markov_scan",
-        "green-eval": "green_eval",
-        "geodesic-fit": "geodesic_fit",
-        "hcp-fit": "hcp_fit",
-    }
-    for command in studies:
+    for study in _STUDIES:
         sub = subparsers.add_parser(
-            command, help=f"run {studies[command]} scenarios from a config")
+            study.replace("_", "-"),
+            help=f"run {study} scenarios from a config")
         sub.add_argument("--config", required=True,
                          help="path to a scenario config file")
         sub.add_argument("--out-dir", default=".",

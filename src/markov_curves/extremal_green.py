@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve_model import DomainError, chebyshev_grid, sample_real_trace
+from .curve_model import (DomainError, NumericError, chebyshev_grid,
+                          sample_real_trace)
 from .lp import UnboundedProblemError, solve_sup_norm_lp
 from .markov_lp import (SampledLp, TooFewSamplesError, _chebyshev_table,
                         _reduce_columns)
@@ -88,20 +89,8 @@ INTERVAL_HCP_RULES = {
 }
 
 
-class DegenerateSegmentError(ValueError):
-    """Segment endpoints coincide; no Green function to pull back."""
-
-
-class TooFewPointsError(ValueError):
+class TooFewPointsError(NumericError):
     """Sample set cannot bound the polynomial space at this degree."""
-
-
-class ProbeRuleError(ValueError):
-    """An HCP probe landed on the set (nonpositive Green value)."""
-
-
-class ProbeGridError(ValueError):
-    """Every probe point fell on the reference set."""
 
 
 def green_interval(z):
@@ -124,7 +113,7 @@ def green_segment(z, a, b):
     a = complex(a)
     b = complex(b)
     if abs(b - a) <= 1e-300 + 1e-15 * (abs(a) + abs(b)):
-        raise DegenerateSegmentError(f"segment [{a}, {b}] has no interior")
+        raise DomainError(f"segment [{a}, {b}] has no interior")
     return green_interval((2.0 * z - a - b) / (b - a))
 
 
@@ -312,7 +301,7 @@ def hcp_fit(green, probe_rule):
               for value in green([probe_rule(delta) for delta in deltas])]
     for delta, value in zip(deltas, values, strict=True):
         if value <= 0.0:
-            raise ProbeRuleError(
+            raise NumericError(
                 f"probe at distance {delta:g} landed on the set "
                 f"(value {value:g})")
     log_d = np.log(deltas)
@@ -473,8 +462,7 @@ def star_domination_check(germ, epsilon, degree):
             if rhs > RHS_TOLERANCE]
     excluded = len(probes) - len(kept)
     if not kept:
-        raise ProbeGridError(
-            "every probe point fell on the star set")
+        raise NumericError("every probe point fell on the star set")
     trace_points = [germ.evaluate(z) for z, _ in kept]
     max_ratios = []
     for deg in degrees:

@@ -38,13 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curve_model import NumericError
+
 FEASIBILITY_TOL = 1e-9
 MAX_ITERATIONS = 200_000
 # Consecutive non-improving pivots tolerated before Bland's rule kicks in.
 STALL_LIMIT = 12
 
 
-class SimplexError(Exception):
+class SimplexError(NumericError):
     """Base class for simplex solver failures."""
 
 
@@ -187,6 +189,9 @@ def solve_sup_norm_lp(constraints, objective):
         of the tableau) or the final basis is singular.
     PivotLimitError
         If MAX_ITERATIONS pivots do not reach an optimum.
+
+    All three are SimplexErrors, and so curve_model.NumericErrors: a
+    study that meets one exits 3.
     """
     G = np.asarray(constraints, dtype=float)
     f = np.asarray(objective, dtype=float)

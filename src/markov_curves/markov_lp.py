@@ -29,7 +29,7 @@ import numpy as np
 
 from .curve_model import (DomainError, NumericError, sample_real_trace,
                           tangent_vector)
-from .lp import SimplexError, UnboundedProblemError, solve_sup_norm_lp
+from .lp import solve_sup_norm_lp
 
 #: Above this condition estimate the sample/basis pairing is rejected.
 CONDITION_LIMIT = 1e12
@@ -40,11 +40,11 @@ FLAT_TOL = 1e-14
 CAUCHY_QUAD_POINTS = 512
 
 
-class TooFewSamplesError(ValueError):
+class TooFewSamplesError(NumericError):
     """Fewer samples than basis dimensions: the factor is unbounded."""
 
 
-class ConditioningError(RuntimeError):
+class ConditioningError(NumericError):
     """Sample/basis pairing too ill-conditioned to trust."""
 
 
@@ -253,9 +253,13 @@ def _reduce_columns(matrix):
     Every caller's matrix has a column that is never zero (the constant
     basis element, or the rotated T_0), so the largest singular value
     is positive.  The checks wait for ColumnReduction.project, which
-    sees the functional.
+    sees the functional; an SVD that does not converge (a NaN in the
+    matrix) raises ConditioningError here.
     """
-    singular, vt = np.linalg.svd(matrix, full_matrices=False)[1:]
+    try:
+        singular, vt = np.linalg.svd(matrix, full_matrices=False)[1:]
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"{exc} on the constraint matrix") from exc
     cutoff = singular[0] * max(matrix.shape) * np.finfo(float).eps
     rank = int(np.sum(singular > cutoff))
     condition = float(singular[0] / singular[rank - 1])
@@ -301,9 +305,9 @@ class SampledLp:
         one objective; the best solution is returned, with coefficients
         in the reduced basis (``reduction.back_map`` lifts them).
 
-        Raises TooFewSamplesError when the samples do not resolve the
-        functional, ConditioningError when the basis matrix cannot be
-        trusted, and UnboundedProblemError from the solver.
+        Raises a NumericError: TooFewSamplesError when the samples do
+        not resolve the functional, ConditioningError when the basis
+        matrix cannot be trusted, and a SimplexError from the solver.
         """
         functional = self.reduction.project(row)
         # The default phases solve both orientations of a real functional.
@@ -323,18 +327,16 @@ class SampledLp:
 def markov_factor(problem):
     """Solve the Markov LP; both objective orientations are taken.
 
-    Raises TooFewSamplesError when the factor is unbounded (fewer
-    samples than basis dimensions, or samples in special position) and
-    ConditioningError when the basis matrix cannot be trusted.
+    Raises a NumericError: TooFewSamplesError when there are fewer
+    samples than basis dimensions or they do not resolve the
+    derivative, ConditioningError when the basis matrix cannot be
+    trusted, and a SimplexError (UnboundedProblemError among them) as
+    the solver raises it.
     """
     x0 = np.asarray(problem.x0, dtype=float)
     v = np.asarray(problem.v, dtype=float)
-    try:
-        lp = SampledLp(np.asarray(problem.samples, dtype=float),
-                       problem.degree)
-        chosen = lp.solve(lp.basis.derivative_row(x0, v))
-    except UnboundedProblemError as exc:
-        raise TooFewSamplesError(str(exc)) from exc
+    lp = SampledLp(np.asarray(problem.samples, dtype=float), problem.degree)
+    chosen = lp.solve(lp.basis.derivative_row(x0, v))
     return MarkovResult(factor=chosen.value,
                         coefficients=lp.reduction.back_map
                         @ chosen.coefficients,
@@ -343,7 +345,7 @@ def markov_factor(problem):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Joint log-log fit  log M = alpha_deg*log n + alpha_eps*log(1/eps) + b."""
+    """Joint fit  log M = alpha_deg*log n + alpha_eps*log(1/eps) + b."""
 
     alpha_deg: float
     alpha_eps: float
@@ -396,9 +398,7 @@ def scaling_study(germ, degrees, epsilons, density):
                                 v=tuple(direction), degree=n)
         try:
             return markov_factor(problem).factor
-        except (TooFewSamplesError, ConditioningError, SimplexError,
-                DomainError, FloatingPointError,
-                np.linalg.LinAlgError) as exc:
+        except (NumericError, DomainError) as exc:
             raise NumericError(
                 f"scaling cell degree={n} epsilon={eps:g} failed: {exc}"
             ) from exc

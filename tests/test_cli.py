@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+import markov_curves
 from markov_curves import experiments_cli, markov_lp
 from markov_curves.curve_model import (BUILTIN_GERM_IDS, DomainError,
-                                       FormatError)
+                                       FormatError, GermError, NumericError)
 from markov_curves.experiments_cli import (ReportRow, emit_csv, main,
                                            parse_config_text, run_scenario)
 
@@ -178,6 +179,17 @@ class TestEmitCsv:
         rows = [ReportRow("a,b", "markov_scan", 1, 0.5, 1.0)]
         path = emit_csv(rows, tmp_path / "quoted.csv")
         assert '"a,b"' in path.read_text(encoding="utf-8")
+
+
+def test_every_exported_error_derives_from_one_base():
+    # The base decides the exit code: 2 for FormatError (a GermError
+    # surfaces as one), 3 for NumericError and DomainError.
+    bases = (FormatError, GermError, DomainError, NumericError)
+    errors = [value for value in vars(markov_curves).values()
+              if isinstance(value, type) and issubclass(value, Exception)]
+    assert len(errors) == 10
+    for error in errors:
+        assert sum(issubclass(error, base) for base in bases) == 1, error
 
 
 def test_report_row_rejects_unknown_status():
@@ -354,7 +366,12 @@ class TestMain:
          "term.2.4 = 1.0\n", 5),
         # Every realized ray has z**k = +-t**k, so no valid c is complex.
         (CUSP_GERM_TEXT.replace("c_re = 1.0", "c_re = 1.0\nc_im = 0.5"), 4),
-    ], ids=["term-off-the-ray", "c_im"])
+        # Non-finite numbers fail conversion at their key.
+        (CUSP_GERM_TEXT.replace("c_re = 1.0", "c_re = nan"), 3),
+        (CUSP_GERM_TEXT.replace("term.2.3 = 1.0", "term.2.3 = inf"), 7),
+        (CUSP_GERM_TEXT + "basepoint = nan, 0.0\n", 8),
+    ], ids=["term-off-the-ray", "c_im", "c_re-nan", "term-inf",
+            "basepoint-nan"])
     def test_germ_off_the_real_trace_exits_two(self, tmp_path, capsys,
                                                command, germ_text, line):
         (tmp_path / "bad.germ").write_text(germ_text, encoding="utf-8")
@@ -367,6 +384,21 @@ class TestMain:
                      "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"bad.germ:{line}:1: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,keys", [
+        ("green-eval", "degrees = 8\nepsilons = 0.5\ndensity = 2\n"),
+        ("hcp-fit", "density = 2\n"),
+    ])
+    def test_numeric_failure_exits_three(self, tmp_path, capsys, command,
+                                         keys):
+        config = tmp_path / "thin.cfg"
+        config.write_text(f"[thin]\nstudy = {command.replace('-', '_')}\n"
+                          f"germ = cusp_2_3\n{keys}", encoding="utf-8")
+        assert main([command, "--config", str(config),
+                     "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("numeric failure in scenario 'thin'") == 1
         assert "Traceback" not in err
 
     def test_scan_through_entry_point(self, tmp_path):

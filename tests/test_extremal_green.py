@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from markov_curves import extremal_green, markov_lp
-from markov_curves.curve_model import (CurveGerm, DomainError, PuiseuxBranch,
-                                       TruncatedSeries, builtin_germs,
-                                       chebyshev_grid, sample_real_trace)
+from markov_curves.curve_model import (CurveGerm, DomainError, NumericError,
+                                       PuiseuxBranch, TruncatedSeries,
+                                       builtin_germs, chebyshev_grid,
+                                       sample_real_trace)
 from markov_curves.extremal_green import (GREEN_PROBES, HCP_DELTAS,
-                                          DegenerateSegmentError,
-                                          GreenEvaluation, ProbeRuleError,
-                                          TooFewPointsError,
+                                          GreenEvaluation, TooFewPointsError,
                                           bernstein_walsh_check,
                                           green_interval, green_segment,
                                           hcp_fit, segment_disk_bound_check,
@@ -85,7 +84,7 @@ class TestClosedForms:
                 green_interval(w), abs=1e-13)
 
     def test_degenerate_segment_rejected(self):
-        with pytest.raises(DegenerateSegmentError):
+        with pytest.raises(DomainError):
             green_segment(1.0, 0.5, 0.5)
 
 
@@ -216,7 +215,7 @@ class TestHcpFit:
         assert fit.alpha == pytest.approx(1.0, abs=0.03)
 
     def test_probe_inside_the_set_is_an_error(self):
-        with pytest.raises(ProbeRuleError):
+        with pytest.raises(NumericError):
             hcp_fit(interval_green, lambda d: 0.5)
 
     def test_probe_error_names_the_largest_failing_delta(self):
@@ -228,7 +227,7 @@ class TestHcpFit:
             seen.extend(points)
             return [0.0 if z < 0.01 else z for z in points]
 
-        with pytest.raises(ProbeRuleError, match="distance 0.00464159 "):
+        with pytest.raises(NumericError, match="distance 0.00464159 "):
             hcp_fit(green, lambda d: d)
         assert seen == sorted(HCP_DELTAS, reverse=True)
 
@@ -244,7 +243,8 @@ class TestBernsteinWalsh:
 
     def test_constant_polynomial(self):
         samples = chebyshev_grid(-1.0, 1.0, 50)
-        report = bernstein_walsh_check([3.0], samples, 5.0, green_interval(5.0))
+        report = bernstein_walsh_check([3.0], samples, 5.0,
+                                       green_interval(5.0))
         assert report.holds
         assert report.lhs == pytest.approx(3.0)
         assert report.envelope == pytest.approx(3.0)

@@ -9,6 +9,7 @@ import pytest
 from markov_curves import markov_lp
 from markov_curves.curve_model import DomainError, builtin_germs, \
     sample_real_trace, tangent_vector
+from markov_curves.lp import UnboundedProblemError
 from markov_curves.markov_lp import (ConditioningError, MarkovProblem,
                                      NumericError, PolynomialBasis, SampledLp,
                                      TooFewSamplesError, _chebyshev_table,
@@ -176,6 +177,20 @@ class TestMarkovFactor:
                                 v=tangent_vector(germ), degree=12)
         with pytest.raises(ConditioningError):
             markov_factor(problem)
+
+    def test_failed_svd_is_a_conditioning_error(self):
+        matrix = np.ones((10, 3))
+        matrix[1, 0] = np.nan
+        with pytest.raises(ConditioningError, match="SVD did not converge"):
+            markov_lp._reduce_columns(matrix)
+
+    def test_unbounded_solve_is_not_too_few_samples(self, monkeypatch):
+        def unbounded(constraints, objective):
+            raise UnboundedProblemError("phase one ended above zero")
+
+        monkeypatch.setattr(markov_lp, "solve_sup_norm_lp", unbounded)
+        with pytest.raises(UnboundedProblemError):
+            markov_factor(interval_problem(3, density=50))
 
     def test_unit_direction_required(self):
         germ = builtin_germs()["interval_interior"]
