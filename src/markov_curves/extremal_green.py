@@ -21,7 +21,8 @@ FACET_SLACK/n on the (1/n) log scale:
 
 * On real samples a nonreal probe's objective |p(z)| becomes the best
   of 8 phases of Re(p(z)); it sits at most that much *below* the exact
-  modulus.
+  modulus.  Phases that a support-function bound from the solved ones
+  excludes from the maximum are never solved.
 * On a planar list |p| <= 1 becomes Re(exp(2 pi i m / 16) p) <= 1 over
   the 16 facet directions.  The 16-gon circumscribes the unit disk, so
   the value sits at most that much *above* the disk-constrained value.
@@ -47,7 +48,7 @@ import numpy as np
 
 from .curve_model import (DomainError, NumericError, chebyshev_grid,
                           sample_real_trace)
-from .lp import UnboundedProblemError, solve_sup_norm_lp
+from .lp import FEASIBILITY_TOL, UnboundedProblemError, solve_sup_norm_lp
 from .markov_lp import (SampledLp, TooFewSamplesError, _chebyshev_table,
                         _reduce_columns)
 
@@ -60,7 +61,8 @@ FACETS = 16
 FACET_SLACK = math.log(1.0 / math.cos(math.pi / FACETS))
 
 #: One phase per opposite pair: on real samples the constraints are +/-
-#: symmetric, so opposite phases give the same value.
+#: symmetric, so opposite phases give the same value.  _facet_peak never
+#: solves a phase whose support-function bound excludes it from the best.
 HALF_FACET_PHASES = tuple(cmath.exp(1j * (2.0 * math.pi * m / FACETS))
                           for m in range(FACETS // 2))
 
@@ -181,9 +183,52 @@ def _siciak_real(points, targets, degree):
         if np.max(np.abs(z.imag)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
             peaks.append((lp.solve(row).value, 0.0))
         else:
-            peaks.append((lp.solve(row, HALF_FACET_PHASES).value,
-                          FACET_SLACK / degree))
+            peaks.append((_facet_peak(lp, row), FACET_SLACK / degree))
     return peaks
+
+
+def _facet_peak(lp, row):
+    """Best LP value over HALF_FACET_PHASES, solving only phases that can win.
+
+    Phase m maximizes h(t_m) = max Re(exp(i t_m) f.w) over |A w| <= 1,
+    t_m = m pi / 8.  h is the support function of the centrally
+    symmetric convex set {f.w} in C, so h(t + pi) = h(t), and between
+    solved angles a < t < b with b - a < pi, writing exp(i t) as a
+    nonnegative combination of exp(i a) and exp(i b) gives
+
+        h(t) <= (sin(b - t) h(a) + sin(t - a) h(b)) / sin(b - a).
+
+    Phases 0 and 4 are solved first, then the unsolved phase of largest
+    bound, until every bound is below the best value by more than the
+    LP tolerance.  Each solve is the same cold solve of the same
+    objective, so the winning phase gives the same number.
+    """
+    functional = lp.reduction.project(row)
+    count = len(HALF_FACET_PHASES)
+    step = math.pi / count
+    values = {}
+
+    def solve(m):
+        objective = np.real(HALF_FACET_PHASES[m] * functional)
+        values[m] = solve_sup_norm_lp(lp.constraints, objective).value
+
+    def bound(m):
+        # Phase 0 is always solved, so it closes the cycle at count.
+        left = max(a for a in values if a < m)
+        right = min((b for b in values if b > m), default=count)
+        return ((math.sin((right - m) * step) * values[left]
+                 + math.sin((m - left) * step) * values[right % count])
+                / math.sin((right - left) * step))
+
+    solve(0)
+    solve(count // 2)
+    while True:
+        best = max(values.values())
+        bounds = {m: bound(m) for m in range(count) if m not in values}
+        m = max(bounds, key=bounds.get, default=None)
+        if m is None or bounds[m] < best * (1.0 - FEASIBILITY_TOL):
+            return best
+        solve(m)
 
 
 def _siciak_planar(points, targets, degree):

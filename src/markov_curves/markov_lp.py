@@ -254,12 +254,16 @@ def _reduce_columns(matrix):
     basis element, or the rotated T_0), so the largest singular value
     is positive.  The checks wait for ColumnReduction.project, which
     sees the functional; an SVD that does not converge (a NaN in the
-    matrix) raises ConditioningError here.
+    matrix) or returns a non-finite singular value (an inf) raises
+    ConditioningError here.
     """
     try:
         singular, vt = np.linalg.svd(matrix, full_matrices=False)[1:]
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"{exc} on the constraint matrix") from exc
+    if not np.all(np.isfinite(singular)):
+        raise ConditioningError(
+            "non-finite singular values on the constraint matrix")
     cutoff = singular[0] * max(matrix.shape) * np.finfo(float).eps
     rank = int(np.sum(singular > cutoff))
     condition = float(singular[0] / singular[rank - 1])

@@ -18,6 +18,7 @@ from markov_curves.extremal_green import (GREEN_PROBES, HCP_DELTAS,
                                           hcp_fit, segment_disk_bound_check,
                                           siciak_lp, star_domination_check,
                                           star_points)
+from markov_curves.lp import FEASIBILITY_TOL
 
 LOG_2_PLUS_SQRT3 = 1.3169578969248166
 LOG_1_PLUS_SQRT2 = 0.8813735870195430
@@ -232,6 +233,83 @@ class TestHcpFit:
         assert seen == sorted(HCP_DELTAS, reverse=True)
 
 
+def criterion_nine_case(degree):
+    """Criterion 9's trace samples and 24 probes on cusp_2_3."""
+    germ = builtin_germs()["cusp_2_3"]
+    angles = 2.0 * math.pi * (np.arange(8) + 0.5) / 8
+    probes = [germ.evaluate(0.25 * rho * cmath.exp(1j * theta))
+              for rho in (0.4, 0.6, 0.8) for theta in angles]
+    return sample_real_trace(germ, 0.25, 80), probes, degree
+
+
+def hcp_case(name, degree):
+    """hcp-fit's trace samples and probes, largest distance first, of
+    one germ at density 120."""
+    germ = builtin_germs()[name]
+    order = germ.branch.k
+    probes = [germ.evaluate(1j * delta ** (1.0 / order))
+              for delta in reversed(HCP_DELTAS)]
+    return sample_real_trace(germ, 0.25, 120), probes, degree
+
+
+PRUNING_CASES = {
+    "star_n8": lambda: criterion_nine_case(8),
+    "star_n12": lambda: criterion_nine_case(12),
+    "hcp_cusp_2_3_n8": lambda: hcp_case("cusp_2_3", 8),
+    "hcp_cusp_2_5_n6": lambda: hcp_case("cusp_2_5", 6),
+    "hcp_cusp_3_4_n6": lambda: hcp_case("cusp_3_4", 6),
+}
+
+
+@pytest.fixture(scope="module", params=PRUNING_CASES)
+def every_phase(request):
+    """(samples, probes, degree, value of each of the 8 phases per probe)."""
+    samples, probes, degree = PRUNING_CASES[request.param]()
+    lp = markov_lp.SampledLp(samples, degree)
+    values = []
+    for z in probes:
+        functional = lp.reduction.project(lp.basis.evaluate(z[None, :])
+                                          .ravel())
+        values.append([
+            extremal_green.solve_sup_norm_lp(
+                lp.constraints, np.real(phase * functional)).value
+            for phase in extremal_green.HALF_FACET_PHASES])
+    return samples, probes, degree, values
+
+
+class TestFacetPruning:
+    def test_pruned_value_is_the_best_phase(self, every_phase):
+        samples, probes, degree, values = every_phase
+        pruned = siciak_lp(samples, probes, degree)
+        assert [ev.value for ev in pruned] == [
+            math.acosh(max(max(row), 1.0)) / degree for row in values]
+
+    def test_every_phase_is_below_its_neighbour_bounds(self, every_phase):
+        # h(t) <= (sin(b - t) h(a) + sin(t - a) h(b)) / sin(b - a) for
+        # a < t < b, b - a < pi, with h pi-periodic: every bound the
+        # search can use from two solved phases around t.  The solves
+        # overshoot it by up to 2.3e-11 relative (star_n8, where some
+        # end with primal residual 1.7e-10), so a margin of 1e-12 is
+        # finer than the LP values; the search stops a margin of
+        # FEASIBILITY_TOL below the best value, which this keeps exact.
+        count = len(extremal_green.HALF_FACET_PHASES)
+        step = math.pi / count
+        for row in every_phase[3]:
+            for m in range(count):
+                for a in range(m - count + 1, m):
+                    for b in range(m + 1, a + count):
+                        bound = ((math.sin((b - m) * step) * row[a % count]
+                                  + math.sin((m - a) * step)
+                                  * row[b % count])
+                                 / math.sin((b - a) * step))
+                        assert row[m] <= bound * (1.0 + FEASIBILITY_TOL)
+
+    def test_polar_trace_is_still_reported(self):
+        samples, probes, _ = hcp_case("cusp_2_5", 8)
+        with pytest.raises(TooFewPointsError, match="looks polar"):
+            siciak_lp(samples, probes, 8)
+
+
 class TestBernsteinWalsh:
     def test_chebyshev_saturates_the_envelope(self):
         coeffs = np.polynomial.chebyshev.cheb2poly([0.0] * 8 + [1.0])
@@ -294,8 +372,9 @@ class TestStarDomination:
                             "solve_sup_norm_lp")
         germ = builtin_germs()["cusp_2_3"]
         report = star_domination_check(germ, 0.25, 8)
-        # One LP build per degree; 24 probes, 8 facet phases each.
-        assert calls == {"_reduce_columns": 2, "solve_sup_norm_lp": 384}
+        # One LP build per degree; 24 probes, each solving only the
+        # facet phases its support-function bound cannot exclude.
+        assert calls == {"_reduce_columns": 2, "solve_sup_norm_lp": 216}
         assert report.degrees == (8, 12)
         assert report.excluded == 0
         assert report.relative_change <= 0.1

@@ -184,6 +184,14 @@ class TestMarkovFactor:
         with pytest.raises(ConditioningError, match="SVD did not converge"):
             markov_lp._reduce_columns(matrix)
 
+    def test_infinite_entry_is_a_conditioning_error(self):
+        # The SVD converges to NaN singular values here; read as rank 0,
+        # they made project report an unresolved component instead.
+        matrix = np.ones((4, 2))
+        matrix[1, 0] = np.inf
+        with pytest.raises(ConditioningError, match="non-finite"):
+            markov_lp._reduce_columns(matrix)
+
     def test_unbounded_solve_is_not_too_few_samples(self, monkeypatch):
         def unbounded(constraints, objective):
             raise UnboundedProblemError("phase one ended above zero")
