@@ -236,10 +236,12 @@ class TestHcpFit:
 def criterion_nine_case(degree):
     """Criterion 9's trace samples and 24 probes on cusp_2_3."""
     germ = builtin_germs()["cusp_2_3"]
-    angles = 2.0 * math.pi * (np.arange(8) + 0.5) / 8
+    count = extremal_green.STAR_PROBE_ANGLES
+    angles = 2.0 * math.pi * (np.arange(count) + 0.5) / count
     probes = [germ.evaluate(0.25 * rho * cmath.exp(1j * theta))
               for rho in (0.4, 0.6, 0.8) for theta in angles]
-    return sample_real_trace(germ, 0.25, 80), probes, degree
+    samples = sample_real_trace(germ, 0.25, extremal_green.STAR_DENSITY)
+    return samples, probes, degree
 
 
 def hcp_case(name, degree):
@@ -280,18 +282,16 @@ def every_phase(request):
 class TestFacetPruning:
     def test_pruned_value_is_the_best_phase(self, every_phase):
         samples, probes, degree, values = every_phase
-        pruned = siciak_lp(samples, probes, degree)
-        assert [ev.value for ev in pruned] == [
-            math.acosh(max(max(row), 1.0)) / degree for row in values]
+        peaks = extremal_green._siciak_real(samples, probes, degree)
+        assert [peak for peak, _ in peaks] == [max(row) for row in values]
 
     def test_every_phase_is_below_its_neighbour_bounds(self, every_phase):
         # h(t) <= (sin(b - t) h(a) + sin(t - a) h(b)) / sin(b - a) for
         # a < t < b, b - a < pi, with h pi-periodic: every bound the
-        # search can use from two solved phases around t.  The solves
-        # overshoot it by up to 2.3e-11 relative (star_n8, where some
-        # end with primal residual 1.7e-10), so a margin of 1e-12 is
-        # finer than the LP values; the search stops a margin of
-        # FEASIBILITY_TOL below the best value, which this keeps exact.
+        # search can use from two solved phases around t.  The solved
+        # values overshoot it by up to 2.3e-11 relative (star_n8, whose
+        # solves end with primal residuals up to 1.7e-10), so the margin
+        # is the search's own: it stops FEASIBILITY_TOL below the best.
         count = len(extremal_green.HALF_FACET_PHASES)
         step = math.pi / count
         for row in every_phase[3]:
