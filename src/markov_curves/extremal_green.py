@@ -210,7 +210,8 @@ def _facet_peak(lp, row):
 
     def solve(m):
         objective = np.real(HALF_FACET_PHASES[m] * functional)
-        values[m] = solve_sup_norm_lp(lp.constraints, objective).value
+        values[m] = solve_sup_norm_lp(lp.constraints, objective,
+                                      symmetric=True).value
 
     def bound(m):
         # Phase 0 is always solved, so it closes the cycle at count.

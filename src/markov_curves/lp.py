@@ -7,10 +7,11 @@ Every linear program in this package has the shape
 
 where ``w`` is the coefficient vector of a candidate polynomial and the
 rows of ``G`` evaluate that polynomial (possibly rotated by a facet
-phase) at sample points.  The feasible set contains ``w = 0``, so the
-problem is always feasible and its value is nonnegative; it is
-unbounded exactly when the sample set is too thin to pin down a
-polynomial of the requested degree.
+phase) at sample points.  Most are two-sided, ``|A w| <= 1``, which is
+``G = {A; -A}``.  The feasible set contains ``w = 0``, so the problem is
+always feasible and its value is nonnegative; it is unbounded exactly
+when the sample set is too thin to pin down a polynomial of the
+requested degree.
 
 We solve the equivalent bounded problem
 
@@ -29,6 +30,14 @@ extremal coefficient vector ``w``, and the basic columns identify the
 support constraints (the equioscillation set for interval problems).
 The reported optimum is re-derived from a fresh factorization of the
 final basis, so tableau drift cannot leak into results.
+
+A two-sided problem keeps only the columns of ``A.T`` in its tableau.
+The column of row ``-a_j`` is the exact negation of the column of
+``a_j`` through every pivot: the row division and the update's k=1
+product commute with negation under round-to-nearest, and so does the
+subtraction.  The ``-A.T`` half therefore adds nothing but work, and
+the solver takes the same pivots and computes the same bits as on the
+stacked ``{A; -A}``, on half the tableau.
 """
 
 from __future__ import annotations
@@ -76,33 +85,49 @@ class SupNormSolution:
     degenerate: bool
 
 
-def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
+def _pivot_loop(tableau, basis, costs, mirrors, tol, budget, target=None):
     """Pivot in place until optimal; return the iteration count.
 
-    ``blocked`` marks columns that may never enter (retired
-    artificials).  ``target`` optionally stops early once the objective
-    reaches it (used by phase one, whose optimum cannot go below zero).
+    ``tableau`` is ``[C | I | b]`` on m rows: k constraint columns, the
+    m artificial columns, then the basic solution.  ``mirrors`` is 0 or
+    k.  With k mirrors, the tableau stands for ``[C | -C | I | b]``:
+    mirror column ``k + j`` is the negation of stored column j and is
+    never stored.  ``basis`` and ``costs`` use that stacked numbering
+    (constraint columns, mirrors, then artificials), and a mirror must
+    cost what its stored column costs.  Artificials start basic in both
+    phases and never enter, so only the constraint columns and their
+    mirrors are priced.  ``target`` optionally stops early once the
+    objective reaches it (used by phase one, whose optimum cannot go
+    below zero).
 
     The loop takes the same pivots and computes the same bits as the
-    textbook dense tableau: Dantzig's most negative reduced cost (first
-    index on ties, NaN never eligible), Bland's first eligible column on
-    stalls, the minimum ratio with the smallest basic index on ties, and
-    the update ``tableau -= np.outer(column, pivot_row)``.  Only the numpy
-    calls are fewer and cheaper, and they reuse buffers.  The update's BLAS
-    k=1 product rounds each entry once, as ``np.outer`` does, and can
-    differ only in the sign of a zero, which no comparison and no division
-    here sees.  The reduced-cost product keeps the full tableau width on
-    purpose: BLAS sums a narrower product in another order, and its last
-    bits then differ.
+    textbook dense tableau on the stacked columns: Dantzig's most
+    negative reduced cost (first index on ties, NaN never eligible),
+    Bland's first eligible column on stalls, the minimum ratio with the
+    smallest basic index on ties, and the update
+    ``tableau -= np.outer(column, pivot_row)``.  One product ``y`` of
+    the basic costs with the stored columns prices both halves: column
+    j costs ``c - y_j`` and its mirror ``c + y_j``, which is
+    ``c - (-y_j)`` bit for bit.  An entering mirror brings the negated
+    stored column, and the pivot row is divided by that signed pivot.
+    The update's BLAS k=1 product rounds each entry once, as
+    ``np.outer`` does, and can differ only in the sign of a zero, which
+    no comparison and no division here sees.  The pricing product spans
+    the artificial block, whose entries are discarded, on purpose: BLAS
+    sums a narrower product in another order, and the last bits of the
+    constraint columns then differ.
     """
     m, width = tableau.shape
     n = width - 1
+    stored = n - m
+    priced = stored + mirrors
+    total = priced + m
     body = tableau[:, :n]
     rhs = tableau[:, -1]
-    barred = np.flatnonzero(blocked)
-    reduced = np.empty(n)
+    products = np.empty(n)
+    reduced = np.empty(priced)
     ratios = np.empty(m)
-    other = np.empty(m)
+    column = np.empty(m)
     product = np.empty_like(tableau)
     iterations = 0
     bland = False
@@ -122,9 +147,11 @@ def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
                 bland = True
         previous = objective
 
-        np.matmul(basic_costs, body, out=reduced)
-        np.subtract(costs, reduced, out=reduced)
-        reduced[barred] = 0.0
+        np.matmul(basic_costs, body, out=products)
+        np.subtract(costs[:stored], products[:stored],
+                    out=reduced[:stored])
+        np.add(costs[stored:priced], products[:mirrors],
+               out=reduced[stored:])
         if bland:
             enter = int((reduced < -tol).argmax())
         else:
@@ -138,9 +165,12 @@ def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
         if iterations >= budget:
             raise PivotLimitError(
                 f"no optimum after {iterations} pivots on a tableau of "
-                f"{m} rows and {n} variable columns; problem may be badly "
-                "scaled")
-        column = tableau[:, enter]
+                f"{m} rows and {total} variable columns; problem may be "
+                "badly scaled")
+        if enter < stored:
+            np.copyto(column, tableau[:, enter])
+        else:
+            np.negative(tableau[:, enter - stored], out=column)
         ratios.fill(np.inf)
         np.divide(rhs, column, out=ratios, where=column > tol)
         # Same value as ratios.min(), NaN included, for a third the time.
@@ -154,11 +184,10 @@ def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
                 "breakdown of the tableau; more sample points will not "
                 "fix it")
         ties = ratios <= best + tol * (1.0 + abs(best))
-        leave = int(np.where(ties, basis, width).argmin())
-        tableau[leave] /= tableau[leave, enter]
-        np.copyto(other, column)
-        other[leave] = 0.0
-        np.dot(other[:, None], tableau[leave][None, :], out=product)
+        leave = int(np.where(ties, basis, total).argmin())
+        tableau[leave] /= column[leave]
+        column[leave] = 0.0
+        np.dot(column[:, None], tableau[leave][None, :], out=product)
         tableau -= product
         # Clamp roundoff in the basic solution column.
         np.maximum(rhs, 0.0, out=rhs)
@@ -166,7 +195,7 @@ def _pivot_loop(tableau, basis, costs, blocked, tol, budget, target=None):
         iterations += 1
 
 
-def solve_sup_norm_lp(constraints, objective):
+def solve_sup_norm_lp(constraints, objective, symmetric=False):
     """Maximize ``objective @ w`` subject to ``constraints @ w <= 1``.
 
     Parameters
@@ -175,6 +204,11 @@ def solve_sup_norm_lp(constraints, objective):
         One-sided constraint rows ``g_j`` with right-hand side 1.
     objective : (N,) array
         Linear functional to maximize.
+    symmetric : bool
+        Bound both signs, ``|constraints @ w| <= 1``: the same problem
+        as the one-sided rows ``{constraints; -constraints}``, with the
+        same pivots and bits, for half the tableau.  ``support`` then
+        numbers row j's mirror ``M + j``.
 
     Returns
     -------
@@ -200,6 +234,8 @@ def solve_sup_norm_lp(constraints, objective):
     M, N = G.shape
     if f.shape != (N,):
         raise ValueError(f"objective has shape {f.shape}, expected ({N},)")
+    mirrors = M if symmetric else 0
+    rows = M + mirrors
 
     # Equality system A @ u = b over u >= 0, A = G.T with sign-flipped
     # rows so that b >= 0.
@@ -213,21 +249,23 @@ def solve_sup_norm_lp(constraints, objective):
     full = np.empty((N, M + N), dtype=float)
     full[:, :M] = A
     full[:, M:] = np.eye(N)
+    # Stacked column s is sign[s] * full[:, source[s]].
+    source = np.r_[0:M, 0:mirrors, M:M + N]
+    sign = np.ones(rows + N)
+    sign[M:rows] = -1.0
 
     tableau = np.empty((N, M + N + 1), dtype=float)
     tableau[:, :M + N] = full
     tableau[:, -1] = b
-    basis = np.arange(M, M + N)
+    basis = np.arange(rows, rows + N)
 
     # Phase one: minimize the artificial total.  Artificials start
     # basic and may leave, but never re-enter.
-    phase1 = np.zeros(M + N)
-    phase1[M:] = 1.0
-    blocked = np.zeros(M + N, dtype=bool)
-    blocked[M:] = True
+    phase1 = np.zeros(rows + N)
+    phase1[rows:] = 1.0
     tol = FEASIBILITY_TOL
-    iters = _pivot_loop(tableau, basis, phase1, blocked, tol, MAX_ITERATIONS,
-                        target=1e-14 * scale)
+    iters = _pivot_loop(tableau, basis, phase1, mirrors, tol,
+                        MAX_ITERATIONS, target=1e-14 * scale)
     infeasibility = float(phase1[basis] @ tableau[:, -1])
     if infeasibility > tol * scale:
         raise UnboundedProblemError(
@@ -238,18 +276,18 @@ def solve_sup_norm_lp(constraints, objective):
 
     # Phase two: basic artificials keep cost zero and never re-enter, but
     # they can grow to a wrong basis (test_forward_solve_reaches_optimum).
-    phase2 = np.zeros(M + N)
-    phase2[:M] = 1.0
+    phase2 = np.zeros(rows + N)
+    phase2[:rows] = 1.0
 
     w = np.zeros(N)
     value = 0.0
     residual = np.inf
     for attempt in range(4):
-        iters += _pivot_loop(tableau, basis, phase2, blocked, tol,
+        iters += _pivot_loop(tableau, basis, phase2, mirrors, tol,
                              MAX_ITERATIONS - iters)
         # Re-derive the solution from a fresh factorization of the
         # final basis; the pivoted tableau only chooses the basis.
-        basis_matrix = full[:, basis]
+        basis_matrix = full[:, source[basis]] * sign[basis]
         try:
             u = np.linalg.solve(basis_matrix, b)
             w = np.linalg.solve(basis_matrix.T, phase2[basis])
@@ -257,19 +295,24 @@ def solve_sup_norm_lp(constraints, objective):
             raise SimplexError(f"singular optimal basis: {exc}") from exc
         w[flip] *= -1.0
         value = float(phase2[basis] @ u)
-        residual = float(max(0.0, (G @ w).max(initial=0.0) - 1.0))
+        levels = G @ w
+        if symmetric:
+            np.abs(levels, out=levels)
+        residual = float(max(0.0, levels.max(initial=0.0) - 1.0))
         if residual <= 10.0 * tol * (1.0 + abs(value)):
             break
         # Drift led to a not-quite-optimal basis: rebuild the tableau
-        # exactly at this basis and keep pivoting.
-        rebuilt = np.linalg.solve(basis_matrix,
-                                  np.column_stack([full, b]))
-        tableau[:] = rebuilt
+        # exactly at this basis and keep pivoting.  The solve runs on
+        # every stacked column, mirrors too, so that the stored ones get
+        # the bits the stacked rebuild gives them.
+        rebuilt = np.linalg.solve(
+            basis_matrix, np.column_stack([full[:, source] * sign, b]))
+        tableau[:] = rebuilt[:, np.r_[0:M, rows:rows + N + 1]]
         np.maximum(tableau[:, -1], 0.0, out=tableau[:, -1])
 
-    support = np.sort(basis[basis < M])
+    support = np.sort(basis[basis < rows])
     # The basis is unchanged since the last attempt solved for u.
-    degenerate = bool(np.any(basis >= M) or np.any(np.abs(u) <= tol))
+    degenerate = bool(np.any(basis >= rows) or np.any(np.abs(u) <= tol))
     return SupNormSolution(
         value=max(value, 0.0),
         coefficients=w,

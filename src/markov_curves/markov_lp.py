@@ -278,8 +278,9 @@ class SampledLp:
 
     Built once per sample set and degree: the PolynomialBasis on the
     (m, n) ``points``, the sample matrix and its ColumnReduction, and
-    the constraints ``|A w| <= 1`` stacked as ``{A; -A}``.  Each
-    objective then costs only its projection and its solves.
+    its reduced matrix ``A`` as ``constraints``, bounded on both sides:
+    ``|A w| <= 1``.  Each objective then costs only its projection and
+    its solves.
 
     Raises TooFewSamplesError when there are fewer samples than basis
     dimensions.
@@ -299,8 +300,7 @@ class SampledLp:
         # functional survives the projection whenever the samples resolve
         # it.
         self.reduction = _reduce_columns(self.basis.evaluate(points))
-        matrix = self.reduction.matrix
-        self.constraints = np.vstack([matrix, -matrix])
+        self.constraints = self.reduction.matrix
 
     def solve(self, row, phases=(1.0, -1.0)):
         """Maximize ``Re(phase * row) @ w`` subject to ``|p| <= 1``.
@@ -315,7 +315,7 @@ class SampledLp:
         """
         functional = self.reduction.project(row)
         # The default phases solve both orientations of a real functional.
-        # {A; -A} is symmetric, so both have the same value in exact
+        # |A w| <= 1 is symmetric, so both have the same value in exact
         # arithmetic, yet one solve alone is not safe.  Artificials that
         # stay basic at zero after phase one can grow in phase two
         # (lp.solve_sup_norm_lp), leaving a wrong basis: on parabola_regular
@@ -323,7 +323,8 @@ class SampledLp:
         # the mirrored one 184.0444695071.  Taking the larger value hides
         # that defect until the simplex is repaired.
         solutions = [solve_sup_norm_lp(self.constraints,
-                                       np.real(phase * functional))
+                                       np.real(phase * functional),
+                                       symmetric=True)
                      for phase in phases]
         return max(solutions, key=lambda solution: solution.value)
 

@@ -274,7 +274,8 @@ def every_phase(request):
                                           .ravel())
         values.append([
             extremal_green.solve_sup_norm_lp(
-                lp.constraints, np.real(phase * functional)).value
+                lp.constraints, np.real(phase * functional),
+                symmetric=True).value
             for phase in extremal_green.HALF_FACET_PHASES])
     return samples, probes, degree, values
 

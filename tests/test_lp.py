@@ -9,7 +9,7 @@ import pytest
 
 from markov_curves import extremal_green, lp, markov_lp
 from markov_curves.curve_model import (builtin_germs, chebyshev_grid,
-                                       sample_real_trace)
+                                       sample_real_trace, tangent_vector)
 from markov_curves.lp import (PivotLimitError, SimplexError,
                               UnboundedProblemError, _pivot_loop,
                               solve_sup_norm_lp)
@@ -27,14 +27,20 @@ def chebyshev_matrix(points, degree):
     return table
 
 
-def endpoint_problem(degree, count=2001):
-    """max p'(1) over degree-bounded polynomials with |p| <= 1 on a grid."""
+def endpoint_rows(degree, count=2001):
+    """max p'(1) over degree-bounded polynomials with |p| <= 1 on a grid:
+    the two-sided rows and the objective."""
     xs = chebyshev_grid(-1.0, 1.0, count)
     matrix = chebyshev_matrix(xs, degree)
     derivative = np.zeros(degree + 1)
     derivative[1:] = np.arange(1, degree + 1) ** 2  # T_m'(1) = m**2
-    constraints = np.vstack([matrix, -matrix])
-    return constraints, derivative
+    return matrix, derivative
+
+
+def endpoint_problem(degree, count=2001):
+    """The endpoint problem on the one-sided rows {A; -A}."""
+    matrix, derivative = endpoint_rows(degree, count)
+    return np.vstack([matrix, -matrix]), derivative
 
 
 @pytest.mark.parametrize("degree", range(1, 11))
@@ -78,13 +84,13 @@ def test_unbounded_when_samples_too_thin():
 def test_entering_column_without_positive_pivot_is_not_unbounded():
     # Column 1 prices in, but its only entry is negative: the ratio test
     # has no row.  Both phases are bounded below, so this is a numerical
-    # breakdown, not the thin-sample unboundedness.
-    tableau = np.array([[1.0, -1.0, 1.0]])
+    # breakdown, not the thin-sample unboundedness.  Column 2 is the
+    # artificial, which is never priced.
+    tableau = np.array([[1.0, -1.0, 1.0, 1.0]])
     basis = np.array([0])
-    costs = np.array([0.0, -1.0])
-    blocked = np.zeros(2, dtype=bool)
+    costs = np.array([0.0, -1.0, 0.0])
     with pytest.raises(SimplexError, match="more sample points") as info:
-        _pivot_loop(tableau, basis, costs, blocked, 1e-9, 10)
+        _pivot_loop(tableau, basis, costs, 0, 1e-9, 10)
     assert not isinstance(info.value, UnboundedProblemError)
 
 
@@ -133,12 +139,13 @@ def test_matches_vertex_enumeration_on_small_problems():
         assert solution.value == pytest.approx(oracle, rel=1e-8, abs=1e-8)
 
 
-def textbook_pivot_loop(tableau, basis, costs, blocked, tol, budget,
+def textbook_pivot_loop(tableau, basis, costs, mirrors, tol, budget,
                         target=None):
     """The plain dense tableau loop, which lp._pivot_loop must match bit
     for bit: fresh arrays on every pivot, 2-d fancy indexing and
-    ``np.outer``.
+    ``np.outer``.  It stores every column, so it takes no mirrors.
     """
+    assert mirrors == 0
     m, width = tableau.shape
     n = width - 1
     body = tableau[:, :n]
@@ -160,7 +167,8 @@ def textbook_pivot_loop(tableau, basis, costs, blocked, tol, budget,
         previous = objective
 
         reduced = costs - costs[basis] @ body
-        reduced[blocked] = 0.0
+        # The last m columns are the artificials, which never enter.
+        reduced[n - m:] = 0.0
         eligible = np.flatnonzero(reduced < -tol)
         if eligible.size == 0:
             return iterations
@@ -232,21 +240,57 @@ def coefficient_problems():
         lp.solve_sup_norm_lp(constraints, objective)
 
 
+def symmetric_endpoint_problems():
+    for degree in range(1, 11):
+        matrix, derivative = endpoint_rows(degree)
+        for objective in (derivative, -derivative):
+            lp.solve_sup_norm_lp(matrix, objective, symmetric=True)
+
+
+def symmetric_coefficient_problems():
+    matrix, _ = endpoint_rows(6, count=201)
+    for objective in np.eye(7):
+        for signed in (objective, -objective):
+            lp.solve_sup_norm_lp(matrix, signed, symmetric=True)
+
+
+def scan_cell():
+    """One markov-scan cell at scan width: 600 samples, 36 columns."""
+    germ = builtin_germs()["cusp_2_3"]
+    markov_lp.markov_factor(markov_lp.MarkovProblem(
+        samples=sample_real_trace(germ, 0.0625, 300), x0=germ.basepoint,
+        v=tangent_vector(germ), degree=12))
+
+
+# The symmetric cases, star_probe_family and scan_cell solve |A w| <= 1
+# in the two-sided form, which the textbook loop meets as {A; -A}.
 ORACLE_CASES = {
     "endpoint": endpoint_problems,
     "coefficients": coefficient_problems,
     "vertex_enumeration": enumerable_problems,
     "star_probe_family": star_probe_family,
     "planar_siciak": planar_siciak,
+    "symmetric_endpoint": symmetric_endpoint_problems,
+    "symmetric_coefficients": symmetric_coefficient_problems,
+    "scan_cell": scan_cell,
 }
 
 
 def solutions_with(monkeypatch, loop, case):
-    """Every solution the case computes with ``loop`` as the pivot loop."""
+    """Every solution the case computes with ``loop`` as the pivot loop.
+
+    The textbook loop stores every column, so it gets a two-sided
+    problem as the one-sided rows {A; -A}; support rows of -A count from
+    M in both forms.
+    """
     solutions = []
 
-    def recording(*args, **kwargs):
-        solutions.append(solve_sup_norm_lp(*args, **kwargs))
+    def recording(constraints, objective, symmetric=False):
+        if symmetric and loop is textbook_pivot_loop:
+            constraints = np.vstack([constraints, -constraints])
+            symmetric = False
+        solutions.append(solve_sup_norm_lp(constraints, objective,
+                                           symmetric=symmetric))
         return solutions[-1]
 
     with monkeypatch.context() as patch:
@@ -275,11 +319,15 @@ def test_pivot_loop_matches_textbook_bit_for_bit(monkeypatch, name):
 
 
 def test_bland_pivots_match_textbook_bit_for_bit(monkeypatch):
-    case = ORACLE_CASES["endpoint"]
-    dantzig = solutions_with(monkeypatch, _pivot_loop, case)
+    cases = [ORACLE_CASES[name] for name in ("endpoint",
+                                             "symmetric_endpoint")]
+    dantzig = [solutions_with(monkeypatch, _pivot_loop, case)
+               for case in cases]
     # Every non-improving pivot now switches to Bland's rule.
     monkeypatch.setattr(lp, "STALL_LIMIT", 1)
-    bland = solutions_with(monkeypatch, _pivot_loop, case)
-    assert [s.iterations for s in bland] != [s.iterations for s in dantzig]
-    assert_same_bits(bland,
-                     solutions_with(monkeypatch, textbook_pivot_loop, case))
+    for case, plain in zip(cases, dantzig):
+        bland = solutions_with(monkeypatch, _pivot_loop, case)
+        assert [s.iterations for s in bland] != \
+            [s.iterations for s in plain]
+        assert_same_bits(bland, solutions_with(monkeypatch,
+                                               textbook_pivot_loop, case))

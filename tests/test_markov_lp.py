@@ -193,7 +193,7 @@ class TestMarkovFactor:
             markov_lp._reduce_columns(matrix)
 
     def test_unbounded_solve_is_not_too_few_samples(self, monkeypatch):
-        def unbounded(constraints, objective):
+        def unbounded(constraints, objective, symmetric=False):
             raise UnboundedProblemError("phase one ended above zero")
 
         monkeypatch.setattr(markov_lp, "solve_sup_norm_lp", unbounded)
@@ -213,6 +213,13 @@ class TestMarkovFactor:
         basis = result.basis
         values = basis.evaluate(problem.samples) @ result.coefficients
         assert np.max(np.abs(values)) <= 1.0 + 1e-6
+
+    def test_constraints_hold_one_row_per_sample(self):
+        # The solver bounds both signs itself; no {A; -A} is stacked.
+        problem = interval_problem(5, density=300)
+        sampled = SampledLp(problem.samples, problem.degree)
+        assert sampled.constraints.shape == \
+            (problem.samples.shape[0], sampled.reduction.back_map.shape[1])
 
 
 class TestScalingStudy:
