@@ -16,15 +16,15 @@ from .curve_model import (BUILTIN_GERM_IDS, CurveGerm, DomainError,
                           sample_real_trace, tangent_vector)
 from .extremal_green import (BernsteinWalshReport, DiskBoundReport,
                              GreenEvaluation, HcpFit, StarDominationReport,
-                             TooFewPointsError, bernstein_walsh_check,
-                             green_interval, green_segment, hcp_fit,
+                             bernstein_walsh_check, green_interval,
+                             green_segment, hcp_fit,
                              segment_disk_bound_check, siciak_lp,
                              star_domination_check, star_points)
 from .lp import (PivotLimitError, SimplexError, SupNormSolution,
                  UnboundedProblemError, solve_sup_norm_lp)
 from .markov_lp import (CauchyDerivativeReport, ConditioningError, FitResult,
                         MarkovProblem, MarkovResult, PolynomialBasis,
-                        TooFewSamplesError, cauchy_derivative_check,
+                        TooFewPointsError, cauchy_derivative_check,
                         markov_factor, scaling_study)
 from .reports import ReportRow, emit_csv
 

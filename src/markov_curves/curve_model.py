@@ -204,31 +204,25 @@ class TruncatedSeries:
         return 0j
 
     def evaluate(self, z):
-        """Evaluate by Horner steps over the exponent gaps."""
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        prev = 0
-        for e, a in reversed(self.terms):
-            if prev:
-                acc = acc * z ** (prev - e)
-            acc = acc + a
-            prev = e
-        if prev:
-            acc = acc * z ** prev
-        return acc
+        return _horner(self.terms, z)
 
     def evaluate_derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        prev = 0
-        for e, a in reversed(self.terms):
-            if prev:
-                acc = acc * z ** (prev - e)
-            acc = acc + e * a
-            prev = e
+        return _horner([(e - 1, e * a) for e, a in self.terms], z)
+
+
+def _horner(terms, z):
+    """Sum of a * z**e over (e, a) terms, by Horner steps over the gaps."""
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros_like(z)
+    prev = 0
+    for e, a in reversed(terms):
         if prev:
-            acc = acc * z ** (prev - 1)
-        return acc
+            acc = acc * z ** (prev - e)
+        acc = acc + a
+        prev = e
+    if prev:
+        acc = acc * z ** prev
+    return acc
 
 
 @dataclass(frozen=True)

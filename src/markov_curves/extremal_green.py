@@ -49,7 +49,7 @@ import numpy as np
 from .curve_model import (DomainError, NumericError, chebyshev_grid,
                           sample_real_trace)
 from .lp import FEASIBILITY_TOL, UnboundedProblemError, solve_sup_norm_lp
-from .markov_lp import (SampledLp, TooFewSamplesError, _chebyshev_table,
+from .markov_lp import (SampledLp, TooFewPointsError, _chebyshev_table,
                         _reduce_columns)
 
 #: Ratio reports ignore probe points whose reference value is below this.
@@ -89,10 +89,6 @@ INTERVAL_HCP_RULES = {
     "regular_boundary": (lambda delta: 1.0 + delta, (0.47, 0.53)),
     "regular_interior": (lambda delta: 1j * delta, (0.9, 1.1)),
 }
-
-
-class TooFewPointsError(NumericError):
-    """Sample set cannot bound the polynomial space at this degree."""
 
 
 def green_interval(z):
@@ -237,9 +233,6 @@ def _siciak_planar(points, targets, degree):
     targets = np.asarray(targets, dtype=complex)
     if targets.ndim != 1:
         raise DomainError("expected a sequence of complex evaluation points")
-    if points.shape[0] < degree + 1:
-        raise TooFewPointsError(
-            f"{points.shape[0]} planar samples cannot bound degree {degree}")
     center = complex(points.mean())
     scale = float(np.max(np.abs(points - center)))
     if scale <= 0.0:
@@ -295,7 +288,10 @@ def siciak_lp(samples, points, degree):
     not folded into the value.
 
     The constraint matrix and its rank reduction are built once for all
-    points; returns one GreenEvaluation per point, in order.
+    points; returns one GreenEvaluation per point, in order.  Any
+    number of samples is accepted; TooFewPointsError is raised for a
+    point they do not resolve ("unresolved component") and for an
+    unbounded LP ("looks polar").
     """
     if degree < 1:
         raise DomainError("degree must be at least 1")
@@ -308,8 +304,6 @@ def siciak_lp(samples, points, degree):
     except UnboundedProblemError as exc:
         raise TooFewPointsError(
             f"discrete set looks polar at degree {degree}: {exc}") from exc
-    except TooFewSamplesError as exc:
-        raise TooFewPointsError(str(exc)) from exc
     return [GreenEvaluation(value=math.acosh(max(float(peak), 1.0)) / degree,
                             facet_slack=slack)
             for peak, slack in peaks]

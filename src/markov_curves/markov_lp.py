@@ -40,8 +40,8 @@ FLAT_TOL = 1e-14
 CAUCHY_QUAD_POINTS = 512
 
 
-class TooFewSamplesError(NumericError):
-    """Fewer samples than basis dimensions: the factor is unbounded."""
+class TooFewPointsError(NumericError):
+    """The samples do not resolve the objective: the LP is unbounded."""
 
 
 class ConditioningError(NumericError):
@@ -222,11 +222,12 @@ class ColumnReduction:
     def project(self, functional):
         """Restrict a functional to the kept columns.
 
-        Raises TooFewSamplesError when the functional has a component
-        the sampled function space cannot see, since the discrete
-        problem is then effectively unbounded, and then
-        ConditioningError when the condition number exceeds
-        CONDITION_LIMIT.
+        The one thin-sample guard: it asks whether the samples resolve
+        this functional, not how many there are.  Raises
+        TooFewPointsError ("unresolved component") when the functional
+        has a component the samples cannot see, since the discrete
+        problem is then unbounded, and then ConditioningError when the
+        condition number exceeds CONDITION_LIMIT.
         """
         if self.back_map.shape[0] == self.back_map.shape[1]:
             # Full rank: the back map is the identity.
@@ -237,7 +238,7 @@ class ColumnReduction:
                                         - self.back_map @ projected))
             scale = float(np.linalg.norm(functional))
             if leak > 1e-6 * max(1.0, scale):
-                raise TooFewSamplesError(
+                raise TooFewPointsError(
                     "samples do not resolve the objective functional "
                     f"(unresolved component {leak:.3e}); add sample points")
         if not np.isfinite(self.condition) or self.condition > CONDITION_LIMIT:
@@ -280,18 +281,14 @@ class SampledLp:
     (m, n) ``points``, the sample matrix and its ColumnReduction, and
     its reduced matrix ``A`` as ``constraints``, bounded on both sides:
     ``|A w| <= 1``.  Each objective then costs only its projection and
-    its solves.
-
-    Raises TooFewSamplesError when there are fewer samples than basis
-    dimensions.
+    its solves.  Fewer samples than basis dimensions are accepted (a
+    curve's trace space is smaller than the ambient one); the
+    reduction keeps what they span and ColumnReduction.project decides
+    per functional whether that is enough.
     """
 
     def __init__(self, points, degree):
         self.basis = PolynomialBasis.from_points(points, degree)
-        if points.shape[0] < self.basis.count:
-            raise TooFewSamplesError(
-                f"{points.shape[0]} samples cannot bound a degree-{degree} "
-                f"basis of dimension {self.basis.count}")
         # Restriction to an algebraic curve can have a genuine kernel
         # (x**3 - y**2 vanishes identically on a (2,3) cusp trace), which
         # would leave permanently degenerate artificials in the simplex.
@@ -302,19 +299,20 @@ class SampledLp:
         self.reduction = _reduce_columns(self.basis.evaluate(points))
         self.constraints = self.reduction.matrix
 
-    def solve(self, row, phases=(1.0, -1.0)):
-        """Maximize ``Re(phase * row) @ w`` subject to ``|p| <= 1``.
+    def solve(self, row):
+        """Maximize ``Re(row) @ w`` subject to ``|p| <= 1``.
 
-        ``row`` is the functional in the full basis.  Each phase gives
-        one objective; the best solution is returned, with coefficients
-        in the reduced basis (``reduction.back_map`` lifts them).
+        ``row`` is the functional in the full basis; a complex-typed
+        row (a real probe of a Siciak LP) contributes its real part.
+        Both orientations are solved and the best solution is returned,
+        with coefficients in the reduced basis (``reduction.back_map``
+        lifts them).
 
-        Raises a NumericError: TooFewSamplesError when the samples do
+        Raises a NumericError: TooFewPointsError when the samples do
         not resolve the functional, ConditioningError when the basis
         matrix cannot be trusted, and a SimplexError from the solver.
         """
         functional = self.reduction.project(row)
-        # The default phases solve both orientations of a real functional.
         # |A w| <= 1 is symmetric, so both have the same value in exact
         # arithmetic, yet one solve alone is not safe.  Artificials that
         # stay basic at zero after phase one can grow in phase two
@@ -323,20 +321,20 @@ class SampledLp:
         # the mirrored one 184.0444695071.  Taking the larger value hides
         # that defect until the simplex is repaired.
         solutions = [solve_sup_norm_lp(self.constraints,
-                                       np.real(phase * functional),
+                                       np.real(sign * functional),
                                        symmetric=True)
-                     for phase in phases]
+                     for sign in (1.0, -1.0)]
         return max(solutions, key=lambda solution: solution.value)
 
 
 def markov_factor(problem):
     """Solve the Markov LP; both objective orientations are taken.
 
-    Raises a NumericError: TooFewSamplesError when there are fewer
-    samples than basis dimensions or they do not resolve the
-    derivative, ConditioningError when the basis matrix cannot be
-    trusted, and a SimplexError (UnboundedProblemError among them) as
-    the solver raises it.
+    Raises a NumericError: TooFewPointsError when the samples do not
+    resolve the derivative functional (however many there are),
+    ConditioningError when the basis matrix cannot be trusted, and a
+    SimplexError (UnboundedProblemError among them) as the solver
+    raises it.
     """
     x0 = np.asarray(problem.x0, dtype=float)
     v = np.asarray(problem.v, dtype=float)

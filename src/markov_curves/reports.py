@@ -51,8 +51,6 @@ class ReportRow:
 def _format_cell(value):
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"

@@ -187,7 +187,7 @@ def test_every_exported_error_derives_from_one_base():
     bases = (FormatError, GermError, DomainError, NumericError)
     errors = [value for value in vars(markov_curves).values()
               if isinstance(value, type) and issubclass(value, Exception)]
-    assert len(errors) == 10
+    assert len(errors) == 9
     for error in errors:
         assert sum(issubclass(error, base) for base in bases) == 1, error
 
@@ -399,6 +399,7 @@ class TestMain:
                      "--out-dir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.count("numeric failure in scenario 'thin'") == 1
+        assert "unresolved component" in err
         assert "Traceback" not in err
 
     def test_scan_through_entry_point(self, tmp_path):

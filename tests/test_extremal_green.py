@@ -126,6 +126,17 @@ class TestSiciakLp:
         (inside,) = siciak_lp(samples, [complex(samples[30])], degree=10)
         assert inside.value <= inside.facet_slack + 1e-12
 
+    @pytest.mark.parametrize("samples, degree", [
+        (np.array([0.0, 0.1, 0.2]), 8),
+        (np.array([0.0, 0.5, 0.5j]), 6),
+    ], ids=["real", "planar"])
+    def test_zero_at_a_sample_point_of_a_thin_set(self, samples, degree):
+        # Fewer samples than polynomials of the degree: evaluation at a
+        # sample point is still resolved, so the value is 0.
+        (inside,) = siciak_lp(samples, [complex(samples[-1])],
+                              degree=degree)
+        assert inside.value == 0.0
+
     def test_monotone_under_point_removal(self):
         samples = chebyshev_grid(-1.0, 1.0, 201)
         (full,) = siciak_lp(samples, [2.0], degree=12)
@@ -140,7 +151,7 @@ class TestSiciakLp:
 
     def test_polar_configuration_is_reported(self):
         samples = np.array([0.0, 0.1, 0.2])
-        with pytest.raises(TooFewPointsError):
+        with pytest.raises(TooFewPointsError, match="unresolved component"):
             siciak_lp(samples, [2.0], degree=8)
 
     @pytest.mark.parametrize("z", [(1.0, 0.0), (1.0 + 1.0j, 0.0)],

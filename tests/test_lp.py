@@ -222,8 +222,11 @@ def star_probe_family():
     points = sample_real_trace(germ, 0.25, 80)
     z = np.atleast_1d(germ.evaluate(0.2 * cmath.exp(1j * math.pi / 8)))
     sampled = markov_lp.SampledLp(points, 12)
-    sampled.solve(sampled.basis.evaluate(z[None, :]).ravel(),
-                  extremal_green.HALF_FACET_PHASES)
+    functional = sampled.reduction.project(
+        sampled.basis.evaluate(z[None, :]).ravel())
+    for phase in extremal_green.HALF_FACET_PHASES:
+        lp.solve_sup_norm_lp(sampled.constraints,
+                             np.real(phase * functional), symmetric=True)
 
 
 def planar_siciak():

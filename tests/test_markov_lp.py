@@ -9,10 +9,10 @@ import pytest
 from markov_curves import markov_lp
 from markov_curves.curve_model import DomainError, builtin_germs, \
     sample_real_trace, tangent_vector
-from markov_curves.lp import UnboundedProblemError
+from markov_curves.lp import UnboundedProblemError, solve_sup_norm_lp
 from markov_curves.markov_lp import (ConditioningError, MarkovProblem,
                                      NumericError, PolynomialBasis, SampledLp,
-                                     TooFewSamplesError, _chebyshev_table,
+                                     TooFewPointsError, _chebyshev_table,
                                      cauchy_derivative_check, fit_scaling,
                                      markov_factor, scaling_study)
 
@@ -167,8 +167,31 @@ class TestMarkovFactor:
         samples = sample_real_trace(germ, 1.0, 2)
         problem = MarkovProblem(samples=samples, x0=np.array([1.0, 0.0]),
                                 v=np.array([1.0, 0.0]), degree=8)
-        with pytest.raises(TooFewSamplesError):
+        with pytest.raises(TooFewPointsError, match="unresolved component"):
             markov_factor(problem)
+
+    def test_fewer_samples_than_basis_resolve_a_flat_derivative(self):
+        # On {-1, 0, 1} the cubics reduce to the quadratics plus x**3 - x,
+        # whose derivative vanishes at 1/sqrt(3), so the functional is
+        # resolved: the quadratic through (-1, -1), (0, 1), (1, -1) gives
+        # |p'(x0)| = 4 x0.
+        x0 = 1.0 / math.sqrt(3.0)
+        problem = MarkovProblem(samples=np.array([[-1.0], [0.0], [1.0]]),
+                                x0=(x0,), v=(1.0,), degree=3)
+        factor = markov_factor(problem).factor
+        assert factor == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-12)
+
+    def test_thin_cusp_trace_resolves_its_trace_space(self):
+        # 48 samples, fewer than the 91 plane polynomials of degree 12:
+        # the cusp's trace space has dimension 3n = 36.
+        germ = builtin_germs()["cusp_2_3"]
+        samples = sample_real_trace(germ, 0.25, 24)
+        assert samples.shape[0] == 48
+        sampled = SampledLp(samples, 12)
+        assert sampled.constraints.shape[1] == 36
+        problem = MarkovProblem(samples=samples, x0=germ.basepoint,
+                                v=tangent_vector(germ), degree=12)
+        assert markov_factor(problem).factor > 0.0
 
     def test_ill_conditioned_basis_is_reported(self):
         germ = builtin_germs()["cusp_2_5"]
@@ -351,6 +374,8 @@ class TestPhaseTwoArtificials:
         x0 = np.asarray(problem.x0, dtype=float)
         v = np.asarray(problem.v, dtype=float)
         sampled = SampledLp(problem.samples, problem.degree)
-        forward = sampled.solve(sampled.basis.derivative_row(x0, v),
-                                phases=(1.0,))
+        functional = sampled.reduction.project(
+            sampled.basis.derivative_row(x0, v))
+        forward = solve_sup_norm_lp(sampled.constraints, functional,
+                                    symmetric=True)
         assert forward.value == pytest.approx(self.OPTIMUM, rel=1e-9)
