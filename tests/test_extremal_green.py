@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,38 @@ LOG_3_PLUS_2SQRT2 = 1.7627471740390861
 
 def interval_green(points):
     return [green_interval(z) for z in points]
+
+
+def dot_exactly(row, w):
+    return sum(Fraction(x) * c for x, c in zip(row, w, strict=True))
+
+
+def solve_exactly(matrix, rhs):
+    """Solve a square system in rationals by Gauss-Jordan elimination."""
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs, strict=True)]
+    size = len(rows)
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[r][size] / rows[r][r] for r in range(size)]
+
+
+def record_solves(monkeypatch):
+    """(constraints, objective, solution) of every Siciak LP solve."""
+    solves = []
+    solve = extremal_green.solve_sup_norm_lp
+
+    def recording(constraints, objective, **options):
+        solves.append((constraints, objective,
+                       solve(constraints, objective, **options)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(extremal_green, "solve_sup_norm_lp", recording)
+    return solves
 
 
 def count_calls(monkeypatch, *names):
@@ -130,12 +163,31 @@ class TestSiciakLp:
         (np.array([0.0, 0.1, 0.2]), 8),
         (np.array([0.0, 0.5, 0.5j]), 6),
     ], ids=["real", "planar"])
-    def test_zero_at_a_sample_point_of_a_thin_set(self, samples, degree):
+    def test_zero_at_a_sample_point_of_a_thin_set(self, monkeypatch,
+                                                  samples, degree):
         # Fewer samples than polynomials of the degree: evaluation at a
-        # sample point is still resolved, so the value is 0.
+        # sample point is still resolved, so the value is 0 in exact
+        # arithmetic.  The rounded planar LP's optimum exceeds 1 by a few
+        # ulps (f.w = 1 + 1.9e-16 at the final basis), so there the
+        # returned M must be at least f.w, with w the final basis's
+        # coefficients in rationals and |A w| <= 1 exactly.
+        solves = record_solves(monkeypatch)
         (inside,) = siciak_lp(samples, [complex(samples[-1])],
                               degree=degree)
-        assert inside.value == 0.0
+        if np.isrealobj(samples):
+            assert inside.value == 0.0
+            return
+        ((constraints, objective, solution),) = solves
+        count, size = constraints.shape
+        assert len(solution.support) == size
+        basis = [[Fraction(x) if j < count else -Fraction(x)
+                  for x in constraints[j % count]] for j in solution.support]
+        w = solve_exactly(basis, [Fraction(1)] * len(basis))
+        assert max(abs(dot_exactly(row, w)) for row in constraints) <= 1
+        value = dot_exactly(objective, w)
+        assert value > 1
+        assert Fraction(solution.value) >= value
+        assert inside.value == math.acosh(solution.value) / degree
 
     def test_monotone_under_point_removal(self):
         samples = chebyshev_grid(-1.0, 1.0, 201)
@@ -286,7 +338,7 @@ def every_phase(request):
         values.append([
             extremal_green.solve_sup_norm_lp(
                 lp.constraints, np.real(phase * functional),
-                symmetric=True).value
+                symmetric=True, crash_rows=lp.reduction.crash_rows).value
             for phase in extremal_green.HALF_FACET_PHASES])
     return samples, probes, degree, values
 
@@ -316,10 +368,18 @@ class TestFacetPruning:
                                  / math.sin((b - a) * step))
                         assert row[m] <= bound * (1.0 + FEASIBILITY_TOL)
 
-    def test_polar_trace_is_still_reported(self):
-        samples, probes, _ = hcp_case("cusp_2_5", 8)
-        with pytest.raises(TooFewPointsError, match="looks polar"):
-            siciak_lp(samples, probes, 8)
+    @pytest.mark.parametrize("name, alpha", [("cusp_2_5", 0.4784),
+                                             ("cusp_3_4", 0.3131)])
+    def test_degree_eight_hcp_fit_solves(self, name, alpha):
+        # Phase one called these bounded LPs unbounded ("looks polar");
+        # the crash start runs no phase one.
+        germ = builtin_germs()[name]
+        samples = sample_real_trace(germ, 0.25, 120)
+        fit = hcp_fit(lambda points: [ev.value for ev
+                                      in siciak_lp(samples, points, 8)],
+                      lambda delta: germ.evaluate(
+                          1j * delta ** (1.0 / germ.branch.k)))
+        assert fit.alpha == pytest.approx(alpha, abs=5e-5)
 
 
 class TestBernsteinWalsh:

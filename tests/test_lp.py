@@ -103,6 +103,53 @@ def test_pivot_budget_raises_pivot_limit(monkeypatch):
         solve_sup_norm_lp(*endpoint_problem(10))
 
 
+def endpoint_crash(degree):
+    matrix, derivative = endpoint_rows(degree)
+    return matrix, derivative, markov_lp._reduce_columns(matrix).crash_rows
+
+
+@pytest.mark.parametrize("degree", range(1, 11))
+def test_crash_start_reaches_the_phase_one_optimum(degree):
+    matrix, derivative, crash = endpoint_crash(degree)
+    assert sorted(set(crash)) == sorted(crash)
+    assert len(crash) == degree + 1
+    two_phase = solve_sup_norm_lp(matrix, derivative, symmetric=True)
+    for objective in (derivative, -derivative):
+        solution = solve_sup_norm_lp(matrix, objective, symmetric=True,
+                                     crash_rows=crash)
+        assert solution.value == pytest.approx(two_phase.value, rel=1e-12)
+        assert solution.max_residual <= FEAS_TOL
+        assert len(solution.support) == degree + 1
+
+
+def test_crash_rows_need_a_symmetric_problem():
+    matrix, derivative, crash = endpoint_crash(4)
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_sup_norm_lp(matrix, derivative, crash_rows=crash)
+
+
+def test_crash_start_rejects_an_infeasible_final_basis(monkeypatch):
+    # Swapping a basic row for its mirror negates its entry of the fresh
+    # basic solution, which _pivot_loop's clamped copy never shows.  The
+    # solver rebuilds once at that basis, meets it again, and raises.
+    matrix, derivative, crash = endpoint_crash(6)
+    pivot_loop = lp._pivot_loop
+    calls = []
+
+    def perturbed(tableau, basis, costs, mirrors, *args, **kwargs):
+        calls.append(pivot_loop(tableau, basis, costs, mirrors, *args,
+                                **kwargs))
+        basis[0] = (basis[0] + mirrors) % (2 * mirrors)
+        return calls[-1]
+
+    monkeypatch.setattr(lp, "_pivot_loop", perturbed)
+    with pytest.raises(SimplexError, match="primal infeasible after a "
+                       "rebuild"):
+        solve_sup_norm_lp(matrix, derivative, symmetric=True,
+                          crash_rows=crash)
+    assert len(calls) == 2
+
+
 def brute_force_maximum(constraints, objective):
     """Enumerate basis vertices of {w : Gw <= 1} and take the best."""
     count, dim = constraints.shape
@@ -143,10 +190,20 @@ def textbook_pivot_loop(tableau, basis, costs, mirrors, tol, budget,
                         target=None):
     """The plain dense tableau loop, which lp._pivot_loop must match bit
     for bit: fresh arrays on every pivot, 2-d fancy indexing and
-    ``np.outer``.  It stores every column, so it takes no mirrors.
+    ``np.outer``.  It stores every column: a tableau with mirrors (a
+    crash start) is pivoted as the stacked ``[C | -C | I | b]``, with
+    mirror j numbered ``k + j`` in both.
     """
-    assert mirrors == 0
     m, width = tableau.shape
+    if mirrors:
+        stored = width - 1 - m
+        stacked = np.hstack([tableau[:, :stored], -tableau[:, :stored],
+                             tableau[:, stored:]])
+        iterations = textbook_pivot_loop(stacked, basis, costs, 0, tol,
+                                         budget, target)
+        tableau[:, :stored] = stacked[:, :stored]
+        tableau[:, stored:] = stacked[:, 2 * stored:]
+        return iterations
     n = width - 1
     body = tableau[:, :n]
     iterations = 0
@@ -226,7 +283,8 @@ def star_probe_family():
         sampled.basis.evaluate(z[None, :]).ravel())
     for phase in extremal_green.HALF_FACET_PHASES:
         lp.solve_sup_norm_lp(sampled.constraints,
-                             np.real(phase * functional), symmetric=True)
+                             np.real(phase * functional), symmetric=True,
+                             crash_rows=sampled.reduction.crash_rows)
 
 
 def planar_siciak():
@@ -265,8 +323,9 @@ def scan_cell():
         v=tangent_vector(germ), degree=12))
 
 
-# The symmetric cases, star_probe_family and scan_cell solve |A w| <= 1
-# in the two-sided form, which the textbook loop meets as {A; -A}.
+# The symmetric cases and scan_cell solve |A w| <= 1 in the two-sided
+# form from phase one, which the textbook loop meets as {A; -A};
+# star_probe_family and planar_siciak start from a crash basis.
 ORACLE_CASES = {
     "endpoint": endpoint_problems,
     "coefficients": coefficient_problems,
@@ -283,17 +342,21 @@ def solutions_with(monkeypatch, loop, case):
     """Every solution the case computes with ``loop`` as the pivot loop.
 
     The textbook loop stores every column, so it gets a two-sided
-    problem as the one-sided rows {A; -A}; support rows of -A count from
-    M in both forms.
+    problem solved from phase one as the one-sided rows {A; -A}, and a
+    crash start as the stacked columns of the same crash tableau; rows
+    of -A count from M in both forms.
     """
     solutions = []
 
-    def recording(constraints, objective, symmetric=False):
-        if symmetric and loop is textbook_pivot_loop:
+    def recording(constraints, objective, symmetric=False,
+                  crash_rows=None):
+        if (symmetric and crash_rows is None
+                and loop is textbook_pivot_loop):
             constraints = np.vstack([constraints, -constraints])
             symmetric = False
         solutions.append(solve_sup_norm_lp(constraints, objective,
-                                           symmetric=symmetric))
+                                           symmetric=symmetric,
+                                           crash_rows=crash_rows))
         return solutions[-1]
 
     with monkeypatch.context() as patch:
