@@ -17,7 +17,8 @@ the config).  Every scenario writes `<name>_raw.csv` and
 printed with 17 significant digits and rows are sorted, so a rerun
 with the same config byte-reproduces the files.
 
-Exit codes: 0 ok, 1 violation, 2 config error, 3 numeric failure.
+Exit codes: 0 ok, 1 violation, 2 config error or an output directory
+that cannot be written, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -268,6 +269,9 @@ def run_scenario(config_path, out_dir=".", study_filter=None):
     except FormatError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot write reports: {exc}", file=sys.stderr)
+        return 2
 
 
 def _verify_command(out_dir, seed):
@@ -282,6 +286,9 @@ def _verify_command(out_dir, seed):
     except _NUMERIC_FAILURES as exc:
         print(f"numeric failure in verify: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"cannot write reports: {exc}", file=sys.stderr)
+        return 2
 
 
 def build_parser():

@@ -195,7 +195,7 @@ def _crash_peak(reduction, objective):
     The solve starts from the reduction's crash rows, so no Siciak LP
     runs phase one.
     """
-    return solve_sup_norm_lp(reduction.matrix, objective, symmetric=True,
+    return solve_sup_norm_lp(reduction.matrix, objective,
                              crash_rows=reduction.crash_rows).value
 
 
@@ -257,8 +257,8 @@ def _siciak_planar(points, targets, degree):
     # lives through the solves of the batch.
     rows = points.shape[0]
     constraints = np.empty((FACETS // 2 * rows, 2 * (degree + 1)))
-    # Facet m + 8 is the exact negation of facet m, so the 8 half phases
-    # with symmetric=True pose all 16 facets on half the matrix.  From
+    # Facet m + 8 is the exact negation of facet m, so the 8 half phases,
+    # bounded on both sides, pose all 16 facets on half the matrix.  From
     # the crash start, green_cross_star takes 730 pivots this way; the
     # two-phase solver took 1,079 on the 16 facets rotated one by one.
     for m, phase in enumerate(HALF_FACET_PHASES):

@@ -3,22 +3,23 @@
 Every linear program in this package has the shape
 
     maximize    f @ w
-    subject to  G @ w <= 1        (M one-sided constraints, w free),
+    subject to  |A @ w| <= 1      (M two-sided constraints, w free),
 
 where ``w`` is the coefficient vector of a candidate polynomial and the
-rows of ``G`` evaluate that polynomial (possibly rotated by a facet
-phase) at sample points.  Most are two-sided, ``|A w| <= 1``, which is
-``G = {A; -A}``.  The feasible set contains ``w = 0``, so the problem is
-always feasible and its value is nonnegative; it is unbounded exactly
-when the sample set is too thin to pin down a polynomial of the
-requested degree.
+rows ``a_j`` of ``A`` evaluate that polynomial (possibly rotated by a
+facet phase) at sample points.  The feasible set contains ``w = 0``, so
+the problem is always feasible and its value is nonnegative; it is
+unbounded exactly when the sample set is too thin to pin down a
+polynomial of the requested degree.
 
 We solve the equivalent bounded problem
 
-    minimize    sum(u)
-    subject to  G.T @ u = f,   u >= 0,
+    minimize    sum(u) + sum(v)
+    subject to  A.T @ (u - v) = f,   u, v >= 0,
 
-with a dense tableau simplex.  Pricing is steepest-coefficient
+with a dense tableau simplex.  Column j of ``-A.T``, the one of
+``v_j``, is the mirror of column j of ``A.T`` and stands for the
+constraint ``-a_j @ w <= 1``.  Pricing is steepest-coefficient
 (Dantzig) while the objective makes progress and falls back to Bland's
 anti-cycling rule on stalls, which keeps the method finite under
 degeneracy without paying Bland's crawl on every pivot.  The simplex
@@ -28,22 +29,21 @@ vector ``w``, and the basic columns identify the support constraints
 is re-derived from a fresh factorization of the final basis, so tableau
 drift cannot leak into results.
 
-A two-sided problem of full column rank needs no phase one.  Given N
-independent crash rows ``a_j`` of ``A``, solving ``A_S.T u = f`` and
-taking the mirror ``-a_j`` wherever ``u_j < 0`` gives a basis whose
-basic solution is ``|u| >= 0``: phase two starts there.  The Siciak LPs
-pass such rows (``markov_lp.ColumnReduction.crash_rows``).  Without
-them the solver starts from artificials and drives them out in phase
-one, whose positive optimum is reported as unboundedness; only
-``markov_factor`` still takes that path.
+A problem of full column rank needs no phase one.  Given N independent
+crash rows ``a_j``, solving ``A_S.T u = f`` and taking the mirror
+wherever ``u_j < 0`` gives a basis whose basic solution is
+``|u| >= 0``: phase two starts there.  The Siciak LPs pass such rows
+(``markov_lp.ColumnReduction.crash_rows``).  Without them the solver
+starts from artificials and drives them out in phase one, whose
+positive optimum is reported as unboundedness; only ``markov_factor``
+still takes that path.
 
-A two-sided problem keeps only the columns of ``A.T`` in its tableau.
-The column of row ``-a_j`` is the exact negation of the column of
-``a_j`` through every pivot: the row division and the update's k=1
-product commute with negation under round-to-nearest, and so does the
-subtraction.  The ``-A.T`` half therefore adds nothing but work, and
-the solver takes the same pivots and computes the same bits as on the
-stacked ``{A; -A}``, on half the tableau.
+The tableau keeps only the columns of ``A.T``.  A mirror column is the
+exact negation of its column through every pivot: the row division and
+the update's k=1 product commute with negation under round-to-nearest,
+and so does the subtraction.  Storing the mirrors would add nothing but
+work, and the solver takes the same pivots and computes the same bits
+as on the stacked ``[A.T | -A.T]``, on half the tableau.
 """
 
 from __future__ import annotations
@@ -75,12 +75,14 @@ class PivotLimitError(SimplexError):
 
 @dataclass(frozen=True)
 class SupNormSolution:
-    """Optimum of ``max f @ w  s.t.  G @ w <= 1``.
+    """Optimum of ``max f @ w  s.t.  |A @ w| <= 1``.
 
-    ``support`` lists the constraint rows active in the optimal basis,
-    ``max_residual`` is the largest constraint violation of the
-    recovered coefficient vector (nonnegative, ~0 at a clean optimum),
-    and ``degenerate`` flags bases with zero-valued basic variables.
+    ``support`` lists the constraints active in the optimal basis: j
+    where ``a_j @ w = 1`` and its mirror ``M + j`` where
+    ``a_j @ w = -1``.  ``max_residual`` is the largest violation of
+    ``|A @ w| <= 1`` by the recovered coefficient vector (nonnegative,
+    ~0 at a clean optimum), and ``degenerate`` flags bases with
+    zero-valued basic variables.
     """
 
     value: float
@@ -91,21 +93,20 @@ class SupNormSolution:
     degenerate: bool
 
 
-def _pivot_loop(tableau, basis, costs, mirrors, tol, budget, target=None):
+def _pivot_loop(tableau, basis, costs, tol, budget, target=None):
     """Pivot in place until optimal; return the iteration count.
 
     ``tableau`` is ``[C | I | b]`` on m rows: k constraint columns, the
-    m artificial columns, then the basic solution.  ``mirrors`` is 0 or
-    k.  With k mirrors, the tableau stands for ``[C | -C | I | b]``:
-    mirror column ``k + j`` is the negation of stored column j and is
-    never stored.  ``basis`` and ``costs`` use that stacked numbering
-    (constraint columns, mirrors, then artificials), and a mirror must
-    cost what its stored column costs.  A crash start stores the same
-    tableau times a basis inverse, with no artificial basic.
-    Artificials never enter, so only the constraint columns and their
-    mirrors are priced.  ``target`` optionally stops early once the
-    objective reaches it (used by phase one, whose optimum cannot go
-    below zero).
+    m artificial columns, then the basic solution.  It stands for
+    ``[C | -C | I | b]``: mirror column ``k + j`` is the negation of
+    stored column j and is never stored.  ``basis`` and ``costs`` use
+    that stacked numbering (constraint columns, mirrors, then
+    artificials), and a mirror must cost what its stored column costs.
+    A crash start stores the same tableau times a basis inverse, with
+    no artificial basic.  Artificials never enter, so only the
+    constraint columns and their mirrors are priced.  ``target``
+    optionally stops early once the objective reaches it (used by phase
+    one, whose optimum cannot go below zero).
 
     The loop takes the same pivots and computes the same bits as the
     textbook dense tableau on the stacked columns: Dantzig's most
@@ -127,7 +128,7 @@ def _pivot_loop(tableau, basis, costs, mirrors, tol, budget, target=None):
     m, width = tableau.shape
     n = width - 1
     stored = n - m
-    priced = stored + mirrors
+    priced = 2 * stored
     total = priced + m
     body = tableau[:, :n]
     rhs = tableau[:, -1]
@@ -157,7 +158,7 @@ def _pivot_loop(tableau, basis, costs, mirrors, tol, budget, target=None):
         np.matmul(basic_costs, body, out=products)
         np.subtract(costs[:stored], products[:stored],
                     out=reduced[:stored])
-        np.add(costs[stored:priced], products[:mirrors],
+        np.add(costs[stored:priced], products[:stored],
                out=reduced[stored:])
         if bland:
             enter = int((reduced < -tol).argmax())
@@ -202,25 +203,19 @@ def _pivot_loop(tableau, basis, costs, mirrors, tol, budget, target=None):
         iterations += 1
 
 
-def solve_sup_norm_lp(constraints, objective, symmetric=False,
-                      crash_rows=None):
-    """Maximize ``objective @ w`` subject to ``constraints @ w <= 1``.
+def solve_sup_norm_lp(constraints, objective, crash_rows=None):
+    """Maximize ``objective @ w`` subject to ``|constraints @ w| <= 1``.
 
     Parameters
     ----------
     constraints : (M, N) array
-        One-sided constraint rows ``g_j`` with right-hand side 1.
+        Constraint rows ``a_j``, each bounded on both sides.
     objective : (N,) array
         Linear functional to maximize.
-    symmetric : bool
-        Bound both signs, ``|constraints @ w| <= 1``: the same problem
-        as the one-sided rows ``{constraints; -constraints}``, with the
-        same pivots and bits, for half the tableau.  ``support`` then
-        numbers row j's mirror ``M + j``.
     crash_rows : (N,) int array, optional
-        Indices of N linearly independent rows, symmetric problems
-        only.  Phase two then starts from their crash basis and phase
-        one never runs; see the module docstring.
+        Indices of N linearly independent rows.  Phase two then starts
+        from their crash basis and phase one never runs; see the module
+        docstring.
 
     Returns
     -------
@@ -232,43 +227,41 @@ def solve_sup_norm_lp(constraints, objective, symmetric=False,
         If phase one ends above zero; see the module docstring.
     SimplexError
         If an entering column has no positive pivot (numerical breakdown
-        of the tableau), the final basis is singular, or a crash start
+        of the tableau), the final basis is singular, a crash start
         ends on a basis whose fresh basic solution has a negative entry
-        even after a rebuild.
+        even after a rebuild, or the recovered ``w`` still violates the
+        constraints beyond tolerance after three rebuilds.
     PivotLimitError
         If MAX_ITERATIONS pivots do not reach an optimum.
 
     All three are SimplexErrors, and so curve_model.NumericErrors: a
     study that meets one exits 3.
     """
-    G = np.asarray(constraints, dtype=float)
+    A = np.asarray(constraints, dtype=float)
     f = np.asarray(objective, dtype=float)
-    if G.ndim != 2:
+    if A.ndim != 2:
         raise ValueError("constraints must be a 2-d array")
-    M, N = G.shape
+    M, N = A.shape
     if f.shape != (N,):
         raise ValueError(f"objective has shape {f.shape}, expected ({N},)")
-    if crash_rows is not None and not symmetric:
-        raise ValueError("crash rows need symmetric=True")
-    mirrors = M if symmetric else 0
-    rows = M + mirrors
+    rows = 2 * M
     crash = crash_rows is not None
 
-    # Equality system A @ u = b over u >= 0, A = G.T.  The two-phase
+    # Equality system E @ u = b over u >= 0, E = A.T.  The two-phase
     # start flips the sign of rows with b < 0 so that its artificials
     # start feasible; the crash start needs no flip.
-    A = G.T.copy()
+    E = A.T.copy()
     b = f.astype(float).copy()
     flip = np.zeros(N, dtype=bool) if crash else b < 0
-    A[flip] *= -1.0
+    E[flip] *= -1.0
     b[flip] *= -1.0
     scale = 1.0 + float(b.sum())
 
     full = np.empty((N, M + N), dtype=float)
-    full[:, :M] = A
+    full[:, :M] = E
     full[:, M:] = np.eye(N)
     # Stacked column s is sign[s] * full[:, source[s]].
-    source = np.r_[0:M, 0:mirrors, M:M + N]
+    source = np.r_[0:M, 0:M, M:M + N]
     sign = np.ones(rows + N)
     sign[M:rows] = -1.0
     # Phase two: unit cost on the constraint columns and their mirrors.
@@ -277,13 +270,13 @@ def solve_sup_norm_lp(constraints, objective, symmetric=False,
     tol = FEASIBILITY_TOL
 
     if crash:
-        # B^-1 [A | I | b] on the crash rows' basis B, whose last column
+        # B^-1 [E | I | b] on the crash rows' basis B, whose last column
         # u solves B u = b.  Each row j with u_j < 0 trades its basic
         # column for the mirror, which negates tableau row j and leaves
         # |u| as the basic solution.
         picked = np.asarray(crash_rows, dtype=int)
         try:
-            tableau = np.linalg.solve(A[:, picked],
+            tableau = np.linalg.solve(E[:, picked],
                                       np.column_stack([full, b]))
         except np.linalg.LinAlgError as exc:
             raise SimplexError(f"singular crash rows: {exc}") from exc
@@ -300,8 +293,8 @@ def solve_sup_norm_lp(constraints, objective, symmetric=False,
         # basic and may leave, but never re-enter.
         phase1 = np.zeros(rows + N)
         phase1[rows:] = 1.0
-        iters = _pivot_loop(tableau, basis, phase1, mirrors, tol,
-                            MAX_ITERATIONS, target=1e-14 * scale)
+        iters = _pivot_loop(tableau, basis, phase1, tol, MAX_ITERATIONS,
+                            target=1e-14 * scale)
         infeasibility = float(phase1[basis] @ tableau[:, -1])
         if infeasibility > tol * scale:
             raise UnboundedProblemError(
@@ -312,12 +305,9 @@ def solve_sup_norm_lp(constraints, objective, symmetric=False,
         # Basic artificials keep cost zero and never re-enter, but they
         # can grow to a wrong basis (test_forward_solve_reaches_optimum).
 
-    w = np.zeros(N)
-    value = 0.0
-    residual = np.inf
     rejected = False
     for attempt in range(4):
-        iters += _pivot_loop(tableau, basis, costs, mirrors, tol,
+        iters += _pivot_loop(tableau, basis, costs, tol,
                              MAX_ITERATIONS - iters)
         # Re-derive the solution from a fresh factorization of the
         # final basis; the pivoted tableau only chooses the basis.
@@ -329,10 +319,7 @@ def solve_sup_norm_lp(constraints, objective, symmetric=False,
             raise SimplexError(f"singular optimal basis: {exc}") from exc
         w[flip] *= -1.0
         value = float(costs[basis] @ u)
-        levels = G @ w
-        if symmetric:
-            np.abs(levels, out=levels)
-        residual = float(max(0.0, levels.max(initial=0.0) - 1.0))
+        residual = float(max(0.0, np.abs(A @ w).max(initial=0.0) - 1.0))
         # _pivot_loop clamps its basic solution, so only the fresh one
         # can show that a crash start ended on an infeasible basis.
         lowest = float(u.min())
@@ -344,6 +331,10 @@ def solve_sup_norm_lp(constraints, objective, symmetric=False,
             rejected = True
         elif residual <= 10.0 * tol * (1.0 + abs(value)):
             break
+        elif attempt == 3:
+            raise SimplexError(
+                f"recovered coefficients violate |A w| <= 1 by "
+                f"{residual:.3e} after {attempt} rebuilds")
         # Drift led to a not-quite-optimal basis: rebuild the tableau
         # exactly at this basis and keep pivoting.  The solve runs on
         # every stacked column, mirrors too, so that the stored ones get

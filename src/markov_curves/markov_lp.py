@@ -344,8 +344,7 @@ class SampledLp:
         # (n=12, eps=0.125, density 300) the forward solve returns 0.0 and
         # the mirrored one 184.0444695071.  Taking the larger value hides
         # that defect until the simplex is repaired.
-        solutions = [solve_sup_norm_lp(self.constraints, sign * functional,
-                                       symmetric=True)
+        solutions = [solve_sup_norm_lp(self.constraints, sign * functional)
                      for sign in (1.0, -1.0)]
         return max(solutions, key=lambda solution: solution.value)
 

@@ -402,6 +402,22 @@ class TestMain:
         assert "unresolved component" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["markov-scan", "verify"])
+    def test_unwritable_out_dir_exits_two(self, tmp_path, capsys, command):
+        # A directory below a regular file cannot be made: exit 2, the
+        # exit code of a bad input, not 1, which means a violation.
+        config = tmp_path / "scan.cfg"
+        config.write_text(SCAN_CONFIG, encoding="utf-8")
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        options = ["--config", str(config)] if command != "verify" else []
+        assert main([command, *options,
+                     "--out-dir", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write reports: ")
+        assert str(blocker / "sub") in err
+        assert "Traceback" not in err
+
     def test_scan_through_entry_point(self, tmp_path):
         config = tmp_path / "scan.cfg"
         config.write_text(SCAN_CONFIG, encoding="utf-8")

@@ -338,7 +338,7 @@ def every_phase(request):
         values.append([
             extremal_green.solve_sup_norm_lp(
                 lp.constraints, np.real(phase * functional),
-                symmetric=True, crash_rows=lp.reduction.crash_rows).value
+                crash_rows=lp.reduction.crash_rows).value
             for phase in extremal_green.HALF_FACET_PHASES])
     return samples, probes, degree, values
 

@@ -27,20 +27,14 @@ def chebyshev_matrix(points, degree):
     return table
 
 
-def endpoint_rows(degree, count=2001):
+def endpoint_problem(degree, count=2001):
     """max p'(1) over degree-bounded polynomials with |p| <= 1 on a grid:
-    the two-sided rows and the objective."""
+    the constraint rows and the objective."""
     xs = chebyshev_grid(-1.0, 1.0, count)
     matrix = chebyshev_matrix(xs, degree)
     derivative = np.zeros(degree + 1)
     derivative[1:] = np.arange(1, degree + 1) ** 2  # T_m'(1) = m**2
     return matrix, derivative
-
-
-def endpoint_problem(degree, count=2001):
-    """The endpoint problem on the one-sided rows {A; -A}."""
-    matrix, derivative = endpoint_rows(degree, count)
-    return np.vstack([matrix, -matrix]), derivative
 
 
 @pytest.mark.parametrize("degree", range(1, 11))
@@ -58,7 +52,7 @@ def test_solution_is_feasible_and_consistent():
     constraints, objective = endpoint_problem(6)
     solution = solve_sup_norm_lp(constraints, objective)
     values = constraints @ solution.coefficients
-    assert np.max(values) <= 1.0 + FEAS_TOL
+    assert np.max(np.abs(values)) <= 1.0 + FEAS_TOL
     assert solution.value == pytest.approx(objective @ solution.coefficients,
                                            rel=1e-12, abs=1e-12)
     assert solution.iterations > 0
@@ -74,29 +68,28 @@ def test_unbounded_when_samples_too_thin():
     # 3 sample points cannot pin down 6 coefficients.
     xs = chebyshev_grid(-1.0, 1.0, 3)
     matrix = chebyshev_matrix(xs, 5)
-    constraints = np.vstack([matrix, -matrix])
     objective = np.zeros(6)
     objective[1] = 1.0
     with pytest.raises(UnboundedProblemError):
-        solve_sup_norm_lp(constraints, objective)
+        solve_sup_norm_lp(matrix, objective)
 
 
 def test_entering_column_without_positive_pivot_is_not_unbounded():
-    # Column 1 prices in, but its only entry is negative: the ratio test
-    # has no row.  Both phases are bounded below, so this is a numerical
-    # breakdown, not the thin-sample unboundedness.  Column 2 is the
-    # artificial, which is never priced.
-    tableau = np.array([[1.0, -1.0, 1.0, 1.0]])
+    # Column 1 prices in, but its only entry, like its mirror's (column
+    # 3), is zero: the ratio test has no row.  Both phases are bounded
+    # below, so this is a numerical breakdown, not the thin-sample
+    # unboundedness.  Column 4 is the artificial, which is never priced.
+    tableau = np.array([[1.0, 0.0, 1.0, 1.0]])
     basis = np.array([0])
-    costs = np.array([0.0, -1.0, 0.0])
+    costs = np.array([0.0, -1.0, 0.0, -1.0, 0.0])
     with pytest.raises(SimplexError, match="more sample points") as info:
-        _pivot_loop(tableau, basis, costs, 0, 1e-9, 10)
+        _pivot_loop(tableau, basis, costs, 1e-9, 10)
     assert not isinstance(info.value, UnboundedProblemError)
 
 
 def test_pivot_budget_raises_pivot_limit(monkeypatch):
     # The tableau has one row per coefficient and one column per
-    # constraint row and artificial: 11 and 2 * 2001 + 11.
+    # constraint row, mirror and artificial: 11 and 2 * 2001 + 11.
     monkeypatch.setattr(lp, "MAX_ITERATIONS", 3)
     with pytest.raises(PivotLimitError, match="after 3 pivots on a tableau "
                        "of 11 rows and 4013 variable columns"):
@@ -104,7 +97,7 @@ def test_pivot_budget_raises_pivot_limit(monkeypatch):
 
 
 def endpoint_crash(degree):
-    matrix, derivative = endpoint_rows(degree)
+    matrix, derivative = endpoint_problem(degree)
     return matrix, derivative, markov_lp._reduce_columns(matrix).crash_rows
 
 
@@ -113,19 +106,12 @@ def test_crash_start_reaches_the_phase_one_optimum(degree):
     matrix, derivative, crash = endpoint_crash(degree)
     assert sorted(set(crash)) == sorted(crash)
     assert len(crash) == degree + 1
-    two_phase = solve_sup_norm_lp(matrix, derivative, symmetric=True)
+    two_phase = solve_sup_norm_lp(matrix, derivative)
     for objective in (derivative, -derivative):
-        solution = solve_sup_norm_lp(matrix, objective, symmetric=True,
-                                     crash_rows=crash)
+        solution = solve_sup_norm_lp(matrix, objective, crash_rows=crash)
         assert solution.value == pytest.approx(two_phase.value, rel=1e-12)
         assert solution.max_residual <= FEAS_TOL
         assert len(solution.support) == degree + 1
-
-
-def test_crash_rows_need_a_symmetric_problem():
-    matrix, derivative, crash = endpoint_crash(4)
-    with pytest.raises(ValueError, match="symmetric"):
-        solve_sup_norm_lp(matrix, derivative, crash_rows=crash)
 
 
 def test_crash_start_rejects_an_infeasible_final_basis(monkeypatch):
@@ -136,31 +122,50 @@ def test_crash_start_rejects_an_infeasible_final_basis(monkeypatch):
     pivot_loop = lp._pivot_loop
     calls = []
 
-    def perturbed(tableau, basis, costs, mirrors, *args, **kwargs):
-        calls.append(pivot_loop(tableau, basis, costs, mirrors, *args,
-                                **kwargs))
+    def perturbed(tableau, basis, *args, **kwargs):
+        calls.append(pivot_loop(tableau, basis, *args, **kwargs))
+        mirrors = len(matrix)
         basis[0] = (basis[0] + mirrors) % (2 * mirrors)
         return calls[-1]
 
     monkeypatch.setattr(lp, "_pivot_loop", perturbed)
     with pytest.raises(SimplexError, match="primal infeasible after a "
                        "rebuild"):
-        solve_sup_norm_lp(matrix, derivative, symmetric=True,
-                          crash_rows=crash)
+        solve_sup_norm_lp(matrix, derivative, crash_rows=crash)
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("degree", (4, 6, 8))
+def test_residual_that_never_closes_raises(monkeypatch, degree):
+    # With no pivots the crash basis stays where it started, feasible but
+    # not optimal, so its w violates |A w| <= 1 after every rebuild.  The
+    # solve must not hand back that w (and a value above degree**2).
+    matrix, derivative, crash = endpoint_crash(degree)
+    calls = []
+
+    def idle(*args, **kwargs):
+        calls.append(args)
+        return 0
+
+    monkeypatch.setattr(lp, "_pivot_loop", idle)
+    with pytest.raises(SimplexError, match=r"violate \|A w\| <= 1 by "
+                       r"[0-9.e+-]+ after 3 rebuilds"):
+        solve_sup_norm_lp(matrix, derivative, crash_rows=crash)
+    assert len(calls) == 4
+
+
 def brute_force_maximum(constraints, objective):
-    """Enumerate basis vertices of {w : Gw <= 1} and take the best."""
-    count, dim = constraints.shape
+    """Enumerate basis vertices of {w : |C w| <= 1} and take the best."""
+    stacked = np.vstack([constraints, -constraints])
+    count, dim = stacked.shape
     best = None
     for rows in itertools.combinations(range(count), dim):
-        block = constraints[list(rows)]
+        block = stacked[list(rows)]
         try:
             vertex = np.linalg.solve(block, np.ones(dim))
         except np.linalg.LinAlgError:
             continue
-        if np.max(constraints @ vertex) <= 1.0 + 1e-9:
+        if np.max(stacked @ vertex) <= 1.0 + 1e-9:
             value = objective @ vertex
             best = value if best is None else max(best, value)
     return best
@@ -174,7 +179,7 @@ def small_problems():
         extra = rng.standard_normal((int(rng.integers(3, 7)), dim))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         # The box rows keep the feasible region bounded.
-        constraints = np.vstack([np.eye(dim), -np.eye(dim), extra])
+        constraints = np.vstack([np.eye(dim), extra])
         yield constraints, rng.standard_normal(dim)
 
 
@@ -186,24 +191,27 @@ def test_matches_vertex_enumeration_on_small_problems():
         assert solution.value == pytest.approx(oracle, rel=1e-8, abs=1e-8)
 
 
-def textbook_pivot_loop(tableau, basis, costs, mirrors, tol, budget,
-                        target=None):
+def textbook_pivot_loop(tableau, basis, costs, tol, budget, target=None):
     """The plain dense tableau loop, which lp._pivot_loop must match bit
     for bit: fresh arrays on every pivot, 2-d fancy indexing and
-    ``np.outer``.  It stores every column: a tableau with mirrors (a
-    crash start) is pivoted as the stacked ``[C | -C | I | b]``, with
-    mirror j numbered ``k + j`` in both.
+    ``np.outer``.  It stores every column: the tableau ``[C | I | b]``
+    is pivoted as the stacked ``[C | -C | I | b]``, with mirror j
+    numbered ``k + j`` in both.
     """
     m, width = tableau.shape
-    if mirrors:
-        stored = width - 1 - m
-        stacked = np.hstack([tableau[:, :stored], -tableau[:, :stored],
-                             tableau[:, stored:]])
-        iterations = textbook_pivot_loop(stacked, basis, costs, 0, tol,
-                                         budget, target)
-        tableau[:, :stored] = stacked[:, :stored]
-        tableau[:, stored:] = stacked[:, 2 * stored:]
-        return iterations
+    stored = width - 1 - m
+    stacked = np.hstack([tableau[:, :stored], -tableau[:, :stored],
+                         tableau[:, stored:]])
+    iterations = stacked_pivot_loop(stacked, basis, costs, tol, budget,
+                                    target)
+    tableau[:, :stored] = stacked[:, :stored]
+    tableau[:, stored:] = stacked[:, 2 * stored:]
+    return iterations
+
+
+def stacked_pivot_loop(tableau, basis, costs, tol, budget, target):
+    """textbook_pivot_loop on a tableau that stores every column."""
+    m, width = tableau.shape
     n = width - 1
     body = tableau[:, :n]
     iterations = 0
@@ -265,7 +273,9 @@ def textbook_pivot_loop(tableau, basis, costs, mirrors, tol, budget,
 
 def endpoint_problems():
     for degree in range(1, 11):
-        lp.solve_sup_norm_lp(*endpoint_problem(degree))
+        matrix, derivative = endpoint_problem(degree)
+        for objective in (derivative, -derivative):
+            lp.solve_sup_norm_lp(matrix, objective)
 
 
 def enumerable_problems():
@@ -283,7 +293,7 @@ def star_probe_family():
         sampled.basis.evaluate(z[None, :]).ravel())
     for phase in extremal_green.HALF_FACET_PHASES:
         lp.solve_sup_norm_lp(sampled.constraints,
-                             np.real(phase * functional), symmetric=True,
+                             np.real(phase * functional),
                              crash_rows=sampled.reduction.crash_rows)
 
 
@@ -296,23 +306,10 @@ def planar_siciak():
 
 def coefficient_problems():
     """Single-coefficient objectives: degenerate, with ratio-test ties."""
-    constraints, _ = endpoint_problem(6, count=201)
-    for objective in np.eye(7):
-        lp.solve_sup_norm_lp(constraints, objective)
-
-
-def symmetric_endpoint_problems():
-    for degree in range(1, 11):
-        matrix, derivative = endpoint_rows(degree)
-        for objective in (derivative, -derivative):
-            lp.solve_sup_norm_lp(matrix, objective, symmetric=True)
-
-
-def symmetric_coefficient_problems():
-    matrix, _ = endpoint_rows(6, count=201)
+    matrix, _ = endpoint_problem(6, count=201)
     for objective in np.eye(7):
         for signed in (objective, -objective):
-            lp.solve_sup_norm_lp(matrix, signed, symmetric=True)
+            lp.solve_sup_norm_lp(matrix, signed)
 
 
 def scan_cell():
@@ -323,8 +320,7 @@ def scan_cell():
         v=tangent_vector(germ), degree=12))
 
 
-# The symmetric cases and scan_cell solve |A w| <= 1 in the two-sided
-# form from phase one, which the textbook loop meets as {A; -A};
+# The first three cases and scan_cell start from phase one;
 # star_probe_family and planar_siciak start from a crash basis.
 ORACLE_CASES = {
     "endpoint": endpoint_problems,
@@ -332,31 +328,16 @@ ORACLE_CASES = {
     "vertex_enumeration": enumerable_problems,
     "star_probe_family": star_probe_family,
     "planar_siciak": planar_siciak,
-    "symmetric_endpoint": symmetric_endpoint_problems,
-    "symmetric_coefficients": symmetric_coefficient_problems,
     "scan_cell": scan_cell,
 }
 
 
 def solutions_with(monkeypatch, loop, case):
-    """Every solution the case computes with ``loop`` as the pivot loop.
-
-    The textbook loop stores every column, so it gets a two-sided
-    problem solved from phase one as the one-sided rows {A; -A}, and a
-    crash start as the stacked columns of the same crash tableau; rows
-    of -A count from M in both forms.
-    """
+    """Every solution the case computes with ``loop`` as the pivot loop."""
     solutions = []
 
-    def recording(constraints, objective, symmetric=False,
-                  crash_rows=None):
-        if (symmetric and crash_rows is None
-                and loop is textbook_pivot_loop):
-            constraints = np.vstack([constraints, -constraints])
-            symmetric = False
-        solutions.append(solve_sup_norm_lp(constraints, objective,
-                                           symmetric=symmetric,
-                                           crash_rows=crash_rows))
+    def recording(*args, **kwargs):
+        solutions.append(solve_sup_norm_lp(*args, **kwargs))
         return solutions[-1]
 
     with monkeypatch.context() as patch:
@@ -385,8 +366,7 @@ def test_pivot_loop_matches_textbook_bit_for_bit(monkeypatch, name):
 
 
 def test_bland_pivots_match_textbook_bit_for_bit(monkeypatch):
-    cases = [ORACLE_CASES[name] for name in ("endpoint",
-                                             "symmetric_endpoint")]
+    cases = [ORACLE_CASES[name] for name in ("endpoint", "coefficients")]
     dantzig = [solutions_with(monkeypatch, _pivot_loop, case)
                for case in cases]
     # Every non-improving pivot now switches to Bland's rule.

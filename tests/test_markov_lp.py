@@ -216,7 +216,7 @@ class TestMarkovFactor:
             markov_lp._reduce_columns(matrix)
 
     def test_unbounded_solve_is_not_too_few_samples(self, monkeypatch):
-        def unbounded(constraints, objective, symmetric=False):
+        def unbounded(constraints, objective):
             raise UnboundedProblemError("phase one ended above zero")
 
         monkeypatch.setattr(markov_lp, "solve_sup_norm_lp", unbounded)
@@ -376,6 +376,5 @@ class TestPhaseTwoArtificials:
         sampled = SampledLp(problem.samples, problem.degree)
         functional = sampled.reduction.project(
             sampled.basis.derivative_row(x0, v))
-        forward = solve_sup_norm_lp(sampled.constraints, functional,
-                                    symmetric=True)
+        forward = solve_sup_norm_lp(sampled.constraints, functional)
         assert forward.value == pytest.approx(self.OPTIMUM, rel=1e-9)

@@ -1,6 +1,7 @@
-"""README's library example runs as printed, and its config and germ
-file examples parse."""
+"""README's library example runs as printed, its signatures are the
+package's, and its config and germ file examples parse."""
 
+import inspect
 import io
 import re
 from contextlib import redirect_stdout
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+import markov_curves
 from markov_curves import builtin_germs, parse_germ_text
 from markov_curves.experiments_cli import parse_config_text
 
@@ -30,6 +32,24 @@ def test_library_example_runs():
     value, slack = map(float, printed[3].split())
     assert abs(value - float(printed[2])) <= 0.02 and slack == 0.0
     assert len(printed[4].split()) == 2
+
+
+def test_signatures_match_the_package():
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"The signatures[^\n]*\n\n```\n(.*?)```", text,
+                          flags=re.DOTALL)
+    checked = []
+    for line in block.splitlines():
+        code = line.split("#")[0]
+        if not code.strip():
+            continue  # the comment of the line above, continued
+        printed = re.findall(r"(\w+)(\([^)]*\))", code)
+        assert printed, line
+        for name, arguments in printed:
+            function = getattr(markov_curves, name)
+            assert arguments == str(inspect.signature(function)), name
+            checked.append(name)
+    assert "load_germ" in checked and len(checked) == 14
 
 
 def test_config_and_germ_examples_parse():
