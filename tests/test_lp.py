@@ -272,6 +272,14 @@ def stacked_pivot_loop(tableau, basis, costs, tol, budget, target):
 
 
 def endpoint_problems():
+    """The endpoint problem on the stacked rows {A; -A}: every row comes
+    with a duplicate of its mirror, so the ratio test meets ties."""
+    for degree in range(1, 11):
+        matrix, derivative = endpoint_problem(degree)
+        lp.solve_sup_norm_lp(np.vstack([matrix, -matrix]), derivative)
+
+
+def symmetric_endpoint_problems():
     for degree in range(1, 11):
         matrix, derivative = endpoint_problem(degree)
         for objective in (derivative, -derivative):
@@ -305,7 +313,14 @@ def planar_siciak():
 
 
 def coefficient_problems():
-    """Single-coefficient objectives: degenerate, with ratio-test ties."""
+    """Single-coefficient objectives: degenerate, with ratio-test ties,
+    on the stacked rows {A; -A}."""
+    matrix, _ = endpoint_problem(6, count=201)
+    for objective in np.eye(7):
+        lp.solve_sup_norm_lp(np.vstack([matrix, -matrix]), objective)
+
+
+def symmetric_coefficient_problems():
     matrix, _ = endpoint_problem(6, count=201)
     for objective in np.eye(7):
         for signed in (objective, -objective):
@@ -320,14 +335,16 @@ def scan_cell():
         v=tangent_vector(germ), degree=12))
 
 
-# The first three cases and scan_cell start from phase one;
-# star_probe_family and planar_siciak start from a crash basis.
+# All but star_probe_family and planar_siciak start from phase one;
+# those two start from a crash basis.
 ORACLE_CASES = {
     "endpoint": endpoint_problems,
     "coefficients": coefficient_problems,
     "vertex_enumeration": enumerable_problems,
     "star_probe_family": star_probe_family,
     "planar_siciak": planar_siciak,
+    "symmetric_endpoint": symmetric_endpoint_problems,
+    "symmetric_coefficients": symmetric_coefficient_problems,
     "scan_cell": scan_cell,
 }
 
@@ -366,7 +383,8 @@ def test_pivot_loop_matches_textbook_bit_for_bit(monkeypatch, name):
 
 
 def test_bland_pivots_match_textbook_bit_for_bit(monkeypatch):
-    cases = [ORACLE_CASES[name] for name in ("endpoint", "coefficients")]
+    cases = [ORACLE_CASES[name] for name in ("endpoint",
+                                             "symmetric_endpoint")]
     dantzig = [solutions_with(monkeypatch, _pivot_loop, case)
                for case in cases]
     # Every non-improving pivot now switches to Bland's rule.
