@@ -259,8 +259,10 @@ def _siciak_planar(points, targets, degree):
     constraints = np.empty((FACETS // 2 * rows, 2 * (degree + 1)))
     # Facet m + 8 is the exact negation of facet m, so the 8 half phases,
     # bounded on both sides, pose all 16 facets on half the matrix.  From
-    # the crash start, green_cross_star takes 730 pivots this way; the
-    # two-phase solver took 1,079 on the 16 facets rotated one by one.
+    # the crash start, and by row generation (lp.ROW_GENERATION_CUT),
+    # green_cross_star takes 577 pivots this way, 730 on the full
+    # tableau; the two-phase solver took 1,079 on the 16 facets rotated
+    # one by one.
     for m, phase in enumerate(HALF_FACET_PHASES):
         rotated = phase * columns
         block = constraints[m * rows:(m + 1) * rows]

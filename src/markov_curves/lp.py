@@ -38,6 +38,22 @@ starts from artificials and drives them out in phase one, whose
 positive optimum is reported as unboundedness; only ``markov_factor``
 still takes that path.
 
+At most N of the M rows are active at an optimum.  A crash-started
+problem with ``M >= ROW_GENERATION_CUT * N`` rows therefore solves by
+row generation, the cutting-plane scheme of Kelley (J. SIAM 8, 1960)
+seen from the dual: its tableau first stores only the N crash rows.
+After each pivot loop the fresh factorization gives ``w``, and every
+unstored row with ``|a_j @ w| > 1 + FEASIBILITY_TOL`` (its column
+would price in) joins the tableau as ``B^-1 a_j`` at the current
+basis; phase two then continues.  Every such round adds a row, so
+rounds end, and the last one has priced every row of ``A``.  On the
+planar Siciak LP (``M/N`` of 246 to 640) the first round takes in
+about a third of the rows, and later rounds a few dozen more, so each
+pivot updates a third of the tableau.  The cut keeps the real-sample
+Siciak LPs (``M/N`` at most 118) on the full tableau.  Row generation
+there made ``verify``'s solves slower, and on ``hcp_cusp_2_5`` it ended
+on a basis that the certificate rejects as primal infeasible.
+
 The tableau keeps only the columns of ``A.T``.  A mirror column is the
 exact negation of its column through every pivot: the row division and
 the update's k=1 product commute with negation under round-to-nearest,
@@ -59,6 +75,9 @@ FEASIBILITY_TOL = 1e-9
 MAX_ITERATIONS = 200_000
 # Consecutive non-improving pivots tolerated before Bland's rule kicks in.
 STALL_LIMIT = 12
+# Crash-started problems with at least this many rows per column start
+# with a tableau of their crash rows only; see the module docstring.
+ROW_GENERATION_CUT = 128
 
 
 class SimplexError(NumericError):
@@ -214,8 +233,11 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         Linear functional to maximize.
     crash_rows : (N,) int array, optional
         Indices of N linearly independent rows.  Phase two then starts
-        from their crash basis and phase one never runs; see the module
-        docstring.
+        from their crash basis and phase one never runs.  With at least
+        ROW_GENERATION_CUT * N rows, the tableau stores only these rows
+        at first and takes in the others as ``w`` violates them; the
+        value, ``support`` (global row numbers) and ``max_residual``
+        (over all M rows) mean the same.  See the module docstring.
 
     Returns
     -------
@@ -223,6 +245,9 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
 
     Raises
     ------
+    ValueError
+        If the shapes disagree, or ``crash_rows`` does not hold N
+        distinct integer indices in ``[0, M)``.
     UnboundedProblemError
         If phase one ends above zero; see the module docstring.
     SimplexError
@@ -246,6 +271,14 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         raise ValueError(f"objective has shape {f.shape}, expected ({N},)")
     rows = 2 * M
     crash = crash_rows is not None
+    if crash:
+        picked = np.asarray(crash_rows)
+        if (picked.shape != (N,)
+                or not np.issubdtype(picked.dtype, np.integer)
+                or len(set(picked.tolist())) != N
+                or np.any((picked < 0) | (picked >= M))):
+            raise ValueError(f"crash_rows must hold {N} distinct integer "
+                             f"row indices in [0, {M})")
 
     # Equality system E @ u = b over u >= 0, E = A.T.  The two-phase
     # start flips the sign of rows with b < 0 so that its artificials
@@ -269,19 +302,38 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
     costs[:rows] = 1.0
     tol = FEASIBILITY_TOL
 
+    # The rows of A whose columns the tableau stores: all of them, or
+    # on a wide crash-started problem only the crash rows at first.
+    kept = np.ones(M, dtype=bool)
+    if crash and M >= ROW_GENERATION_CUT * N:
+        kept[:] = False
+        kept[picked] = True
+
+    def stacked_columns():
+        """Stacked number of each tableau column, mirrors included."""
+        stored = np.flatnonzero(kept)
+        return np.concatenate([stored, M + stored, np.arange(rows, rows + N)])
+
+    def tableau_at(basis_matrix):
+        """B^-1 [E | I | b] on the columns of E that the tableau stores."""
+        # Indexing would copy [E | I] once more on every full solve.
+        stored = full if kept.all() else full[
+            :, np.concatenate([np.flatnonzero(kept), np.arange(M, M + N)])]
+        return np.linalg.solve(basis_matrix, np.column_stack([stored, b]))
+
+    columns = stacked_columns()
     if crash:
-        # B^-1 [E | I | b] on the crash rows' basis B, whose last column
-        # u solves B u = b.  Each row j with u_j < 0 trades its basic
+        # The tableau on the crash rows' basis B, whose last column u
+        # solves B u = b.  Each row j with u_j < 0 trades its basic
         # column for the mirror, which negates tableau row j and leaves
         # |u| as the basic solution.
-        picked = np.asarray(crash_rows, dtype=int)
         try:
-            tableau = np.linalg.solve(E[:, picked],
-                                      np.column_stack([full, b]))
+            tableau = tableau_at(E[:, picked])
         except np.linalg.LinAlgError as exc:
             raise SimplexError(f"singular crash rows: {exc}") from exc
         negative = tableau[:, -1] < 0
-        basis = np.where(negative, picked + M, picked)
+        basis = np.searchsorted(columns, np.where(negative, picked + M,
+                                                  picked))
         tableau[negative] *= -1.0
         iters = 0
     else:
@@ -306,47 +358,57 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         # can grow to a wrong basis (test_forward_solve_reaches_optimum).
 
     rejected = False
-    for attempt in range(4):
-        iters += _pivot_loop(tableau, basis, costs, tol,
+    rebuilds = 0
+    while True:
+        iters += _pivot_loop(tableau, basis, costs[columns], tol,
                              MAX_ITERATIONS - iters)
         # Re-derive the solution from a fresh factorization of the
         # final basis; the pivoted tableau only chooses the basis.
-        basis_matrix = full[:, source[basis]] * sign[basis]
+        chosen = columns[basis]
+        basis_matrix = full[:, source[chosen]] * sign[chosen]
         try:
             u = np.linalg.solve(basis_matrix, b)
-            w = np.linalg.solve(basis_matrix.T, costs[basis])
+            w = np.linalg.solve(basis_matrix.T, costs[chosen])
         except np.linalg.LinAlgError as exc:
             raise SimplexError(f"singular optimal basis: {exc}") from exc
         w[flip] *= -1.0
-        value = float(costs[basis] @ u)
-        residual = float(max(0.0, np.abs(A @ w).max(initial=0.0) - 1.0))
+        value = float(costs[chosen] @ u)
+        levels = np.abs(A @ w)
+        residual = float(max(0.0, levels.max(initial=0.0) - 1.0))
+        # Unstored rows that w violates beyond the pricing tolerance:
+        # their columns would price in, so they join the tableau.
+        fresh = np.flatnonzero((levels > 1.0 + tol) & ~kept)
         # _pivot_loop clamps its basic solution, so only the fresh one
         # can show that a crash start ended on an infeasible basis.
         lowest = float(u.min())
         if crash and lowest < -tol * (1.0 + float(np.abs(u).sum())):
-            if rejected or attempt == 3:
+            if rejected or rebuilds == 3:
                 raise SimplexError(
                     "final basis is primal infeasible after a rebuild "
                     f"(basic solution down to {lowest:.3e})")
             rejected = True
-        elif residual <= 10.0 * tol * (1.0 + abs(value)):
-            break
-        elif attempt == 3:
-            raise SimplexError(
-                f"recovered coefficients violate |A w| <= 1 by "
-                f"{residual:.3e} after {attempt} rebuilds")
-        # Drift led to a not-quite-optimal basis: rebuild the tableau
-        # exactly at this basis and keep pivoting.  The solve runs on
-        # every stacked column, mirrors too, so that the stored ones get
-        # the bits the stacked rebuild gives them.
-        rebuilt = np.linalg.solve(
-            basis_matrix, np.column_stack([full[:, source] * sign, b]))
-        tableau[:] = rebuilt[:, np.r_[0:M, rows:rows + N + 1]]
+        elif not fresh.size:
+            if residual <= 10.0 * tol * (1.0 + abs(value)):
+                break
+            if rebuilds == 3:
+                raise SimplexError(
+                    f"recovered coefficients violate |A w| <= 1 by "
+                    f"{residual:.3e} after {rebuilds} rebuilds")
+        if fresh.size:
+            # Each row round adds a row, so rounds are not rebuilds.
+            kept[fresh] = True
+            columns = stacked_columns()
+        else:
+            rebuilds += 1
+        # Rebuild the tableau exactly at this basis and keep pivoting:
+        # drift led to a not-quite-optimal basis, or new rows came in.
+        tableau = tableau_at(basis_matrix)
         np.maximum(tableau[:, -1], 0.0, out=tableau[:, -1])
+        basis = np.searchsorted(columns, chosen)
 
-    support = np.sort(basis[basis < rows])
     # The basis is unchanged since the last attempt solved for u.
-    degenerate = bool(np.any(basis >= rows) or np.any(np.abs(u) <= tol))
+    support = np.sort(chosen[chosen < rows])
+    degenerate = bool(np.any(chosen >= rows) or np.any(np.abs(u) <= tol))
     return SupNormSolution(
         value=max(value, 0.0),
         coefficients=w,

@@ -1,6 +1,7 @@
 """Solver-level tests: optimality, feasibility, failure modes."""
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -96,9 +97,14 @@ def test_pivot_budget_raises_pivot_limit(monkeypatch):
         solve_sup_norm_lp(*endpoint_problem(10))
 
 
-def endpoint_crash(degree):
-    matrix, derivative = endpoint_problem(degree)
+def endpoint_crash(degree, count=2001):
+    matrix, derivative = endpoint_problem(degree, count)
     return matrix, derivative, markov_lp._reduce_columns(matrix).crash_rows
+
+
+def stored_rows(tableau):
+    """How many constraint columns a [C | I | b] tableau stores."""
+    return tableau.shape[1] - 1 - tableau.shape[0]
 
 
 @pytest.mark.parametrize("degree", range(1, 11))
@@ -114,25 +120,47 @@ def test_crash_start_reaches_the_phase_one_optimum(degree):
         assert len(solution.support) == degree + 1
 
 
+@pytest.mark.parametrize("malformed", [
+    lambda crash: crash[:-1],
+    lambda crash: np.r_[crash[:-1], 201],
+    lambda crash: np.r_[crash[:-1], -1],
+    lambda crash: crash + 0.5,
+    lambda crash: np.r_[crash[:-1], crash[0]],
+], ids=["short", "out_of_range", "negative", "fractional", "repeated"])
+def test_malformed_crash_rows_are_rejected(malformed):
+    # Once SimplexError (exit 3), IndexError, a silent wrap-around and a
+    # silent truncation; the crash rows also seed row generation.
+    matrix, derivative, crash = endpoint_crash(6, count=201)
+    with pytest.raises(ValueError, match=r"crash_rows must hold 7 distinct "
+                       r"integer row indices in \[0, 201\)"):
+        solve_sup_norm_lp(matrix, derivative, crash_rows=malformed(crash))
+
+
 def test_crash_start_rejects_an_infeasible_final_basis(monkeypatch):
     # Swapping a basic row for its mirror negates its entry of the fresh
     # basic solution, which _pivot_loop's clamped copy never shows.  The
     # solver rebuilds once at that basis, meets it again, and raises.
-    matrix, derivative, crash = endpoint_crash(6)
+    # The 2,001-row problem crosses ROW_GENERATION_CUT and starts with
+    # its 7 crash rows stored; the 201-row one stores every row.
     pivot_loop = lp._pivot_loop
-    calls = []
+    stored = []
 
     def perturbed(tableau, basis, *args, **kwargs):
-        calls.append(pivot_loop(tableau, basis, *args, **kwargs))
-        mirrors = len(matrix)
+        stored.append(stored_rows(tableau))
+        pivots = pivot_loop(tableau, basis, *args, **kwargs)
+        mirrors = stored_rows(tableau)
         basis[0] = (basis[0] + mirrors) % (2 * mirrors)
-        return calls[-1]
+        return pivots
 
     monkeypatch.setattr(lp, "_pivot_loop", perturbed)
-    with pytest.raises(SimplexError, match="primal infeasible after a "
-                       "rebuild"):
-        solve_sup_norm_lp(matrix, derivative, crash_rows=crash)
-    assert len(calls) == 2
+    for count, first in ((201, 201), (2001, 7)):
+        matrix, derivative, crash = endpoint_crash(6, count)
+        stored.clear()
+        with pytest.raises(SimplexError, match="primal infeasible after a "
+                           "rebuild"):
+            solve_sup_norm_lp(matrix, derivative, crash_rows=crash)
+        assert len(stored) == 2
+        assert stored[0] == first
 
 
 @pytest.mark.parametrize("degree", (4, 6, 8))
@@ -140,18 +168,86 @@ def test_residual_that_never_closes_raises(monkeypatch, degree):
     # With no pivots the crash basis stays where it started, feasible but
     # not optimal, so its w violates |A w| <= 1 after every rebuild.  The
     # solve must not hand back that w (and a value above degree**2).
-    matrix, derivative, crash = endpoint_crash(degree)
-    calls = []
+    # On the 2,001-row problem, which crosses ROW_GENERATION_CUT, the
+    # violated rows first join the tableau in a row round, which is not
+    # one of the three rebuilds.
+    stored = []
 
-    def idle(*args, **kwargs):
-        calls.append(args)
+    def idle(tableau, *args, **kwargs):
+        stored.append(stored_rows(tableau))
         return 0
 
     monkeypatch.setattr(lp, "_pivot_loop", idle)
-    with pytest.raises(SimplexError, match=r"violate \|A w\| <= 1 by "
-                       r"[0-9.e+-]+ after 3 rebuilds"):
-        solve_sup_norm_lp(matrix, derivative, crash_rows=crash)
-    assert len(calls) == 4
+    for count, first in ((201, 201), (2001, degree + 1)):
+        matrix, derivative, crash = endpoint_crash(degree, count)
+        stored.clear()
+        with pytest.raises(SimplexError, match=r"violate \|A w\| <= 1 by "
+                           r"[0-9.e+-]+ after 3 rebuilds"):
+            solve_sup_norm_lp(matrix, derivative, crash_rows=crash)
+        rounds = sum(later > earlier
+                     for earlier, later in zip(stored, stored[1:]))
+        assert stored[0] == first
+        assert rounds == (count == 2001)
+        assert len(stored) == 4 + rounds
+
+
+def planar_star_problems(degree):
+    """The planar Siciak LPs of green-eval's four-ray star, one per probe
+    of GREEN_PROBES: 6,400 rows (density 200, 8 half phases)."""
+    problems = []
+
+    def recording(constraints, objective, crash_rows):
+        problems.append((constraints, objective, crash_rows))
+        return solve_sup_norm_lp(constraints, objective, crash_rows)
+
+    points = extremal_green.star_points(
+        (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), 1.0, 200)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extremal_green, "solve_sup_norm_lp", recording)
+        extremal_green.siciak_lp(points, extremal_green.GREEN_PROBES, degree)
+    return problems
+
+
+ROW_GENERATION_CASES = {
+    **{f"planar_star_{degree}": functools.partial(planar_star_problems,
+                                                  degree)
+       for degree in (4, 8, 12)},
+    "endpoint": lambda: [endpoint_crash(degree) for degree in range(1, 11)],
+}
+
+
+@pytest.mark.parametrize("name", ROW_GENERATION_CASES)
+def test_row_generation_answers_the_full_lp(monkeypatch, name):
+    for constraints, objective, crash in ROW_GENERATION_CASES[name]():
+        count, size = constraints.shape
+        assert count >= lp.ROW_GENERATION_CUT * size
+        solution = solve_sup_norm_lp(constraints, objective, crash)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "ROW_GENERATION_CUT", math.inf)
+            full = solve_sup_norm_lp(constraints, objective, crash)
+        assert solution.value == pytest.approx(full.value, rel=1e-12)
+        levels = constraints @ solution.coefficients
+        assert np.all(np.abs(levels) <= 1.0 + lp.FEASIBILITY_TOL)
+        # Support in global numbering: row j where a_j w = 1, its mirror
+        # count + j where a_j w = -1.
+        assert len(solution.support) == size
+        assert np.all(solution.support < 2 * count)
+        signs = np.where(solution.support < count, 1.0, -1.0)
+        assert signs * levels[solution.support % count] == pytest.approx(
+            1.0, abs=lp.FEASIBILITY_TOL)
+
+
+@pytest.mark.parametrize("name", ROW_GENERATION_CASES)
+def test_row_generation_matches_highs(name):
+    optimize = pytest.importorskip("scipy.optimize")
+    for constraints, objective, crash in ROW_GENERATION_CASES[name]():
+        solution = solve_sup_norm_lp(constraints, objective, crash)
+        count = len(constraints)
+        highs = optimize.linprog(
+            -objective, A_ub=np.vstack([constraints, -constraints]),
+            b_ub=np.ones(2 * count), bounds=(None, None), method="highs")
+        assert highs.status == 0
+        assert solution.value == pytest.approx(-highs.fun, rel=1e-9)
 
 
 def brute_force_maximum(constraints, objective):
@@ -306,7 +402,9 @@ def star_probe_family():
 
 
 def planar_siciak():
-    """A planar Siciak LP on 4,480 rows: the widest tableau of the cases."""
+    """A planar Siciak LP on 2,240 rows and 14 columns, the widest of the
+    cases, which crosses ROW_GENERATION_CUT: the loop pivots
+    row-generated tableaux."""
     points = extremal_green.star_points(
         (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), 0.5, 70)
     extremal_green.siciak_lp(points, [0.2 + 0.1j], degree=6)
