@@ -23,8 +23,8 @@ from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE,
                              INTERVAL_HCP_RULES, bernstein_walsh_check,
                              green_interval, hcp_fit, segment_disk_bound_check,
                              siciak_lp, star_domination_check)
-from .markov_lp import (MarkovProblem, PolynomialBasis,
-                        cauchy_derivative_check, markov_factor, scaling_study)
+from .markov_lp import (MarkovProblem, PolynomialBasis, _CauchyCircle,
+                        markov_factor, scaling_study)
 from .reports import ReportRow, geodesic_rows, hcp_rows, scan_rows
 
 STUDY = "verify_all"
@@ -204,18 +204,25 @@ def _norm_bound_violations():
                for germ in builtin_germs().values())
 
 
-def _cauchy_violations(rng):
+def _cauchy_reports(rng):
+    """cauchy_derivative_check reports of 50 random polynomials per cusp.
+
+    Each germ's circle matrix and derivative row are built once.
+    """
     germs = builtin_germs()
-    violations = 0
+    reports = []
     for germ_id in ("cusp_2_3", "cusp_2_5", "cusp_3_4"):
         germ = germs[germ_id]
         x0 = np.asarray(germ.basepoint)
         basis = PolynomialBasis.from_points(np.array([x0 - 1.0, x0 + 1.0]), 4)
-        for _ in range(50):
-            report = cauchy_derivative_check(
-                germ, basis, rng.uniform(-1.0, 1.0, basis.count), 0.25)
-            violations += 0 if report.holds else 1
-    return violations
+        circle = _CauchyCircle.on(germ, basis, 0.25)
+        reports += [circle.check(rng.uniform(-1.0, 1.0, basis.count))
+                    for _ in range(50)]
+    return reports
+
+
+def _cauchy_violations(rng):
+    return sum(0 if report.holds else 1 for report in _cauchy_reports(rng))
 
 
 def criterion_zero_violation_suites(seed=0):

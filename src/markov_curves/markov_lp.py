@@ -188,6 +188,10 @@ class MarkovProblem:
     v: tuple
     degree: int
 
+    #: How markov_factor reduces the sample matrix, None for
+    #: _reduce_columns.  Not a field: only a _StudyCell sets it.
+    reduce_columns = None
+
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
         if not math.isclose(float(np.linalg.norm(v)), 1.0, rel_tol=0,
@@ -298,6 +302,27 @@ def _reduce_columns(matrix):
     return ColumnReduction(matrix @ back_map, back_map, condition)
 
 
+class _LastReduction:
+    """_reduce_columns that reuses its last result for the same bits.
+
+    The same input bits give the same SVD, so the reuse is exact.  Bits
+    are compared, not values: np.array_equal takes -0.0 for 0.0 and
+    finds a nan unequal to itself.  It holds one matrix's bytes and
+    ColumnReduction at a time.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._reduction = None
+
+    def __call__(self, matrix):
+        key = (matrix.dtype.str, matrix.shape, matrix.tobytes())
+        if key != self._key:
+            self._reduction = _reduce_columns(matrix)
+            self._key = key
+        return self._reduction
+
+
 class SampledLp:
     """Polynomials bounded by 1 on one real sample set, at one degree.
 
@@ -309,9 +334,14 @@ class SampledLp:
     curve's trace space is smaller than the ambient one); the
     reduction keeps what they span and ColumnReduction.project decides
     per functional whether that is enough.
+
+    ``reduce_columns``, _reduce_columns by default, takes the sample
+    matrix to its ColumnReduction.  The cells of a scaling_study pass
+    one _LastReduction, so sample sets with bitwise-equal matrices
+    share one reduction while each keeps its own basis.
     """
 
-    def __init__(self, points, degree):
+    def __init__(self, points, degree, reduce_columns=None):
         self.basis = PolynomialBasis.from_points(points, degree)
         # Restriction to an algebraic curve can have a genuine kernel
         # (x**3 - y**2 vanishes identically on a (2,3) cusp trace), which
@@ -320,7 +350,9 @@ class SampledLp:
         # ideal members have zero tangential derivative, so a derivative
         # functional survives the projection whenever the samples resolve
         # it.
-        self.reduction = _reduce_columns(self.basis.evaluate(points))
+        matrix = self.basis.evaluate(points)
+        self.reduction = (_reduce_columns(matrix) if reduce_columns is None
+                          else reduce_columns(matrix))
         self.constraints = self.reduction.matrix
 
     def solve(self, row):
@@ -360,7 +392,8 @@ def markov_factor(problem):
     """
     x0 = np.asarray(problem.x0, dtype=float)
     v = np.asarray(problem.v, dtype=float)
-    lp = SampledLp(np.asarray(problem.samples, dtype=float), problem.degree)
+    lp = SampledLp(np.asarray(problem.samples, dtype=float), problem.degree,
+                   problem.reduce_columns)
     chosen = lp.solve(lp.basis.derivative_row(x0, v))
     return MarkovResult(factor=chosen.value,
                         coefficients=lp.reduction.back_map
@@ -400,27 +433,45 @@ def fit_scaling(design):
                      design=tuple(design))
 
 
+@dataclass(frozen=True)
+class _StudyCell(MarkovProblem):
+    """One scaling_study cell, reduced through the study's _LastReduction."""
+
+    reduce_columns: _LastReduction
+
+
 def scaling_study(germ, degrees, epsilons, density):
     """Markov factors over a (degree, epsilon) grid and their joint fit.
 
-    Returns the FitResult; its ``design`` holds every cell.
+    Returns the FitResult; its ``design`` holds every cell, and each
+    cell's factor is bit for bit markov_factor's on its samples.
 
     Samples realize the trace ball parametrically: parameters run to
     eps along the star rays, so the geometric radius is eps**k at a
     singular basepoint and eps otherwise.  The largest epsilon is
     excluded from the fit; its cells see the most ball-boundary
     discretization bias.
+
+    Each epsilon is sampled once, on first use, and each distinct
+    sample matrix is reduced once: on a quasi-homogeneous germ the
+    dyadic epsilons of a degree give bitwise-equal matrices, and the
+    cells in a row of the grid share one ColumnReduction (see
+    _LastReduction).  Each cell keeps its own basis and derivative row.
     """
     degrees = tuple(int(n) for n in degrees)
     epsilons = tuple(float(e) for e in epsilons)
     if not degrees or not epsilons:
         raise DomainError("degree and epsilon grids must be nonempty")
     direction = tangent_vector(germ)
+    samples = {}
+    reduce_columns = _LastReduction()
 
     def solve(n, eps):
-        samples = sample_real_trace(germ, eps, density)
-        problem = MarkovProblem(samples=samples, x0=germ.basepoint,
-                                v=tuple(direction), degree=n)
+        if eps not in samples:
+            samples[eps] = sample_real_trace(germ, eps, density)
+        problem = _StudyCell(samples=samples[eps], x0=germ.basepoint,
+                             v=tuple(direction), degree=n,
+                             reduce_columns=reduce_columns)
         try:
             return markov_factor(problem).factor
         except (NumericError, DomainError) as exc:
@@ -451,6 +502,48 @@ class CauchyDerivativeReport:
     slack: float
 
 
+@dataclass(frozen=True)
+class _CauchyCircle:
+    """What the disk-derivative bound needs of one (germ, basis, radius).
+
+    The derivative row at the basepoint and the basis matrix on the
+    image of the circle |z| = r do not depend on the polynomial, so a
+    battery of checks builds them once.
+    """
+
+    radius: float
+    order: int
+    constant: float
+    row: np.ndarray
+    matrix: np.ndarray
+
+    @classmethod
+    def on(cls, germ, basis, radius):
+        if not (0.0 < radius < 1.0):
+            raise DomainError("radius must lie in (0, 1)")
+        lead_norm = float(np.linalg.norm(germ.branch.leading_vector()))
+        circle = radius * np.exp(2j * math.pi
+                                 * np.arange(CAUCHY_QUAD_POINTS)
+                                 / CAUCHY_QUAD_POINTS)
+        return cls(radius=radius, order=germ.branch.k,
+                   constant=1.0 / lead_norm,
+                   row=basis.derivative_row(germ.basepoint,
+                                            tangent_vector(germ)),
+                   matrix=basis.evaluate(germ.evaluate(circle)))
+
+    def check(self, coefficients):
+        """The CauchyDerivativeReport of one coefficient vector."""
+        lhs = abs(float(self.row @ coefficients))
+        peak = float(np.abs(self.matrix @ coefficients).max())
+        bound = self.constant * peak / self.radius ** self.order
+        slack = bound - lhs
+        holds = lhs <= bound * (1.0 + 1e-9) + 1e-12
+        return CauchyDerivativeReport(lhs=lhs, bound=bound,
+                                      constant=self.constant,
+                                      order=self.order, holds=bool(holds),
+                                      slack=slack)
+
+
 def cauchy_derivative_check(germ, basis, coefficients, radius):
     """Check the disk-derivative bound for one polynomial.
 
@@ -460,19 +553,4 @@ def cauchy_derivative_check(germ, basis, coefficients, radius):
     the reported constant is 1/norm(L), exact for the leading-order
     extraction.
     """
-    if not (0.0 < radius < 1.0):
-        raise DomainError("radius must lie in (0, 1)")
-    order = germ.branch.k
-    lead_norm = float(np.linalg.norm(germ.branch.leading_vector()))
-    row = basis.derivative_row(germ.basepoint, tangent_vector(germ))
-    lhs = abs(float(row @ coefficients))
-    circle = radius * np.exp(2j * math.pi * np.arange(CAUCHY_QUAD_POINTS)
-                             / CAUCHY_QUAD_POINTS)
-    values = np.abs(basis.evaluate(germ.evaluate(circle)) @ coefficients)
-    peak = float(values.max())
-    constant = 1.0 / lead_norm
-    bound = constant * peak / radius ** order
-    slack = bound - lhs
-    holds = lhs <= bound * (1.0 + 1e-9) + 1e-12
-    return CauchyDerivativeReport(lhs=lhs, bound=bound, constant=constant,
-                                  order=order, holds=bool(holds), slack=slack)
+    return _CauchyCircle.on(germ, basis, radius).check(coefficients)

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from markov_curves import markov_lp
+from markov_curves import acceptance, markov_lp
 from markov_curves.curve_model import DomainError, builtin_germs, \
     sample_real_trace, tangent_vector
 from markov_curves.lp import UnboundedProblemError, solve_sup_norm_lp
@@ -300,6 +301,90 @@ class TestScalingStudy:
         assert fit.alpha_eps == pytest.approx(0.9, abs=1e-3)
 
 
+CUSP_DEGREES = (2, 3, 4, 6, 8, 12)
+DYADIC_EPSILONS = (0.5, 0.25, 0.125, 0.0625)
+NON_DYADIC_EPSILONS = (0.5, 0.3, 0.2, 0.1)
+
+
+def counted_reductions(monkeypatch):
+    """Record the shape of every matrix _reduce_columns reduces."""
+    shapes = []
+    original = markov_lp._reduce_columns
+
+    def counted(matrix):
+        shapes.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(markov_lp, "_reduce_columns", counted)
+    return shapes
+
+
+class TestReductionReuse:
+    """scaling_study reduces each distinct sample matrix once, exactly."""
+
+    @pytest.mark.parametrize("epsilons",
+                             [DYADIC_EPSILONS, NON_DYADIC_EPSILONS])
+    def test_factors_match_per_cell_markov_factor_bit_for_bit(self,
+                                                              epsilons):
+        germ = builtin_germs()["cusp_2_3"]
+        fit = scaling_study(germ, CUSP_DEGREES, epsilons, density=120)
+        samples = {eps: sample_real_trace(germ, eps, 120)
+                   for eps in epsilons}
+        direction = tuple(tangent_vector(germ))
+        expected = [markov_factor(MarkovProblem(
+            samples=samples[eps], x0=germ.basepoint, v=direction,
+            degree=n)).factor for n in CUSP_DEGREES for eps in epsilons]
+        assert [row[:2] for row in fit.design] == \
+            [(n, eps) for n in CUSP_DEGREES for eps in epsilons]
+        assert np.array([row[2] for row in fit.design]).tobytes() == \
+            np.array(expected).tobytes()
+
+    def test_dyadic_grid_reduces_once_per_degree(self, monkeypatch):
+        shapes = counted_reductions(monkeypatch)
+        sampled = []
+        original = markov_lp.sample_real_trace
+
+        def counted(germ, epsilon, density):
+            sampled.append(epsilon)
+            return original(germ, epsilon, density)
+
+        monkeypatch.setattr(markov_lp, "sample_real_trace", counted)
+        scaling_study(builtin_germs()["cusp_2_3"], CUSP_DEGREES,
+                      DYADIC_EPSILONS, density=120)
+        assert len(shapes) == len(CUSP_DEGREES)
+        assert sampled == list(DYADIC_EPSILONS)
+
+    def test_distinct_matrices_get_their_own_reduction(self, monkeypatch):
+        # 0.3 is no dyadic multiple of 0.5 or 0.2, but 0.1 is half of 0.2,
+        # so each degree has three distinct sample matrices.
+        shapes = counted_reductions(monkeypatch)
+        scaling_study(builtin_germs()["cusp_2_3"], CUSP_DEGREES,
+                      NON_DYADIC_EPSILONS, density=120)
+        assert len(shapes) == 3 * len(CUSP_DEGREES)
+
+    @pytest.mark.parametrize("change", ["zero_sign", "one_ulp"])
+    def test_one_bit_apart_is_not_the_same_matrix(self, monkeypatch,
+                                                  change):
+        matrix = np.array([[1.0, 0.0, 0.25], [1.0, 0.5, -0.75],
+                           [1.0, -0.5, 0.5], [1.0, 1.0, 1.0]])
+        other = matrix.copy()
+        if change == "zero_sign":
+            other[0, 1] = -0.0
+            # np.array_equal would take the two for one.
+            assert np.array_equal(matrix, other)
+        else:
+            other[1, 1] = np.nextafter(0.5, 1.0)
+        shapes = counted_reductions(monkeypatch)
+        reduce_columns = markov_lp._LastReduction()
+        first = reduce_columns(matrix)
+        assert reduce_columns(matrix.copy()) is first
+        second = reduce_columns(other)
+        assert second is not first
+        assert second.matrix is other
+        assert reduce_columns(matrix) is not second
+        assert len(shapes) == 3
+
+
 def box_basis(germ, degree=4):
     """Degree-``degree`` basis on the box of half-width 1 around x0."""
     x0 = np.asarray(germ.basepoint)
@@ -344,6 +429,43 @@ class TestCauchyDerivativeCheck:
         with pytest.raises(DomainError):
             cauchy_derivative_check(germ, basis, np.ones(basis.count),
                                     radius=1.0)
+
+
+    def test_battery_reports_match_one_check_per_polynomial(self):
+        # The HEAD formula of cauchy_derivative_check, one polynomial at
+        # a time, is the reference for the battery's shared circle.
+        def reference(germ, basis, coefficients, radius):
+            order = germ.branch.k
+            lead_norm = float(np.linalg.norm(
+                germ.branch.leading_vector()))
+            row = basis.derivative_row(germ.basepoint,
+                                       tangent_vector(germ))
+            lhs = abs(float(row @ coefficients))
+            points = markov_lp.CAUCHY_QUAD_POINTS
+            circle = radius * np.exp(2j * math.pi * np.arange(points)
+                                     / points)
+            values = np.abs(basis.evaluate(germ.evaluate(circle))
+                            @ coefficients)
+            constant = 1.0 / lead_norm
+            bound = constant * float(values.max()) / radius ** order
+            return (lhs, bound, constant, order,
+                    lhs <= bound * (1.0 + 1e-9) + 1e-12, bound - lhs)
+
+        battery = acceptance._cauchy_reports(np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        expected = []
+        for germ_id in ("cusp_2_3", "cusp_2_5", "cusp_3_4"):
+            germ = builtin_germs()[germ_id]
+            basis = box_basis(germ)
+            for _ in range(50):
+                coeffs = rng.uniform(-1.0, 1.0, basis.count)
+                report = cauchy_derivative_check(germ, basis, coeffs, 0.25)
+                assert astuple(report) == reference(germ, basis, coeffs,
+                                                    0.25)
+                expected.append(report)
+        assert len(battery) == len(expected) == 150
+        for got, want in zip(battery, expected):
+            assert astuple(got) == astuple(want)
 
 
 class TestPhaseTwoArtificials:
