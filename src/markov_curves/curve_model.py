@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -161,8 +162,18 @@ def convert_list(entry, kind, key, source, counts=None):
     return items
 
 
+def _integer_count(value, name):
+    """``value`` as an int: Python and numpy integers pass, floats do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(
+            f"{name} must be an integer, not {value!r}") from None
+
+
 def chebyshev_grid(a, b, count):
     """``count`` Chebyshev-distributed points of [a, b], endpoints included."""
+    count = _integer_count(count, "count")
     if count < 1:
         raise DomainError("grid needs at least one point")
     if count == 1:
@@ -386,6 +397,7 @@ def sample_real_trace(germ, epsilon, density):
     """
     if not (0.0 <= epsilon <= 1.0):
         raise DomainError("epsilon must lie in [0, 1]")
+    density = _integer_count(density, "density")
     if density < 1:
         raise DomainError("density must be at least 1")
     if epsilon == 0.0:
@@ -443,6 +455,8 @@ def geodesic_distance(branch, z1, z2):
     """
     z1 = complex(z1)
     z2 = complex(z2)
+    if cmath.isnan(z1) or cmath.isnan(z2):
+        raise DomainError("parameter is not a number")
     if max(abs(z1), abs(z2)) > 1.0 + 1e-12:
         raise DomainError("parameter outside the closed unit disk")
     if z1 == z2:

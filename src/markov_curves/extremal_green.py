@@ -48,8 +48,8 @@ import numpy as np
 
 from .curve_model import (DomainError, NumericError, chebyshev_grid,
                           sample_real_trace)
-from .lp import FEASIBILITY_TOL, solve_sup_norm_lp
-from .markov_lp import (SampledLp, TooFewPointsError, _chebyshev_table,
+from .lp import FEASIBILITY_TOL
+from .markov_lp import (PolynomialBasis, TooFewPointsError, _chebyshev_table,
                         _reduce_columns)
 
 #: Ratio reports ignore probe points whose reference value is below this.
@@ -101,6 +101,8 @@ def green_interval(z):
     stable across the branch cut along the interval itself.
     """
     z = complex(z)
+    if cmath.isnan(z):
+        raise DomainError("evaluation point is not a number")
     root = cmath.sqrt(z * z - 1.0)
     w = z + root
     if abs(w) < 1.0:
@@ -112,6 +114,8 @@ def green_segment(z, a, b):
     """Green function of the segment [a, b] via affine pullback."""
     a = complex(a)
     b = complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise DomainError(f"segment [{a}, {b}] has a non-finite endpoint")
     if abs(b - a) <= 1e-300 + 1e-15 * (abs(a) + abs(b)):
         raise DomainError(f"segment [{a}, {b}] has no interior")
     return green_interval((2.0 * z - a - b) / (b - a))
@@ -151,6 +155,8 @@ def star_points(angles, epsilon, count):
 def _coerce_samples(samples):
     """Split input into ('real', (m,n) floats) or ('planar', (m,) complex)."""
     array = np.asarray(samples)
+    if array.size == 0:
+        raise DomainError("sample array is empty")
     if np.iscomplexobj(array):
         if array.ndim != 1:
             raise DomainError("planar point lists must be one-dimensional")
@@ -174,29 +180,20 @@ def _siciak_real(points, targets, degree):
     if targets.ndim != 2 or targets.shape[1] != dims:
         raise DomainError(
             f"expected a sequence of evaluation points of dimension {dims}")
-    lp = SampledLp(points, degree)
+    if not np.all(np.isfinite(targets)):
+        raise DomainError("evaluation points must be finite")
+    basis = PolynomialBasis.from_points(points, degree)
+    reduction = _reduce_columns(basis.evaluate(points))
     peaks = []
     for z in targets:
-        functional = lp.reduction.project(lp.basis.evaluate(z[None, :])
-                                          .ravel())
+        functional = reduction.project(basis.evaluate(z[None, :]).ravel())
         if np.max(np.abs(z.imag)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
             # +f and -f pose the same two-sided LP: one solve.
-            peaks.append((_crash_peak(lp.reduction, np.real(functional)),
-                          0.0))
+            peaks.append((reduction.peak(np.real(functional)).value, 0.0))
         else:
-            peaks.append((_facet_peak(lp.reduction, functional),
+            peaks.append((_facet_peak(reduction, functional),
                           FACET_SLACK / degree))
     return peaks
-
-
-def _crash_peak(reduction, objective):
-    """Value of max objective.w s.t. |reduction.matrix w| <= 1.
-
-    The solve starts from the reduction's crash rows, so no Siciak LP
-    runs phase one.
-    """
-    return solve_sup_norm_lp(reduction.matrix, objective,
-                             crash_rows=reduction.crash_rows).value
 
 
 def _facet_peak(reduction, functional):
@@ -221,8 +218,8 @@ def _facet_peak(reduction, functional):
     values = {}
 
     def solve(m):
-        values[m] = _crash_peak(reduction,
-                                np.real(HALF_FACET_PHASES[m] * functional))
+        values[m] = reduction.peak(
+            np.real(HALF_FACET_PHASES[m] * functional)).value
 
     def bound(m):
         # Phase 0 is always solved, so it closes the cycle at count.
@@ -248,6 +245,8 @@ def _siciak_planar(points, targets, degree):
     targets = np.asarray(targets, dtype=complex)
     if targets.ndim != 1:
         raise DomainError("expected a sequence of complex evaluation points")
+    if not np.all(np.isfinite(targets)):
+        raise DomainError("evaluation points must be finite")
     center = complex(points.mean())
     scale = float(np.max(np.abs(points - center)))
     if scale <= 0.0:
@@ -261,8 +260,7 @@ def _siciak_planar(points, targets, degree):
     # bounded on both sides, pose all 16 facets on half the matrix.  From
     # the crash start, and by row generation (lp.ROW_GENERATION_CUT),
     # green_cross_star takes 577 pivots this way, 730 on the full
-    # tableau; the two-phase solver took 1,079 on the 16 facets rotated
-    # one by one.
+    # tableau.
     for m, phase in enumerate(HALF_FACET_PHASES):
         rotated = phase * columns
         block = constraints[m * rows:(m + 1) * rows]
@@ -275,7 +273,7 @@ def _siciak_planar(points, targets, degree):
         target = _complex_chebyshev(np.asarray([z]), degree,
                                     center, scale).ravel()
         objective = np.concatenate([target.real, -target.imag])
-        peaks.append((_crash_peak(reduction, reduction.project(objective)),
+        peaks.append((reduction.peak(reduction.project(objective)).value,
                       FACET_SLACK / degree))
     return peaks
 
@@ -350,7 +348,10 @@ def hcp_fit(green, probe_rule):
     deltas = [float(d) for d in reversed(HCP_DELTAS)]
     values = [float(value)
               for value in green([probe_rule(delta) for delta in deltas])]
-    for delta, value in zip(deltas, values, strict=True):
+    if len(values) != len(deltas):
+        raise DomainError(f"green returned {len(values)} values for "
+                          f"{len(deltas)} probe points")
+    for delta, value in zip(deltas, values):
         if value <= 0.0:
             raise NumericError(
                 f"probe at distance {delta:g} landed on the set "

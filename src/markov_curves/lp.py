@@ -32,11 +32,12 @@ drift cannot leak into results.
 A problem of full column rank needs no phase one.  Given N independent
 crash rows ``a_j``, solving ``A_S.T u = f`` and taking the mirror
 wherever ``u_j < 0`` gives a basis whose basic solution is
-``|u| >= 0``: phase two starts there.  The Siciak LPs pass such rows
-(``markov_lp.ColumnReduction.crash_rows``).  Without them the solver
-starts from artificials and drives them out in phase one, whose
-positive optimum is reported as unboundedness; only ``markov_factor``
-still takes that path.
+``|u| >= 0``: phase two starts there.  Every Siciak LP is solved by
+``markov_lp.ColumnReduction.peak``, which passes the reduction's
+``crash_rows``.  Without them the solver starts from artificials and
+drives them out in phase one, whose positive optimum is reported as
+unboundedness; ``markov_factor`` is the only caller that takes that
+path.
 
 At most N of the M rows are active at an optimum.  A crash-started
 problem with ``M >= ROW_GENERATION_CUT * N`` rows therefore solves by

@@ -111,6 +111,8 @@ class PolynomialBasis:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise DomainError("sample array must have shape (m, n)")
+        if points.size == 0:
+            raise DomainError("sample array is empty")
         if degree < 0:
             raise DomainError("degree must be nonnegative")
         low = points.min(axis=0)
@@ -193,6 +195,8 @@ class MarkovProblem:
     reduce_columns = None
 
     def __post_init__(self):
+        if not np.all(np.isfinite(np.asarray(self.x0, dtype=float))):
+            raise DomainError("basepoint x0 must be finite")
         v = np.asarray(self.v, dtype=float)
         if not math.isclose(float(np.linalg.norm(v)), 1.0, rel_tol=0,
                             abs_tol=1e-9):
@@ -232,9 +236,8 @@ class ColumnReduction:
         from the span of the rows already taken.  These are approximate
         Fekete points of the samples (Bos, De Marchi, Sommariva &
         Vianello, SIAM J. Numer. Anal. 48, 2010), and the crash basis of
-        every Siciak LP on this matrix (lp.solve_sup_norm_lp).  The
-        row products are einsum sums, which do not depend on the BLAS
-        thread count.
+        every Siciak LP on this matrix (peak).  The row products are
+        einsum sums, which do not depend on the BLAS thread count.
         """
         residual = self.matrix.copy()
         picked = []
@@ -274,6 +277,16 @@ class ColumnReduction:
                 f"basis condition estimate {self.condition:.3e} "
                 f"exceeds {CONDITION_LIMIT:.1e}; lower the degree or rescale")
         return projected
+
+    def peak(self, objective):
+        """Maximize ``objective @ w`` subject to ``|matrix w| <= 1``.
+
+        ``objective`` is already projected.  The solve starts from
+        crash_rows and runs no phase one.  Returns the SupNormSolution;
+        ``back_map`` lifts its coefficients to the full basis.
+        """
+        return solve_sup_norm_lp(self.matrix, objective,
+                                 crash_rows=self.crash_rows)
 
 
 def _reduce_columns(matrix):
@@ -323,66 +336,13 @@ class _LastReduction:
         return self._reduction
 
 
-class SampledLp:
-    """Polynomials bounded by 1 on one real sample set, at one degree.
-
-    Built once per sample set and degree: the PolynomialBasis on the
-    (m, n) ``points``, the sample matrix and its ColumnReduction, and
-    its reduced matrix ``A`` as ``constraints``, bounded on both sides:
-    ``|A w| <= 1``.  Each objective then costs only its projection and
-    its solves.  Fewer samples than basis dimensions are accepted (a
-    curve's trace space is smaller than the ambient one); the
-    reduction keeps what they span and ColumnReduction.project decides
-    per functional whether that is enough.
-
-    ``reduce_columns``, _reduce_columns by default, takes the sample
-    matrix to its ColumnReduction.  The cells of a scaling_study pass
-    one _LastReduction, so sample sets with bitwise-equal matrices
-    share one reduction while each keeps its own basis.
-    """
-
-    def __init__(self, points, degree, reduce_columns=None):
-        self.basis = PolynomialBasis.from_points(points, degree)
-        # Restriction to an algebraic curve can have a genuine kernel
-        # (x**3 - y**2 vanishes identically on a (2,3) cusp trace), which
-        # would leave permanently degenerate artificials in the simplex.
-        # Project onto the column space the samples actually span; curve
-        # ideal members have zero tangential derivative, so a derivative
-        # functional survives the projection whenever the samples resolve
-        # it.
-        matrix = self.basis.evaluate(points)
-        self.reduction = (_reduce_columns(matrix) if reduce_columns is None
-                          else reduce_columns(matrix))
-        self.constraints = self.reduction.matrix
-
-    def solve(self, row):
-        """Maximize ``row @ w`` subject to ``|p| <= 1``, from phase one.
-
-        ``row`` is the functional in the full basis.  Both orientations
-        are solved and the best solution is returned, with coefficients
-        in the reduced basis (``reduction.back_map`` lifts them).  Only
-        markov_factor solves this way; the Siciak LPs start from
-        ``reduction.crash_rows``.
-
-        Raises a NumericError: TooFewPointsError when the samples do
-        not resolve the functional, ConditioningError when the basis
-        matrix cannot be trusted, and a SimplexError from the solver.
-        """
-        functional = self.reduction.project(row)
-        # |A w| <= 1 is symmetric, so both have the same value in exact
-        # arithmetic, yet one solve alone is not safe.  Artificials that
-        # stay basic at zero after phase one can grow in phase two
-        # (lp.solve_sup_norm_lp), leaving a wrong basis: on parabola_regular
-        # (n=12, eps=0.125, density 300) the forward solve returns 0.0 and
-        # the mirrored one 184.0444695071.  Taking the larger value hides
-        # that defect until the simplex is repaired.
-        solutions = [solve_sup_norm_lp(self.constraints, sign * functional)
-                     for sign in (1.0, -1.0)]
-        return max(solutions, key=lambda solution: solution.value)
-
-
 def markov_factor(problem):
     """Solve the Markov LP; both objective orientations are taken.
+
+    Fewer samples than basis dimensions are accepted (a curve's trace
+    space is smaller than the ambient one): the sample matrix is reduced
+    to the columns they span, and ColumnReduction.project decides
+    whether that resolves the derivative.
 
     Raises a NumericError: TooFewPointsError when the samples do not
     resolve the derivative functional (however many there are),
@@ -392,13 +352,29 @@ def markov_factor(problem):
     """
     x0 = np.asarray(problem.x0, dtype=float)
     v = np.asarray(problem.v, dtype=float)
-    lp = SampledLp(np.asarray(problem.samples, dtype=float), problem.degree,
-                   problem.reduce_columns)
-    chosen = lp.solve(lp.basis.derivative_row(x0, v))
+    samples = np.asarray(problem.samples, dtype=float)
+    basis = PolynomialBasis.from_points(samples, problem.degree)
+    # Restriction to an algebraic curve can have a genuine kernel
+    # (x**3 - y**2 vanishes identically on a (2,3) cusp trace), which
+    # would leave permanently degenerate artificials in the simplex.
+    # Curve ideal members have zero tangential derivative, so the
+    # derivative survives the reduction whenever the samples resolve it.
+    reduction = (problem.reduce_columns or _reduce_columns)(
+        basis.evaluate(samples))
+    functional = reduction.project(basis.derivative_row(x0, v))
+    # |A w| <= 1 is symmetric, so both have the same value in exact
+    # arithmetic, yet one solve alone is not safe.  Artificials that
+    # stay basic at zero after phase one can grow in phase two
+    # (lp.solve_sup_norm_lp), leaving a wrong basis: on parabola_regular
+    # (n=12, eps=0.125, density 300) the forward solve returns 0.0 and
+    # the mirrored one 184.0444695071.  Taking the larger value hides
+    # that defect until the simplex is repaired.
+    chosen = max((solve_sup_norm_lp(reduction.matrix, sign * functional)
+                  for sign in (1.0, -1.0)),
+                 key=lambda solution: solution.value)
     return MarkovResult(factor=chosen.value,
-                        coefficients=lp.reduction.back_map
-                        @ chosen.coefficients,
-                        basis=lp.basis)
+                        coefficients=reduction.back_map @ chosen.coefficients,
+                        basis=basis)
 
 
 @dataclass(frozen=True)

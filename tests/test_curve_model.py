@@ -34,6 +34,22 @@ def test_chebyshev_grid_includes_endpoints():
     assert np.all(np.diff(grid) > 0)
 
 
+def test_chebyshev_grid_takes_numpy_integer_counts():
+    assert np.array_equal(chebyshev_grid(0.0, 1.0, np.int64(5)),
+                          chebyshev_grid(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: chebyshev_grid(0.0, 1.0, 2.5),
+    lambda: chebyshev_grid(0.0, 1.0, 3.0),
+    lambda: sample_real_trace(builtin_germs()["cusp_2_3"], 0.25, 10.0),
+    lambda: sample_real_trace(builtin_germs()["cusp_2_3"], 0.0, 2.5),
+], ids=["grid_fraction", "grid_float", "trace_float", "trace_at_zero"])
+def test_non_integer_count_rejected(sample):
+    with pytest.raises(DomainError, match="must be an integer"):
+        sample()
+
+
 class TestTruncatedSeries:
     def test_evaluates_like_a_sparse_polynomial(self):
         series = TruncatedSeries(terms=((3, 1.0), (5, -2.0)))
@@ -215,6 +231,17 @@ class TestGeodesicDistance:
         far = geodesic_distance(branch, 0.0, 2.0 ** -3)
         slope = (math.log(far) - math.log(near)) / (7 * math.log(2.0))
         assert abs(slope - k) <= 0.05
+
+    @pytest.mark.parametrize("z1, z2", [
+        (0.0, float("nan")),
+        (complex(float("nan"), 0.1), 0.2),
+    ], ids=["nan_end", "nan_start"])
+    def test_nan_parameter_rejected(self, z1, z2):
+        # NaN passes the unit-disk check; the quadrature would then
+        # exhaust MAX_SUBDIVISIONS before failing.
+        branch = builtin_germs()["cusp_2_3"].branch
+        with pytest.raises(DomainError, match="not a number"):
+            geodesic_distance(branch, z1, z2)
 
 
 def test_norm_lower_bound_holds_for_builtins():

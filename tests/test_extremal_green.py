@@ -51,14 +51,14 @@ def solve_exactly(matrix, rhs):
 def record_solves(monkeypatch):
     """(constraints, objective, solution) of every Siciak LP solve."""
     solves = []
-    solve = extremal_green.solve_sup_norm_lp
+    solve = markov_lp.solve_sup_norm_lp
 
     def recording(constraints, objective, **options):
         solves.append((constraints, objective,
                        solve(constraints, objective, **options)))
         return solves[-1][2]
 
-    monkeypatch.setattr(extremal_green, "solve_sup_norm_lp", recording)
+    monkeypatch.setattr(markov_lp, "solve_sup_norm_lp", recording)
     return solves
 
 
@@ -121,6 +121,43 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             green_segment(1.0, 0.5, 0.5)
 
+    def test_infinity_is_the_pole(self):
+        assert green_interval(math.inf) == math.inf
+
+
+NAN = float("nan")
+REAL_SAMPLES = chebyshev_grid(-1.0, 1.0, 41)
+PLANAR_SAMPLES = np.array([0.0, 0.5, 0.5j, -0.5])
+
+
+@pytest.mark.parametrize("evaluate, message", [
+    (lambda: green_interval(complex(NAN)), "not a number"),
+    (lambda: green_interval(complex(2.0, NAN)), "not a number"),
+    (lambda: green_segment(NAN, -1.0, 1.0), "not a number"),
+    (lambda: green_segment(2.0, -1.0, NAN), "non-finite endpoint"),
+    (lambda: green_segment(2.0, -math.inf, 1.0), "non-finite endpoint"),
+    (lambda: siciak_lp(REAL_SAMPLES, [NAN], 4), "must be finite"),
+    (lambda: siciak_lp(REAL_SAMPLES, [complex(2.0, math.inf)], 4),
+     "must be finite"),
+    (lambda: siciak_lp(PLANAR_SAMPLES, [complex(NAN)], 4),
+     "must be finite"),
+], ids=["interval", "interval_imag", "segment_point", "segment_end",
+        "segment_infinite_end", "siciak_real", "siciak_nonreal",
+        "siciak_planar"])
+def test_non_finite_input_rejected(evaluate, message):
+    # Each used to come back as a value (0.0: "on the set") or as a
+    # simplex failure whose message contradicts itself.
+    with pytest.raises(DomainError, match=message):
+        evaluate()
+
+
+@pytest.mark.parametrize("samples", [[], np.empty(0, dtype=complex),
+                                     np.empty((0, 2))],
+                         ids=["list", "planar", "real_2d"])
+def test_empty_sample_set_rejected(samples):
+    with pytest.raises(DomainError, match="sample array is empty"):
+        siciak_lp(samples, [2.0], 4)
+
 
 def test_green_evaluation_validates_fields():
     GreenEvaluation(value=0.1)
@@ -144,6 +181,8 @@ class TestStarPoints:
             star_points((0.0,), -1.0, 8)
         with pytest.raises(DomainError):
             star_points((0.0,), 0.5, 1)
+        with pytest.raises(DomainError, match="must be an integer"):
+            star_points((0.0,), 0.5, 3.0)
 
 
 class TestSiciakLp:
@@ -295,6 +334,12 @@ class TestHcpFit:
             hcp_fit(green, lambda d: d)
         assert seen == sorted(HCP_DELTAS, reverse=True)
 
+    def test_wrong_value_count_names_both_counts(self):
+        with pytest.raises(DomainError,
+                           match="green returned 9 values for 10 probe"):
+            hcp_fit(lambda points: interval_green(points)[:-1],
+                    lambda d: 1.0 + d)
+
 
 def criterion_nine_case(degree):
     """Criterion 9's trace samples and 24 probes on cusp_2_3."""
@@ -330,16 +375,13 @@ PRUNING_CASES = {
 def every_phase(request):
     """(samples, probes, degree, value of each of the 8 phases per probe)."""
     samples, probes, degree = PRUNING_CASES[request.param]()
-    lp = markov_lp.SampledLp(samples, degree)
+    basis = markov_lp.PolynomialBasis.from_points(samples, degree)
+    reduction = markov_lp._reduce_columns(basis.evaluate(samples))
     values = []
     for z in probes:
-        functional = lp.reduction.project(lp.basis.evaluate(z[None, :])
-                                          .ravel())
-        values.append([
-            extremal_green.solve_sup_norm_lp(
-                lp.constraints, np.real(phase * functional),
-                crash_rows=lp.reduction.crash_rows).value
-            for phase in extremal_green.HALF_FACET_PHASES])
+        functional = reduction.project(basis.evaluate(z[None, :]).ravel())
+        values.append([reduction.peak(np.real(phase * functional)).value
+                       for phase in extremal_green.HALF_FACET_PHASES])
     return samples, probes, degree, values
 
 
@@ -479,3 +521,25 @@ def test_siciak_accepts_sample_sets():
     samples = sample_real_trace(germ, 1.0, 800)
     (ev,) = siciak_lp(samples, [np.array([2.0, 0.0])], degree=12)
     assert abs(ev.value - green_interval(2.0)) <= 0.02 + ev.facet_slack
+
+
+@pytest.mark.parametrize("samples, point", [
+    (REAL_SAMPLES, 2.0),
+    (REAL_SAMPLES, 1.0 + 1.0j),
+    (star_points((0.0, math.pi / 2, math.pi, 3 * math.pi / 2), 0.5, 20),
+     0.2 + 0.1j),
+], ids=["real", "nonreal", "planar_star"])
+def test_no_siciak_solve_runs_phase_one(monkeypatch, samples, point):
+    # Every Siciak LP goes through ColumnReduction.peak, which starts
+    # from the crash rows; a solve without them would run phase one.
+    crash_rows = []
+    solve = markov_lp.solve_sup_norm_lp
+
+    def recording(constraints, objective, **options):
+        crash_rows.append(options.get("crash_rows"))
+        return solve(constraints, objective, **options)
+
+    monkeypatch.setattr(markov_lp, "solve_sup_norm_lp", recording)
+    siciak_lp(samples, [point], 6)
+    assert crash_rows
+    assert all(rows is not None for rows in crash_rows)

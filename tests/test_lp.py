@@ -203,7 +203,7 @@ def planar_star_problems(degree):
     points = extremal_green.star_points(
         (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), 1.0, 200)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(extremal_green, "solve_sup_norm_lp", recording)
+        patch.setattr(markov_lp, "solve_sup_norm_lp", recording)
         extremal_green.siciak_lp(points, extremal_green.GREEN_PROBES, degree)
     return problems
 
@@ -392,13 +392,12 @@ def star_probe_family():
     germ = builtin_germs()["cusp_2_3"]
     points = sample_real_trace(germ, 0.25, 80)
     z = np.atleast_1d(germ.evaluate(0.2 * cmath.exp(1j * math.pi / 8)))
-    sampled = markov_lp.SampledLp(points, 12)
-    functional = sampled.reduction.project(
-        sampled.basis.evaluate(z[None, :]).ravel())
+    basis = markov_lp.PolynomialBasis.from_points(points, 12)
+    reduction = markov_lp._reduce_columns(basis.evaluate(points))
+    functional = reduction.project(basis.evaluate(z[None, :]).ravel())
     for phase in extremal_green.HALF_FACET_PHASES:
-        lp.solve_sup_norm_lp(sampled.constraints,
-                             np.real(phase * functional),
-                             crash_rows=sampled.reduction.crash_rows)
+        lp.solve_sup_norm_lp(reduction.matrix, np.real(phase * functional),
+                             crash_rows=reduction.crash_rows)
 
 
 def planar_siciak():
@@ -457,7 +456,7 @@ def solutions_with(monkeypatch, loop, case):
 
     with monkeypatch.context() as patch:
         patch.setattr(lp, "_pivot_loop", loop)
-        for module in (lp, markov_lp, extremal_green):
+        for module in (lp, markov_lp):
             patch.setattr(module, "solve_sup_norm_lp", recording)
         case()
     return solutions

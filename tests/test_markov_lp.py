@@ -12,7 +12,7 @@ from markov_curves.curve_model import DomainError, builtin_germs, \
     sample_real_trace, tangent_vector
 from markov_curves.lp import UnboundedProblemError, solve_sup_norm_lp
 from markov_curves.markov_lp import (ConditioningError, MarkovProblem,
-                                     NumericError, PolynomialBasis, SampledLp,
+                                     NumericError, PolynomialBasis,
                                      TooFewPointsError, _chebyshev_table,
                                      cauchy_derivative_check, fit_scaling,
                                      markov_factor, scaling_study)
@@ -23,6 +23,12 @@ def interval_problem(degree, epsilon=1.0, density=400, x0=1.0):
     samples = sample_real_trace(germ, epsilon, density)
     return MarkovProblem(samples=samples, x0=np.array([x0, 0.0]),
                          v=np.array([1.0, 0.0]), degree=degree)
+
+
+def reduce_samples(samples, degree):
+    """The basis on the samples and the reduction of its sample matrix."""
+    basis = PolynomialBasis.from_points(samples, degree)
+    return basis, markov_lp._reduce_columns(basis.evaluate(samples))
 
 
 def looped_derivative_table(u, degree):
@@ -188,8 +194,8 @@ class TestMarkovFactor:
         germ = builtin_germs()["cusp_2_3"]
         samples = sample_real_trace(germ, 0.25, 24)
         assert samples.shape[0] == 48
-        sampled = SampledLp(samples, 12)
-        assert sampled.constraints.shape[1] == 36
+        _, reduction = reduce_samples(samples, 12)
+        assert reduction.matrix.shape[1] == 36
         problem = MarkovProblem(samples=samples, x0=germ.basepoint,
                                 v=tangent_vector(germ), degree=12)
         assert markov_factor(problem).factor > 0.0
@@ -224,6 +230,19 @@ class TestMarkovFactor:
         with pytest.raises(UnboundedProblemError):
             markov_factor(interval_problem(3, density=50))
 
+    @pytest.mark.parametrize("x0", [(float("nan"),), (float("inf"),)],
+                             ids=["nan", "inf"])
+    def test_non_finite_basepoint_rejected(self, x0):
+        with pytest.raises(DomainError, match="x0 must be finite"):
+            MarkovProblem(samples=np.array([[-1.0], [0.0], [1.0]]), x0=x0,
+                          v=(1.0,), degree=3)
+
+    def test_empty_sample_array_rejected(self):
+        problem = MarkovProblem(samples=np.empty((0, 1)), x0=(0.0,),
+                                v=(1.0,), degree=3)
+        with pytest.raises(DomainError, match="sample array is empty"):
+            markov_factor(problem)
+
     def test_unit_direction_required(self):
         germ = builtin_germs()["interval_interior"]
         samples = sample_real_trace(germ, 1.0, 40)
@@ -241,9 +260,9 @@ class TestMarkovFactor:
     def test_constraints_hold_one_row_per_sample(self):
         # The solver bounds both signs itself; no {A; -A} is stacked.
         problem = interval_problem(5, density=300)
-        sampled = SampledLp(problem.samples, problem.degree)
-        assert sampled.constraints.shape == \
-            (problem.samples.shape[0], sampled.reduction.back_map.shape[1])
+        _, reduction = reduce_samples(problem.samples, problem.degree)
+        assert reduction.matrix.shape == \
+            (problem.samples.shape[0], reduction.back_map.shape[1])
 
 
 class TestScalingStudy:
@@ -495,8 +514,7 @@ class TestPhaseTwoArtificials:
         problem = self.problem()
         x0 = np.asarray(problem.x0, dtype=float)
         v = np.asarray(problem.v, dtype=float)
-        sampled = SampledLp(problem.samples, problem.degree)
-        functional = sampled.reduction.project(
-            sampled.basis.derivative_row(x0, v))
-        forward = solve_sup_norm_lp(sampled.constraints, functional)
+        basis, reduction = reduce_samples(problem.samples, problem.degree)
+        functional = reduction.project(basis.derivative_row(x0, v))
+        forward = solve_sup_norm_lp(reduction.matrix, functional)
         assert forward.value == pytest.approx(self.OPTIMUM, rel=1e-9)
