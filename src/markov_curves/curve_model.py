@@ -176,6 +176,8 @@ def chebyshev_grid(a, b, count):
     count = _integer_count(count, "count")
     if count < 1:
         raise DomainError("grid needs at least one point")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"grid [{a}, {b}] has a non-finite endpoint")
     if count == 1:
         return np.array([0.5 * (a + b)])
     j = np.arange(count)

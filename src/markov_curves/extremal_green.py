@@ -143,8 +143,8 @@ def star_points(angles, epsilon, count):
     """Planar samples of a union of rays [0, epsilon*e^{i angle}]."""
     if not angles:
         raise DomainError("need at least one ray angle")
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError("epsilon must be positive and finite")
     if count < 2:
         raise DomainError("need at least 2 points per ray")
     radii = chebyshev_grid(0.0, epsilon, count)
@@ -157,6 +157,8 @@ def _coerce_samples(samples):
     array = np.asarray(samples)
     if array.size == 0:
         raise DomainError("sample array is empty")
+    if not np.all(np.isfinite(array)):
+        raise DomainError("samples must be finite")
     if np.iscomplexobj(array):
         if array.ndim != 1:
             raise DomainError("planar point lists must be one-dimensional")
@@ -185,7 +187,16 @@ def _siciak_real(points, targets, degree):
     basis = PolynomialBasis.from_points(points, degree)
     reduction = _reduce_columns(basis.evaluate(points))
     peaks = []
+    # (peak, slack) of each solved nonreal target, stored under the bits
+    # of its conjugate.  The samples are real, so V(conj z) = V(z); the
+    # facet phases m pi / 8 are closed under t -> -t mod pi, so in exact
+    # arithmetic the facet peak of conj z is that of z.
+    conjugates = {}
     for z in targets:
+        key = _value_bits(z)
+        if key in conjugates:
+            peaks.append(conjugates[key])
+            continue
         functional = reduction.project(basis.evaluate(z[None, :]).ravel())
         if np.max(np.abs(z.imag)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
             # +f and -f pose the same two-sided LP: one solve.
@@ -193,7 +204,13 @@ def _siciak_real(points, targets, degree):
         else:
             peaks.append((_facet_peak(reduction, functional),
                           FACET_SLACK / degree))
+            conjugates[_value_bits(z.conjugate())] = peaks[-1]
     return peaks
+
+
+def _value_bits(z):
+    """Exact bits of a complex vector, with -0.0 read as 0.0."""
+    return (z + 0.0).tobytes()
 
 
 def _facet_peak(reduction, functional):
@@ -300,7 +317,10 @@ def siciak_lp(samples, points, degree):
     not folded into the value.
 
     The constraint matrix and its rank reduction are built once for all
-    points; returns one GreenEvaluation per point, in order.  Any
+    points; returns one GreenEvaluation per point, in order.  On real
+    samples V(conj z) = V(z), and a nonreal point whose exact complex
+    conjugate came earlier in the list (compared bit for bit, signed
+    zeros aside) reuses that point's result without a solve.  Any
     number of samples is accepted; TooFewPointsError is raised for a
     point they do not resolve ("unresolved component").  The reduced LP
     has full column rank and so is bounded, and its solves start from
@@ -387,13 +407,17 @@ def bernstein_walsh_check(coefficients, samples, z, green_value):
     the classical exp(deg * V) bound.
     """
     coeffs = np.asarray(coefficients, dtype=float)
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainError("coefficients must be finite")
     nonzero = np.nonzero(coeffs)[0]
     degree = int(nonzero[-1]) if nonzero.size else 0
     kind, points = _coerce_samples(samples)
     if kind != "real" or points.shape[1] != 1:
         raise DomainError("expected one-dimensional real samples")
-    if green_value < 0.0:
-        raise DomainError("green_value must be nonnegative")
+    if not cmath.isfinite(z):
+        raise DomainError("evaluation point must be finite")
+    if not 0.0 <= green_value < math.inf:
+        raise DomainError("green_value must be nonnegative and finite")
     xs = points.ravel()
     sample_norm = float(np.max(np.abs(np.polynomial.polynomial.polyval(
         xs, coeffs))))
@@ -499,16 +523,22 @@ def star_domination_check(germ, epsilon, degree):
     rays), compares the trace value siciak(phi(z)) against the star
     value at z, at ``degree`` and at degree + degree//2, and reports
     the maximum ratio and its stability.  Probes where the star value
-    is below RHS_TOLERANCE are excluded and counted.
+    is below RHS_TOLERANCE are excluded and counted.  The probe grid is
+    conjugation-closed: the upper-half probes, then their exact
+    conjugates.  On a germ with real coefficients their trace points
+    are exact conjugates too, so siciak_lp solves each pair once.
     """
-    if epsilon <= 0.0 or epsilon > 1.0:
+    if not 0.0 < epsilon <= 1.0:
         raise DomainError("epsilon must lie in (0, 1]")
     degrees = (int(degree), int(degree) + max(1, int(degree) // 2))
     samples = sample_real_trace(germ, epsilon, STAR_DENSITY)
-    probe_angles = (2.0 * math.pi * (np.arange(STAR_PROBE_ANGLES) + 0.5)
+    # The upper half of the grid and its exact conjugates: siciak_lp
+    # solves each conjugate pair of trace points once.
+    probe_angles = (2.0 * math.pi * (np.arange(STAR_PROBE_ANGLES // 2) + 0.5)
                     / STAR_PROBE_ANGLES)
-    probes = [epsilon * rho * cmath.exp(1j * theta)
-              for rho in (0.4, 0.6, 0.8) for theta in probe_angles]
+    upper = [epsilon * rho * cmath.exp(1j * theta)
+             for rho in (0.4, 0.6, 0.8) for theta in probe_angles]
+    probes = upper + [z.conjugate() for z in upper]
     reference = _star_green(germ, epsilon, degrees[0], probes)
     kept = [(z, rhs) for z, rhs in zip(probes, reference)
             if rhs > RHS_TOLERANCE]

@@ -113,6 +113,8 @@ class PolynomialBasis:
             raise DomainError("sample array must have shape (m, n)")
         if points.size == 0:
             raise DomainError("sample array is empty")
+        if not np.all(np.isfinite(points)):
+            raise DomainError("samples must be finite")
         if degree < 0:
             raise DomainError("degree must be nonnegative")
         low = points.min(axis=0)

@@ -39,6 +39,14 @@ def test_chebyshev_grid_takes_numpy_integer_counts():
                           chebyshev_grid(0.0, 1.0, 5))
 
 
+@pytest.mark.parametrize("a, b", [(0.0, float("nan")),
+                                  (-float("inf"), 1.0)],
+                         ids=["nan_end", "infinite_start"])
+def test_chebyshev_grid_rejects_non_finite_endpoints(a, b):
+    with pytest.raises(DomainError, match="non-finite endpoint"):
+        chebyshev_grid(a, b, 5)
+
+
 @pytest.mark.parametrize("sample", [
     lambda: chebyshev_grid(0.0, 1.0, 2.5),
     lambda: chebyshev_grid(0.0, 1.0, 3.0),

@@ -141,12 +141,31 @@ PLANAR_SAMPLES = np.array([0.0, 0.5, 0.5j, -0.5])
      "must be finite"),
     (lambda: siciak_lp(PLANAR_SAMPLES, [complex(NAN)], 4),
      "must be finite"),
+    (lambda: siciak_lp(np.append(REAL_SAMPLES, NAN), [2.0], 4),
+     "samples must be finite"),
+    (lambda: siciak_lp(np.append(REAL_SAMPLES, math.inf), [2.0], 4),
+     "samples must be finite"),
+    (lambda: siciak_lp(np.append(PLANAR_SAMPLES, complex(0.1, NAN)),
+                       [2.0], 4), "samples must be finite"),
+    (lambda: star_points((0.0,), NAN, 10), "epsilon must be positive"),
+    (lambda: star_points((0.0,), math.inf, 10), "epsilon must be positive"),
+    (lambda: bernstein_walsh_check([1.0, 1.0], REAL_SAMPLES, NAN, 0.5),
+     "evaluation point must be finite"),
+    (lambda: bernstein_walsh_check([1.0, 1.0], REAL_SAMPLES, 2.0, NAN),
+     "green_value must be nonnegative"),
+    (lambda: bernstein_walsh_check([1.0, NAN], REAL_SAMPLES, 2.0, 0.5),
+     "coefficients must be finite"),
 ], ids=["interval", "interval_imag", "segment_point", "segment_end",
         "segment_infinite_end", "siciak_real", "siciak_nonreal",
-        "siciak_planar"])
+        "siciak_planar", "siciak_nan_sample", "siciak_inf_sample",
+        "siciak_planar_nan_sample", "star_nan_epsilon",
+        "star_inf_epsilon", "bernstein_walsh_nan_point",
+        "bernstein_walsh_nan_green", "bernstein_walsh_nan_coefficient"])
 def test_non_finite_input_rejected(evaluate, message):
-    # Each used to come back as a value (0.0: "on the set") or as a
-    # simplex failure whose message contradicts itself.
+    # Each used to come back as a value (0.0: "on the set"), as a
+    # simplex failure whose message contradicts itself, as all-NaN
+    # points, as a "violation" or as an SVD failure.  pytest turns
+    # warnings into errors, so none of them may warn on the way.
     with pytest.raises(DomainError, match=message):
         evaluate()
 
@@ -486,9 +505,10 @@ class TestStarDomination:
                             "solve_sup_norm_lp")
         germ = builtin_germs()["cusp_2_3"]
         report = star_domination_check(germ, 0.25, 8)
-        # One LP build per degree; 24 probes, each solving only the
-        # facet phases its support-function bound cannot exclude.
-        assert calls == {"_reduce_columns": 2, "solve_sup_norm_lp": 216}
+        # One LP build per degree; 24 probes in 12 conjugate pairs, each
+        # pair solving only the facet phases its support-function bound
+        # cannot exclude, once.
+        assert calls == {"_reduce_columns": 2, "solve_sup_norm_lp": 108}
         assert report.degrees == (8, 12)
         assert report.excluded == 0
         assert report.relative_change <= 0.1
@@ -510,10 +530,76 @@ class TestStarDomination:
         assert report.max_ratios == pytest.approx((5.346, 5.352), abs=1e-3)
         assert report.relative_change <= 0.1
 
+    def test_matches_the_full_grid_solved_probe_by_probe(self):
+        # The grid before conjugate reuse: 8 angles from cmath.exp, each
+        # probe solved in its own siciak_lp call, so nothing is shared.
+        germ = builtin_germs()["cusp_2_3"]
+        epsilon = 0.25
+        report = star_domination_check(germ, epsilon, 8)
+        samples = sample_real_trace(germ, epsilon,
+                                    extremal_green.STAR_DENSITY)
+        angles = 2.0 * math.pi * (np.arange(8) + 0.5) / 8
+        probes = [epsilon * rho * cmath.exp(1j * theta)
+                  for rho in (0.4, 0.6, 0.8) for theta in angles]
+        assert report.probe_count == len(probes) == 24
+        for degree, ratio in zip(report.degrees, report.max_ratios):
+            expected = max(
+                siciak_lp(samples, [germ.evaluate(z)], degree)[0].value
+                / green_segment(z, -epsilon, epsilon) for z in probes)
+            assert ratio == pytest.approx(expected, rel=0.0, abs=1e-12)
+
     def test_argument_validation(self):
         germ = builtin_germs()["cusp_2_3"]
         with pytest.raises(DomainError):
             star_domination_check(germ, 0.0, 8)
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\]"):
+            star_domination_check(germ, NAN, 8)
+
+
+class TestConjugateReuse:
+    """On real samples a nonreal point's exact conjugate reuses its value."""
+
+    @staticmethod
+    def cusp_trace_point():
+        germ = builtin_germs()["cusp_2_3"]
+        samples = sample_real_trace(germ, 0.25,
+                                    extremal_green.STAR_DENSITY)
+        return samples, germ.evaluate(0.15 * cmath.exp(0.25j * math.pi))
+
+    def test_conjugate_costs_no_solve(self, monkeypatch):
+        samples, w = self.cusp_trace_point()
+        calls = count_calls(monkeypatch, "solve_sup_norm_lp")
+        (alone,) = siciak_lp(samples, [w], 8)
+        solves = calls["solve_sup_norm_lp"]
+        first, second = siciak_lp(samples, [w, w.conjugate()], 8)
+        assert calls["solve_sup_norm_lp"] == 2 * solves
+        assert first.value == second.value == alone.value
+        assert first.facet_slack == second.facet_slack == alone.facet_slack
+
+    def test_nudged_conjugate_is_solved_on_its_own(self, monkeypatch):
+        samples, w = self.cusp_trace_point()
+        nudged = w.conjugate()
+        nudged[0] = complex(nudged[0].real,
+                            np.nextafter(nudged[0].imag, 0.0))
+        calls = count_calls(monkeypatch, "solve_sup_norm_lp")
+        siciak_lp(samples, [w], 8)
+        siciak_lp(samples, [nudged], 8)
+        solves = calls["solve_sup_norm_lp"]
+        siciak_lp(samples, [w, nudged], 8)
+        assert calls["solve_sup_norm_lp"] == 2 * solves
+
+    def test_signed_zeros_do_not_split_a_pair(self, monkeypatch):
+        # w.conjugate() has imaginary part -0.0 in its real coordinate;
+        # the listed conjugate has +0.0 there.
+        grid = chebyshev_grid(-1.0, 1.0, 9)
+        samples = np.array([(x, y) for x in grid for y in grid])
+        w = np.array([1.5 + 0.5j, 0.5 + 0.0j])
+        calls = count_calls(monkeypatch, "solve_sup_norm_lp")
+        (alone,) = siciak_lp(samples, [w], 4)
+        solves = calls["solve_sup_norm_lp"]
+        pair = siciak_lp(samples, [w, np.array([1.5 - 0.5j, 0.5])], 4)
+        assert calls["solve_sup_norm_lp"] == 2 * solves
+        assert [result.value for result in pair] == [alone.value] * 2
 
 
 def test_siciak_accepts_sample_sets():

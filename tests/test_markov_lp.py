@@ -237,6 +237,16 @@ class TestMarkovFactor:
             MarkovProblem(samples=np.array([[-1.0], [0.0], [1.0]]), x0=x0,
                           v=(1.0,), degree=3)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")],
+                             ids=["inf", "nan"])
+    def test_non_finite_sample_rejected(self, bad):
+        # An inf sample used to read as a flat coordinate ("direction
+        # leaves the sampled slice"), a NaN one as a failed SVD.
+        problem = MarkovProblem(samples=np.array([[-1.0], [0.0], [bad]]),
+                                x0=(0.0,), v=(1.0,), degree=2)
+        with pytest.raises(DomainError, match="samples must be finite"):
+            markov_factor(problem)
+
     def test_empty_sample_array_rejected(self):
         problem = MarkovProblem(samples=np.empty((0, 1)), x0=(0.0,),
                                 v=(1.0,), degree=3)
