@@ -449,6 +449,9 @@ def segment_disk_bound_check(b, r, epsilon):
     b = float(b)
     r = float(r)
     epsilon = float(epsilon)
+    for name, value in (("b", b), ("r", r), ("epsilon", epsilon)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     if abs(b) == epsilon:

@@ -61,6 +61,13 @@ the update's k=1 product commute with negation under round-to-nearest,
 and so does the subtraction.  Storing the mirrors would add nothing but
 work, and the solver takes the same pivots and computes the same bits
 as on the stacked ``[A.T | -A.T]``, on half the tableau.
+
+No copy of ``A.T`` is kept either.  The crash basis, every tableau and
+the basis matrix of each fresh factorization take their columns from
+the rows of ``A`` on demand, negated for a mirror or for a coordinate
+that the two-phase start flips.  Negation is exact, so these are the
+bits a stored copy would hold, and a row-generated solve never builds
+a full-width copy of ``A``: its peak memory is that of the stored rows.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve_model import NumericError
+from .curve_model import DomainError, NumericError
 
 FEASIBILITY_TOL = 1e-9
 MAX_ITERATIONS = 200_000
@@ -249,6 +256,9 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
     ValueError
         If the shapes disagree, or ``crash_rows`` does not hold N
         distinct integer indices in ``[0, M)``.
+    curve_model.DomainError
+        If ``constraints`` or ``objective`` has a NaN or infinite entry;
+        it is a ValueError too.
     UnboundedProblemError
         If phase one ends above zero; see the module docstring.
     SimplexError
@@ -270,6 +280,8 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
     M, N = A.shape
     if f.shape != (N,):
         raise ValueError(f"objective has shape {f.shape}, expected ({N},)")
+    if not (np.isfinite(A).all() and np.isfinite(f).all()):
+        raise DomainError("constraints and objective must be finite")
     rows = 2 * M
     crash = crash_rows is not None
     if crash:
@@ -284,23 +296,31 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
     # Equality system E @ u = b over u >= 0, E = A.T.  The two-phase
     # start flips the sign of rows with b < 0 so that its artificials
     # start feasible; the crash start needs no flip.
-    E = A.T.copy()
-    b = f.astype(float).copy()
+    b = f.copy()
     flip = np.zeros(N, dtype=bool) if crash else b < 0
-    E[flip] *= -1.0
     b[flip] *= -1.0
     scale = 1.0 + float(b.sum())
 
-    full = np.empty((N, M + N), dtype=float)
-    full[:, :M] = E
-    full[:, M:] = np.eye(N)
-    # Stacked column s is sign[s] * full[:, source[s]].
-    source = np.r_[0:M, 0:M, M:M + N]
-    sign = np.ones(rows + N)
-    sign[M:rows] = -1.0
+    def stacked(numbers, tail=None):
+        """Columns ``numbers`` of the stacked ``[E | -E | I]``, C-ordered.
+
+        Read from the rows of ``A`` on demand: negating a mirror or a
+        flipped entry is exact, so the bits are those of a stored E.
+        ``tail`` joins as one more column of the same array.
+        """
+        block = np.zeros((N, len(numbers) + (tail is not None)))
+        real = numbers < rows
+        a_rows = A[numbers[real] % M]
+        np.negative(a_rows, out=a_rows,
+                    where=(numbers[real] >= M)[:, None] ^ flip)
+        block[:, np.flatnonzero(real)] = a_rows.T
+        block[numbers[~real] - rows, np.flatnonzero(~real)] = 1.0
+        if tail is not None:
+            block[:, -1] = tail
+        return block
+
     # Phase two: unit cost on the constraint columns and their mirrors.
-    costs = np.zeros(rows + N)
-    costs[:rows] = 1.0
+    costs = np.r_[np.ones(rows), np.zeros(N)]
     tol = FEASIBILITY_TOL
 
     # The rows of A whose columns the tableau stores: all of them, or
@@ -316,11 +336,12 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         return np.concatenate([stored, M + stored, np.arange(rows, rows + N)])
 
     def tableau_at(basis_matrix):
-        """B^-1 [E | I | b] on the columns of E that the tableau stores."""
-        # Indexing would copy [E | I] once more on every full solve.
-        stored = full if kept.all() else full[
-            :, np.concatenate([np.flatnonzero(kept), np.arange(M, M + N)])]
-        return np.linalg.solve(basis_matrix, np.column_stack([stored, b]))
+        """B^-1 [E | I | b] on the columns of E that the tableau stores.
+
+        The right-hand side is read from A on demand, in one array.
+        """
+        return np.linalg.solve(basis_matrix, stacked(
+            np.r_[np.flatnonzero(kept), rows:rows + N], b))
 
     columns = stacked_columns()
     if crash:
@@ -329,7 +350,7 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         # column for the mirror, which negates tableau row j and leaves
         # |u| as the basic solution.
         try:
-            tableau = tableau_at(E[:, picked])
+            tableau = tableau_at(stacked(picked))
         except np.linalg.LinAlgError as exc:
             raise SimplexError(f"singular crash rows: {exc}") from exc
         negative = tableau[:, -1] < 0
@@ -338,14 +359,11 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         tableau[negative] *= -1.0
         iters = 0
     else:
-        tableau = np.empty((N, M + N + 1), dtype=float)
-        tableau[:, :M + N] = full
-        tableau[:, -1] = b
+        tableau = stacked(np.r_[0:M, rows:rows + N], b)
         basis = np.arange(rows, rows + N)
         # Phase one: minimize the artificial total.  Artificials start
         # basic and may leave, but never re-enter.
-        phase1 = np.zeros(rows + N)
-        phase1[rows:] = 1.0
+        phase1 = np.r_[np.zeros(rows), np.ones(N)]
         iters = _pivot_loop(tableau, basis, phase1, tol, MAX_ITERATIONS,
                             target=1e-14 * scale)
         infeasibility = float(phase1[basis] @ tableau[:, -1])
@@ -366,7 +384,7 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         # Re-derive the solution from a fresh factorization of the
         # final basis; the pivoted tableau only chooses the basis.
         chosen = columns[basis]
-        basis_matrix = full[:, source[chosen]] * sign[chosen]
+        basis_matrix = stacked(chosen)
         try:
             u = np.linalg.solve(basis_matrix, b)
             w = np.linalg.solve(basis_matrix.T, costs[chosen])

@@ -491,6 +491,16 @@ class TestSegmentDiskBound:
             segment_disk_bound_check(1.0, 0.1, 1.0)
         with pytest.raises(DomainError):
             segment_disk_bound_check(0.9, 0.2, 1.0)
+        # NaN fails every comparison and inf passes "epsilon > 0", so
+        # these once reached green_segment, whose errors named derived
+        # values ("segment [(nan+0j), (nan+0j)] has a non-finite
+        # endpoint") instead of the argument.
+        for (b, r, epsilon), name in (((0.0, 0.1, math.nan), "epsilon"),
+                                      ((0.0, 0.1, math.inf), "epsilon"),
+                                      ((math.nan, 0.1, 1.0), "b"),
+                                      ((0.0, math.nan, 1.0), "r")):
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
+                segment_disk_bound_check(b, r, epsilon)
 
 
 class TestStarDomination:

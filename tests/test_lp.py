@@ -4,12 +4,14 @@ import cmath
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from markov_curves import extremal_green, lp, markov_lp
-from markov_curves.curve_model import (builtin_germs, chebyshev_grid,
+from markov_curves.curve_model import (DomainError, builtin_germs,
+                                       chebyshev_grid,
                                        sample_real_trace, tangent_vector)
 from markov_curves.lp import (PivotLimitError, SimplexError,
                               UnboundedProblemError, _pivot_loop,
@@ -136,6 +138,46 @@ def test_malformed_crash_rows_are_rejected(malformed):
         solve_sup_norm_lp(matrix, derivative, crash_rows=malformed(crash))
 
 
+def with_entry(array, index, value):
+    changed = np.array(array, dtype=float)
+    changed[index] = value
+    return changed
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda matrix, objective: (with_entry(matrix, 5, np.nan), objective),
+    lambda matrix, objective: (matrix, with_entry(objective, 2, np.nan)),
+    lambda matrix, objective: (with_entry(matrix, (7, 3), np.inf),
+                               objective),
+], ids=["nan_row", "nan_objective", "inf_entry"])
+@pytest.mark.parametrize("crash", [False, True], ids=["two_phase", "crash"])
+def test_non_finite_input_rejected(spoil, crash):
+    # Once a silent value of 1.0 (max(0.0, nan) hid the NaN row's
+    # residual), a "numerical breakdown" SimplexError and a matmul
+    # RuntimeWarning, which the test configuration turns into an error.
+    matrix, derivative, rows = endpoint_crash(6, count=201)
+    constraints, objective = spoil(matrix, derivative)
+    with pytest.raises(DomainError, match="must be finite"):
+        solve_sup_norm_lp(constraints, objective,
+                          crash_rows=rows if crash else None)
+
+
+@pytest.mark.parametrize("count", [201, 2001], ids=["full", "row_generated"])
+def test_solve_leaves_its_inputs_alone(count):
+    # The tableaus read their columns straight from A, and the two-phase
+    # start negates the coordinates where the objective is negative: an
+    # in-place flip would corrupt the caller's matrix.
+    matrix, derivative, crash = endpoint_crash(6, count)
+    objective = derivative * np.where(np.arange(7) % 2, -1.0, 1.0)
+    before = matrix.tobytes(), objective.tobytes()
+    matrix.flags.writeable = False
+    objective.flags.writeable = False
+    for rows in (None, crash):
+        solution = solve_sup_norm_lp(matrix, objective, crash_rows=rows)
+        assert solution.max_residual <= FEAS_TOL
+        assert (matrix.tobytes(), objective.tobytes()) == before
+
+
 def test_crash_start_rejects_an_infeasible_final_basis(monkeypatch):
     # Swapping a basic row for its mirror negates its entry of the fresh
     # basic solution, which _pivot_loop's clamped copy never shows.  The
@@ -248,6 +290,20 @@ def test_row_generation_matches_highs(name):
             b_ub=np.ones(2 * count), bounds=(None, None), method="highs")
         assert highs.status == 0
         assert solution.value == pytest.approx(-highs.fun, rel=1e-9)
+
+
+def test_row_generated_solve_holds_no_copy_of_the_matrix():
+    # The degree-12 planar LPs of green_cross_star, 6,400 x 26.  Copying
+    # A.T and [A.T | I] on every solve peaked at 3.8 times A; the stored
+    # rows alone, about a third of A, take less than half that.
+    for constraints, objective, crash in planar_star_problems(12):
+        tracemalloc.start()
+        try:
+            solve_sup_norm_lp(constraints, objective, crash)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * constraints.nbytes
 
 
 def brute_force_maximum(constraints, objective):
