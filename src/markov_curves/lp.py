@@ -147,19 +147,16 @@ def _pivot_loop(tableau, basis, costs, tol, budget, target=None):
     stored column, and the pivot row is divided by that signed pivot.
     The update's BLAS k=1 product rounds each entry once, as
     ``np.outer`` does, and can differ only in the sign of a zero, which
-    no comparison and no division here sees.  The pricing product spans
-    the artificial block, whose entries are discarded, on purpose: BLAS
-    sums a narrower product in another order, and the last bits of the
-    constraint columns then differ.
+    no comparison and no division here sees.
     """
     m, width = tableau.shape
     n = width - 1
     stored = n - m
     priced = 2 * stored
     total = priced + m
-    body = tableau[:, :n]
+    constraints = tableau[:, :stored]
     rhs = tableau[:, -1]
-    products = np.empty(n)
+    products = np.empty(stored)
     reduced = np.empty(priced)
     ratios = np.empty(m)
     column = np.empty(m)
@@ -182,11 +179,9 @@ def _pivot_loop(tableau, basis, costs, tol, budget, target=None):
                 bland = True
         previous = objective
 
-        np.matmul(basic_costs, body, out=products)
-        np.subtract(costs[:stored], products[:stored],
-                    out=reduced[:stored])
-        np.add(costs[stored:priced], products[:stored],
-               out=reduced[stored:])
+        np.matmul(basic_costs, constraints, out=products)
+        np.subtract(costs[:stored], products, out=reduced[:stored])
+        np.add(costs[stored:priced], products, out=reduced[stored:])
         if bland:
             enter = int((reduced < -tol).argmax())
         else:
@@ -257,8 +252,9 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         If the shapes disagree, or ``crash_rows`` does not hold N
         distinct integer indices in ``[0, M)``.
     curve_model.DomainError
-        If ``constraints`` or ``objective`` has a NaN or infinite entry;
-        it is a ValueError too.
+        If ``constraints`` has no rows or no columns, or ``constraints``
+        or ``objective`` has a NaN or infinite entry; it is a ValueError
+        too.
     UnboundedProblemError
         If phase one ends above zero; see the module docstring.
     SimplexError
@@ -278,6 +274,9 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
     if A.ndim != 2:
         raise ValueError("constraints must be a 2-d array")
     M, N = A.shape
+    for size, name in ((M, "rows"), (N, "columns")):
+        if size == 0:
+            raise DomainError(f"constraints of shape {A.shape} have no {name}")
     if f.shape != (N,):
         raise ValueError(f"objective has shape {f.shape}, expected ({N},)")
     if not (np.isfinite(A).all() and np.isfinite(f).all()):

@@ -297,12 +297,24 @@ def _reduce_columns(matrix):
     Every caller's matrix has a column that is never zero (the constant
     basis element, or the rotated T_0), so the largest singular value
     is positive.  The checks wait for ColumnReduction.project, which
-    sees the functional; an SVD that does not converge (a NaN in the
-    matrix) or returns a non-finite singular value (an inf) raises
-    ConditioningError here.
+    sees the functional; a NaN or inf entry, an SVD that does not
+    converge or a singular value that overflows raises ConditioningError
+    here.
+
+    Only the singular values and V are used.  On a tall matrix, M at
+    least int(N * 11 / 6), LAPACK's dgesdd (its path 3) runs dgeqrf and
+    takes the SVD of the zeroed R, so the SVD of qr(matrix, mode="r")
+    has the same bits without Q, U or the M x N product behind U.
+    Below that cut dgesdd bidiagonalizes the matrix itself, with other
+    bits, so a shorter matrix takes the direct SVD.
     """
+    if not np.isfinite(matrix).all():
+        raise ConditioningError("non-finite entries in the constraint matrix")
+    tall = matrix.shape[0] >= int(matrix.shape[1] * 11 / 6)
     try:
-        singular, vt = np.linalg.svd(matrix, full_matrices=False)[1:]
+        singular, vt = np.linalg.svd(
+            np.linalg.qr(matrix, mode="r") if tall else matrix,
+            full_matrices=False)[1:]
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"{exc} on the constraint matrix") from exc
     if not np.all(np.isfinite(singular)):
@@ -322,20 +334,35 @@ class _LastReduction:
 
     The same input bits give the same SVD, so the reuse is exact.  Bits
     are compared, not values: np.array_equal takes -0.0 for 0.0 and
-    finds a nan unequal to itself.  It holds one matrix's bytes and
-    ColumnReduction at a time.
+    finds a nan unequal to itself.  It holds a reference to the last
+    matrix, which its caller must not change in place, and that
+    matrix's ColumnReduction; both are dropped before a new matrix is
+    reduced.
     """
 
     def __init__(self):
-        self._key = None
+        self._matrix = None
         self._reduction = None
 
     def __call__(self, matrix):
-        key = (matrix.dtype.str, matrix.shape, matrix.tobytes())
-        if key != self._key:
+        if not self._holds(matrix):
+            self._matrix = self._reduction = None
             self._reduction = _reduce_columns(matrix)
-            self._key = key
+            self._matrix = matrix
         return self._reduction
+
+    def _holds(self, matrix):
+        last = self._matrix
+        return (last is not None and last.dtype == matrix.dtype
+                and last.shape == matrix.shape
+                and _bits(last) == _bits(matrix))
+
+
+def _bits(array):
+    """``array``'s bits in C order, uncopied if contiguous; as 8-byte
+    words where they fit, which compare ten times faster than bytes."""
+    view = memoryview(np.ascontiguousarray(array)).cast("B")
+    return view.cast("Q") if view.nbytes % 8 == 0 else view
 
 
 def markov_factor(problem):

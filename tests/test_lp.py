@@ -162,6 +162,17 @@ def test_non_finite_input_rejected(spoil, crash):
                           crash_rows=rows if crash else None)
 
 
+@pytest.mark.parametrize("constraints, objective, empty", [
+    (np.zeros((0, 2)), [1.0, -1.0], "rows"),
+    (np.zeros((3, 0)), [], "columns"),
+], ids=["no_rows", "no_columns"])
+def test_empty_problem_rejected(constraints, objective, empty):
+    # Once numpy's "argmin of an empty sequence" and "zero-size array to
+    # reduction operation" from inside the simplex.
+    with pytest.raises(DomainError, match=f"have no {empty}"):
+        solve_sup_norm_lp(constraints, objective)
+
+
 @pytest.mark.parametrize("count", [201, 2001], ids=["full", "row_generated"])
 def test_solve_leaves_its_inputs_alone(count):
     # The tableaus read their columns straight from A, and the two-phase

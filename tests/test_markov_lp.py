@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
+import weakref
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from markov_curves import acceptance, markov_lp
+from markov_curves import acceptance, extremal_green, markov_lp
 from markov_curves.curve_model import DomainError, builtin_germs, \
     sample_real_trace, tangent_vector
 from markov_curves.lp import UnboundedProblemError, solve_sup_norm_lp
@@ -209,14 +211,25 @@ class TestMarkovFactor:
             markov_factor(problem)
 
     def test_failed_svd_is_a_conditioning_error(self):
+        # The NaN is caught before LAPACK: on a tall matrix the QR would
+        # spread it, and the SVD of R would fail to converge.
         matrix = np.ones((10, 3))
         matrix[1, 0] = np.nan
-        with pytest.raises(ConditioningError, match="SVD did not converge"):
+        with pytest.raises(ConditioningError, match="non-finite entries"):
             markov_lp._reduce_columns(matrix)
 
+    def test_svd_error_is_a_conditioning_error(self, monkeypatch):
+        def failing(matrix, full_matrices):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(ConditioningError, match="SVD did not converge"):
+            markov_lp._reduce_columns(np.ones((10, 3)))
+
     def test_infinite_entry_is_a_conditioning_error(self):
-        # The SVD converges to NaN singular values here; read as rank 0,
-        # they made project report an unresolved component instead.
+        # Caught before LAPACK, whose SVD converges to NaN singular values
+        # here; read as rank 0, they made project report an unresolved
+        # component instead.
         matrix = np.ones((4, 2))
         matrix[1, 0] = np.inf
         with pytest.raises(ConditioningError, match="non-finite"):
@@ -412,6 +425,117 @@ class TestReductionReuse:
         assert second.matrix is other
         assert reduce_columns(matrix) is not second
         assert len(shapes) == 3
+
+    def test_comparison_copies_no_matrix(self):
+        samples = sample_real_trace(builtin_germs()["cusp_2_3"], 0.5, 300)
+        matrix = PolynomialBasis.from_points(samples, 12).evaluate(samples)
+        other = matrix.copy()
+        reduce_columns = markov_lp._LastReduction()
+        first = reduce_columns(matrix)
+        tracemalloc.start()
+        try:
+            assert reduce_columns(other) is first
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes / 8
+
+    def test_old_reduction_is_dropped_before_the_next(self, monkeypatch):
+        reduce_columns = markov_lp._LastReduction()
+        old = weakref.ref(reduce_columns(np.eye(3)))
+        alive = []
+        original = markov_lp._reduce_columns
+
+        def recording(matrix):
+            alive.append(old() is not None)
+            return original(matrix)
+
+        monkeypatch.setattr(markov_lp, "_reduce_columns", recording)
+        reduce_columns(2.0 * np.eye(3))
+        assert alive == [False]
+
+
+def direct_reduction(matrix):
+    """(condition, back_map, matrix) of _reduce_columns, taken from the
+    direct SVD of the whole matrix."""
+    singular, vt = np.linalg.svd(matrix, full_matrices=False)[1:]
+    cutoff = singular[0] * max(matrix.shape) * np.finfo(float).eps
+    rank = int(np.sum(singular > cutoff))
+    condition = float(singular[0] / singular[rank - 1])
+    if rank == matrix.shape[1]:
+        return condition, np.eye(rank), matrix
+    return condition, vt[:rank].T, matrix @ vt[:rank].T
+
+
+def planar_star_matrix(degree):
+    """The matrix _siciak_planar reduces for green_cross_star's four
+    rays: 6,400 rows (density 200, 8 half phases)."""
+    matrices = []
+    reduce_columns = extremal_green._reduce_columns
+
+    def recording(matrix):
+        matrices.append(matrix.copy())
+        return reduce_columns(matrix)
+
+    points = extremal_green.star_points(
+        (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), 1.0, 200)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extremal_green, "_reduce_columns", recording)
+        extremal_green.siciak_lp(points, extremal_green.GREEN_PROBES[:1],
+                                 degree)
+    (matrix,) = matrices
+    return matrix
+
+
+class TestReductionPaths:
+    """_reduce_columns takes a tall matrix's SVD from its R factor, which
+    is the path LAPACK's dgesdd takes inside the direct SVD, so the bits
+    are those of the direct SVD."""
+
+    def assert_direct_bits(self, monkeypatch, matrix, tall):
+        factored = []
+        qr = np.linalg.qr
+
+        def recording(array, mode="reduced"):
+            factored.append(array.shape)
+            return qr(array, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        reduction = markov_lp._reduce_columns(matrix)
+        assert factored == ([matrix.shape] if tall else [])
+        condition, back_map, reduced = direct_reduction(matrix)
+        assert np.float64(reduction.condition).tobytes() == \
+            np.float64(condition).tobytes()
+        for got, expected in ((reduction.back_map, back_map),
+                              (reduction.matrix, reduced)):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("degree", range(2, 13))
+    @pytest.mark.parametrize("density", [120, 300])
+    @pytest.mark.parametrize("germ_id", sorted(builtin_germs()))
+    def test_germ_trace_keeps_the_direct_bits(self, monkeypatch, germ_id,
+                                              density, degree):
+        samples = sample_real_trace(builtin_germs()[germ_id], 0.5, density)
+        matrix = PolynomialBasis.from_points(samples, degree).evaluate(
+            samples)
+        rows, cols = matrix.shape
+        assert rows >= int(cols * 11 / 6)
+        self.assert_direct_bits(monkeypatch, matrix, tall=True)
+
+    @pytest.mark.parametrize("degree", [4, 8, 12])
+    def test_planar_star_keeps_the_direct_bits(self, monkeypatch, degree):
+        matrix = planar_star_matrix(degree)
+        assert matrix.shape == (6400, 2 * (degree + 1))
+        self.assert_direct_bits(monkeypatch, matrix, tall=True)
+
+    def test_short_matrix_takes_the_direct_path(self, monkeypatch):
+        # Degree 12 on 160 cusp samples: 160 < int(91 * 11 / 6) = 166,
+        # where dgesdd bidiagonalizes the matrix itself.
+        samples = sample_real_trace(builtin_germs()["cusp_2_3"], 0.5, 80)
+        matrix = PolynomialBasis.from_points(samples, 12).evaluate(samples)
+        assert matrix.shape == (160, 91)
+        self.assert_direct_bits(monkeypatch, matrix, tall=False)
 
 
 def box_basis(germ, degree=4):
