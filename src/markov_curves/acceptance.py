@@ -12,6 +12,7 @@ be byte-identical across reruns.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, replace
 
@@ -20,8 +21,8 @@ import numpy as np
 from .curve_model import (builtin_germs, chebyshev_grid,
                           norm_lower_bound_check)
 from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE,
-                             INTERVAL_HCP_RULES, bernstein_walsh_check,
-                             green_interval, hcp_fit, segment_disk_bound_check,
+                             bernstein_walsh_check, green_interval, hcp_fit,
+                             segment_disk_bound_check, segment_hcp_rule,
                              siciak_lp, star_domination_check)
 from .markov_lp import (MarkovProblem, PolynomialBasis, _CauchyCircle,
                         markov_factor, scaling_study)
@@ -85,40 +86,25 @@ def criterion_endpoint_markov():
                            tuple(rows))
 
 
-def _scaling_fit(germ_id, degrees, density):
-    return scaling_study(builtin_germs()[germ_id], degrees, SCAN_EPSILONS,
-                         density)
-
-
-def criterion_interior_scaling():
-    """Interior interval scaling exponent sits near 1."""
-    fit = _scaling_fit("interval_interior", INTERIOR_DEGREES,
-                       INTERVAL_DENSITY)
-    passed = 0.9 <= fit.alpha_deg <= 1.1
-    rows, fit_rows = scan_rows("c02_interior_scaling", STUDY, fit,
+def criterion_interval_scaling(index, germ_id, low, high):
+    """Interval scaling exponent sits near 1 inside, near 2 at an end;
+    rows and name are labelled by the germ's point kind."""
+    fit = scaling_study(builtin_germs()[germ_id], INTERIOR_DEGREES,
+                        SCAN_EPSILONS, INTERVAL_DENSITY)
+    passed = low <= fit.alpha_deg <= high
+    label = germ_id.removeprefix("interval_")
+    rows, fit_rows = scan_rows(f"c{index:02d}_{label}_scaling", STUDY, fit,
                                _status(passed))
-    detail = f"alpha_deg = {fit.alpha_deg:.4f} (window [0.9, 1.1])"
-    return CriterionResult(2, "interior scaling exponent", passed, detail,
-                           (*rows, *fit_rows))
-
-
-def criterion_boundary_scaling():
-    """Boundary scaling exponent sits near 2."""
-    fit = _scaling_fit("interval_boundary", INTERIOR_DEGREES,
-                       INTERVAL_DENSITY)
-    passed = 1.9 <= fit.alpha_deg <= 2.1
-    rows, fit_rows = scan_rows("c03_boundary_scaling", STUDY, fit,
-                               _status(passed))
-    detail = f"alpha_deg = {fit.alpha_deg:.4f} (window [1.9, 2.1])"
-    return CriterionResult(3, "boundary scaling exponent", passed, detail,
-                           (*rows, *fit_rows))
+    detail = f"alpha_deg = {fit.alpha_deg:.4f} (window [{low}, {high}])"
+    return CriterionResult(index, f"{label} scaling exponent", passed,
+                           detail, (*rows, *fit_rows))
 
 
 def criterion_cusp_scaling():
     """Cusp (2,3): exact multiplicity plus scaling exponent windows."""
     germ = builtin_germs()["cusp_2_3"]
     order = germ.branch.k
-    fit = _scaling_fit("cusp_2_3", CUSP_DEGREES, CUSP_DENSITY)
+    fit = scaling_study(germ, CUSP_DEGREES, SCAN_EPSILONS, CUSP_DENSITY)
     mult_ok = order == 2
     deg_ok = 2.0 <= fit.alpha_deg <= 4.2
     eps_ok = fit.alpha_eps <= 2.3
@@ -136,8 +122,9 @@ def criterion_cusp_scaling():
 
 def criterion_interval_hcp():
     """Endpoint Hoelder exponent of the interval Green function."""
-    probe, (low, high) = INTERVAL_HCP_RULES["regular_boundary"]
-    fit = hcp_fit(lambda points: [green_interval(z) for z in points], probe)
+    green, probe, (low, high) = segment_hcp_rule(
+        builtin_germs()["interval_boundary"])
+    fit = hcp_fit(green, probe)
     passed = low <= fit.alpha <= high
     rows, fit_rows = hcp_rows("c05_interval_hcp", STUDY, fit,
                               _status(passed))
@@ -188,8 +175,9 @@ def _bernstein_walsh_violations(rng):
     green_value = green_interval(1.5)
     violations = 0
     for _ in range(100):
-        report = bernstein_walsh_check(rng.uniform(-1.0, 1.0, 11), samples,
-                                       1.5, green_value)
+        coefficients = [rng.uniform(-1.0, 1.0) for _ in range(11)]
+        report = bernstein_walsh_check(coefficients, samples, 1.5,
+                                       green_value)
         violations += 0 if report.holds else 1
     return violations
 
@@ -216,27 +204,25 @@ def _cauchy_reports(rng):
         x0 = np.asarray(germ.basepoint)
         basis = PolynomialBasis.from_points(np.array([x0 - 1.0, x0 + 1.0]), 4)
         circle = _CauchyCircle.on(germ, basis, 0.25)
-        reports += [circle.check(rng.uniform(-1.0, 1.0, basis.count))
+        reports += [circle.check([rng.uniform(-1.0, 1.0)
+                                  for _ in range(basis.count)])
                     for _ in range(50)]
     return reports
 
 
-def _cauchy_violations(rng):
-    return sum(0 if report.holds else 1 for report in _cauchy_reports(rng))
-
-
-def criterion_zero_violation_suites(seed=0):
+def criterion_zero_violation_suites():
     """The inequality checks hold identically: every suite reports zero.
 
-    ``seed`` seeds the random polynomials of the Bernstein-Walsh and
-    Cauchy batteries.
+    The Bernstein-Walsh and Cauchy batteries are spot checks on one
+    fixed draw of coefficients, uniform on [-1, 1], from random.Random(0).
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(0)
     suites = (
         ("bernstein_walsh", _bernstein_walsh_violations(rng)),
         ("disk_bound", _disk_bound_violations()),
         ("norm_lower_bound", _norm_bound_violations()),
-        ("cauchy_derivative", _cauchy_violations(rng)),
+        ("cauchy_derivative",
+         sum(not report.holds for report in _cauchy_reports(rng))),
     )
     rows = []
     for position, (name, count) in enumerate(suites):
@@ -263,18 +249,18 @@ def criterion_star_domination():
                            detail, tuple(rows))
 
 
-def run_all(seed=0):
+def run_all():
     """Run every criterion; the last result is the runtime budget check."""
     started = time.perf_counter()
     results = [
         criterion_endpoint_markov(),
-        criterion_interior_scaling(),
-        criterion_boundary_scaling(),
+        criterion_interval_scaling(2, "interval_interior", 0.9, 1.1),
+        criterion_interval_scaling(3, "interval_boundary", 1.9, 2.1),
         criterion_cusp_scaling(),
         criterion_interval_hcp(),
         criterion_geodesic_exponent(),
         criterion_siciak_convergence(),
-        criterion_zero_violation_suites(seed),
+        criterion_zero_violation_suites(),
         criterion_star_domination(),
     ]
     elapsed = time.perf_counter() - started

@@ -100,9 +100,10 @@ def read_sections(text, source):
     ``#`` starts a comment, a ``[name]`` line opens a section and
     ``key = value`` lines fill the current one; keys before the first
     header land in a section named None.  A repeated section or key, or
-    a line that is neither, raises FormatError.
+    a line that is neither, raises FormatError; a leading BOM is dropped.
     """
     sections = []
+    text = text.removeprefix("\ufeff")
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         stripped = line.strip()

@@ -34,9 +34,9 @@ from .acceptance import run_all
 from .curve_model import (BUILTIN_GERM_IDS, DomainError, FormatError,
                           NumericError, builtin_germs, convert_list,
                           load_germ, read_sections, sample_real_trace)
-from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE,
-                             INTERVAL_HCP_RULES, green_interval, hcp_fit,
-                             segment_closed_form, siciak_lp, star_points)
+from .extremal_green import (GREEN_PROBES, GREEN_TOLERANCE, hcp_fit,
+                             segment_closed_form, segment_hcp_rule,
+                             siciak_lp, star_points)
 from .markov_lp import scaling_study
 from .reports import ReportRow, emit_csv, geodesic_rows, hcp_rows, scan_rows
 
@@ -184,16 +184,15 @@ def _geodesic_fit(scenario):
 def _hcp_probe(scenario):
     """Green evaluator of a probe list, probe rule, and pass window.
 
-    A regular germ whose tail is zero traces a segment and uses the
-    interval's closed form and window; every other germ goes through
-    the Siciak LP on its sampled trace, with no window.
+    A germ that traces a segment takes segment_hcp_rule; every other
+    germ goes through the Siciak LP on its sampled trace, with no
+    window.
     """
     germ = scenario.germ
+    rule = segment_hcp_rule(germ)
+    if rule is not None:
+        return rule
     order = germ.branch.k
-    if order == 1 and not any(series.terms for series in germ.branch.tail):
-        probe, window = INTERVAL_HCP_RULES[germ.point_class]
-        return (lambda points: [green_interval(z) for z in points],
-                probe, window)
     degree = max(scenario.degrees) if scenario.degrees else 8
     samples = sample_real_trace(germ, 0.25, scenario.density)
 
@@ -225,19 +224,6 @@ _STUDIES = {
     "geodesic_fit": (_geodesic_fit, ()),
     "hcp_fit": (_hcp_fit, ("degrees", "density")),
 }
-
-
-def _run_verify(out, seed):
-    results = run_all(seed=0 if seed is None else seed)
-    raw = [row for result in results for row in result.rows]
-    emit_csv(raw, out / "verify_raw.csv")
-    emit_csv([], out / "verify_fit.csv")
-    failed = [result for result in results if not result.passed]
-    for result in results:
-        verdict = "ok" if result.passed else "FAIL"
-        print(f"criterion {result.index:02d} {verdict}  {result.name}: "
-              f"{result.detail}")
-    return 1 if failed else 0
 
 
 def run_scenario(config_path, out_dir=".", study_filter=None):
@@ -274,15 +260,22 @@ def run_scenario(config_path, out_dir=".", study_filter=None):
         return 2
 
 
-def _verify_command(out_dir, seed):
+def _verify(out_dir):
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        code = _run_verify(out, seed)
+        results = run_all()
+        emit_csv([row for result in results for row in result.rows],
+                 out / "verify_raw.csv")
+        emit_csv([], out / "verify_fit.csv")
+        for result in results:
+            verdict = "ok" if result.passed else "FAIL"
+            print(f"criterion {result.index:02d} {verdict}  {result.name}: "
+                  f"{result.detail}")
         elapsed = time.perf_counter() - started
         print(f"verify finished in {elapsed:.1f}s", file=sys.stderr)
-        return code
+        return 0 if all(result.passed for result in results) else 1
     except _NUMERIC_FAILURES as exc:
         print(f"numeric failure in verify: {exc}", file=sys.stderr)
         return 3
@@ -296,23 +289,20 @@ def build_parser():
         prog="markov-curves",
         description="Tangential Markov factors and extremal Green "
                     "functions on curve germs")
+    reports = argparse.ArgumentParser(add_help=False)
+    reports.add_argument("--out-dir", default=".",
+                         help="directory for the CSV reports")
+    reports.add_argument("--seed", type=int,
+                         help="accepted and ignored; no run is randomized")
     subparsers = parser.add_subparsers(dest="command", required=True)
     for study in _STUDIES:
         sub = subparsers.add_parser(
-            study.replace("_", "-"),
+            study.replace("_", "-"), parents=[reports],
             help=f"run {study} scenarios from a config")
         sub.add_argument("--config", required=True,
                          help="path to a scenario config file")
-        sub.add_argument("--out-dir", default=".",
-                         help="directory for the CSV reports")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="accepted and ignored; no study is randomized")
-    verify = subparsers.add_parser(
-        "verify", help="run the built-in acceptance suite")
-    verify.add_argument("--out-dir", default=".",
-                        help="directory for the CSV reports")
-    verify.add_argument("--seed", type=int, default=None,
-                        help="seed override for randomized suites")
+    subparsers.add_parser("verify", parents=[reports],
+                          help="run the built-in acceptance suite")
     subparsers.add_parser("list-germs", help="print the built-in germ ids")
     return parser
 
@@ -325,7 +315,7 @@ def main(argv=None):
             print(identifier)
         return 0
     if options.command == "verify":
-        return _verify_command(options.out_dir, options.seed)
+        return _verify(options.out_dir)
     study = options.command.replace("-", "_")
     return run_scenario(options.config, out_dir=options.out_dir,
                         study_filter=study)

@@ -110,6 +110,17 @@ def green_interval(z):
     return max(0.0, math.log(abs(w)))
 
 
+def segment_hcp_rule(germ):
+    """(Green evaluator, probe rule, window) of the closed-form HCP fit
+    of a germ that traces a segment (k = 1, zero tail); else None."""
+    branch = germ.branch
+    if branch.k != 1 or any(series.terms for series in branch.tail):
+        return None
+    probe, window = INTERVAL_HCP_RULES[germ.point_class]
+    return (lambda points: [green_interval(z) for z in points], probe,
+            window)
+
+
 def green_segment(z, a, b):
     """Green function of the segment [a, b] via affine pullback."""
     a = complex(a)

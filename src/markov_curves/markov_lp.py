@@ -320,7 +320,8 @@ def _reduce_columns(matrix):
     if not np.all(np.isfinite(singular)):
         raise ConditioningError(
             "non-finite singular values on the constraint matrix")
-    cutoff = singular[0] * max(matrix.shape) * np.finfo(float).eps
+    # eps first: singular[0] * max(M, N) can overflow near the float max.
+    cutoff = singular[0] * (max(matrix.shape) * np.finfo(float).eps)
     rank = int(np.sum(singular > cutoff))
     condition = float(singular[0] / singular[rank - 1])
     if rank == matrix.shape[1]:

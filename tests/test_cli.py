@@ -122,6 +122,12 @@ class TestConfigParsing:
         for germ_id in BUILTIN_GERM_IDS:
             assert germ_id in message
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text(SCAN_CONFIG, encoding="utf-8-sig")
+        (scenario,) = experiments_cli.load_config(path)
+        assert scenario == parse_config_text(SCAN_CONFIG)[0]
+
     def test_germ_file_resolved_relative_to_config(self, tmp_path):
         (tmp_path / "local.germ").write_text(CUSP_GERM_TEXT,
                                              encoding="utf-8")
@@ -295,6 +301,29 @@ class TestMain:
         assert main(["list-germs"]) == 0
         printed = capsys.readouterr().out.split()
         assert printed == list(BUILTIN_GERM_IDS)
+
+    @pytest.mark.parametrize("command", ["markov-scan", "green-eval",
+                                         "geodesic-fit", "hcp-fit",
+                                         "verify"])
+    def test_every_run_accepts_seed(self, command):
+        config = [] if command == "verify" else ["--config", "scan.cfg"]
+        options = experiments_cli.build_parser().parse_args(
+            [command, *config, "--seed", "3"])
+        assert options.seed == 3
+
+    def test_list_germs_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["list-germs", "--seed", "3"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_verify_ignores_seed(self, tmp_path, capsys):
+        for seed in ("0", "7"):
+            assert main(["verify", "--seed", seed,
+                         "--out-dir", str(tmp_path / seed)]) == 0
+        for name in ("verify_raw.csv", "verify_fit.csv"):
+            assert ((tmp_path / "0" / name).read_bytes()
+                    == (tmp_path / "7" / name).read_bytes())
 
     @pytest.mark.parametrize("study", ["mystery", "verify_all"])
     def test_bad_config_exits_two(self, tmp_path, capsys, study):

@@ -277,6 +277,11 @@ class TestGermGrammar:
         germ = load_germ(path)
         assert germ.branch.k == 2
 
+    def test_load_germ_skips_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "cusp.germ"
+        path.write_text(CUSP_TEXT, encoding="utf-8-sig")
+        assert load_germ(path) == parse_germ_text(CUSP_TEXT)
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(FormatError) as info:
             parse_germ_text(CUSP_TEXT + "wibble = 3\n")
