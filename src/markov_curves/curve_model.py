@@ -360,6 +360,8 @@ class CurveGerm:
         """Trace point at parameters z in the closed unit disk (basepoint
         included)."""
         z = np.asarray(z, dtype=complex)
+        if not np.all(np.isfinite(z)):
+            raise DomainError("parameter is not a number")
         if np.any(np.abs(z) > 1.0 + 1e-12):
             raise DomainError("parameter outside the closed unit disk")
         return self.branch.evaluate(z) + np.asarray(self.basepoint,

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve_model import (DomainError, NumericError, chebyshev_grid,
-                          sample_real_trace)
+from .curve_model import (DomainError, NumericError, _integer_count,
+                          chebyshev_grid, sample_real_trace)
 from .lp import FEASIBILITY_TOL
 from .markov_lp import (PolynomialBasis, TooFewPointsError, _chebyshev_table,
                         _reduce_columns)
@@ -337,7 +337,7 @@ def siciak_lp(samples, points, degree):
     has full column rank and so is bounded, and its solves start from
     a crash basis, so no phase one can call it unbounded.
     """
-    if degree < 1:
+    if _integer_count(degree, "degree") < 1:
         raise DomainError("degree must be at least 1")
     kind, sample_points = _coerce_samples(samples)
     if kind == "real":
@@ -544,7 +544,8 @@ def star_domination_check(germ, epsilon, degree):
     """
     if not 0.0 < epsilon <= 1.0:
         raise DomainError("epsilon must lie in (0, 1]")
-    degrees = (int(degree), int(degree) + max(1, int(degree) // 2))
+    degree = _integer_count(degree, "degree")
+    degrees = (degree, degree + max(1, degree // 2))
     samples = sample_real_trace(germ, epsilon, STAR_DENSITY)
     # The upper half of the grid and its exact conjugates: siciak_lp
     # solves each conjugate pair of trace points once.

@@ -55,19 +55,18 @@ Siciak LPs (``M/N`` at most 118) on the full tableau.  Row generation
 there made ``verify``'s solves slower, and on ``hcp_cusp_2_5`` it ended
 on a basis that the certificate rejects as primal infeasible.
 
-The tableau keeps only the columns of ``A.T``.  A mirror column is the
-exact negation of its column through every pivot: the row division and
-the update's k=1 product commute with negation under round-to-nearest,
-and so does the subtraction.  Storing the mirrors would add nothing but
-work, and the solver takes the same pivots and computes the same bits
-as on the stacked ``[A.T | -A.T]``, on half the tableau.
-
-No copy of ``A.T`` is kept either.  The crash basis, every tableau and
-the basis matrix of each fresh factorization take their columns from
-the rows of ``A`` on demand, negated for a mirror or for a coordinate
-that the two-phase start flips.  Negation is exact, so these are the
-bits a stored copy would hold, and a row-generated solve never builds
-a full-width copy of ``A``: its peak memory is that of the stored rows.
+Every tableau is ``B^-1 [A_kept.T | f]`` at the current basis B, and
+both starts negate each row whose basic solution is negative: crash
+row j trades its column for the mirror, and artificial i becomes the
+column ``-e_i``.  Artificial columns never enter, so none is stored.
+Nor is a mirror, the exact negation of its column through every pivot:
+the row division and the update's k=1 product commute with negation
+under round-to-nearest, and so does the subtraction.  The solver takes
+the same pivots and computes the same bits as on the stacked
+``[A.T | -A.T | S]``, on under half the tableau.  No copy of ``A.T``
+is kept either: every tableau and basis matrix reads its columns from
+the rows of ``A`` on demand, so a row-generated solve never builds a
+full-width copy of ``A``.
 """
 
 from __future__ import annotations
@@ -123,17 +122,16 @@ class SupNormSolution:
 def _pivot_loop(tableau, basis, costs, tol, budget, target=None):
     """Pivot in place until optimal; return the iteration count.
 
-    ``tableau`` is ``[C | I | b]`` on m rows: k constraint columns, the
-    m artificial columns, then the basic solution.  It stands for
-    ``[C | -C | I | b]``: mirror column ``k + j`` is the negation of
-    stored column j and is never stored.  ``basis`` and ``costs`` use
-    that stacked numbering (constraint columns, mirrors, then
+    ``tableau`` is ``[C | b]`` on m rows: k constraint columns, then the
+    basic solution.  It stands for ``[C | -C | S | b]``: mirror column
+    ``k + j`` is the negation of stored column j, and the m artificial
+    columns ``S`` follow; neither is stored.  ``basis`` and ``costs``
+    use that stacked numbering (constraint columns, mirrors, then
     artificials), and a mirror must cost what its stored column costs.
-    A crash start stores the same tableau times a basis inverse, with
-    no artificial basic.  Artificials never enter, so only the
-    constraint columns and their mirrors are priced.  ``target``
-    optionally stops early once the objective reaches it (used by phase
-    one, whose optimum cannot go below zero).
+    Artificials never enter, so only the constraint columns and their
+    mirrors are priced, and no pivot reads an artificial column.
+    ``target`` optionally stops early once the objective reaches it
+    (used by phase one, whose optimum cannot go below zero).
 
     The loop takes the same pivots and computes the same bits as the
     textbook dense tableau on the stacked columns: Dantzig's most
@@ -150,8 +148,7 @@ def _pivot_loop(tableau, basis, costs, tol, budget, target=None):
     no comparison and no division here sees.
     """
     m, width = tableau.shape
-    n = width - 1
-    stored = n - m
+    stored = width - 1
     priced = 2 * stored
     total = priced + m
     constraints = tableau[:, :stored]
@@ -292,28 +289,22 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
             raise ValueError(f"crash_rows must hold {N} distinct integer "
                              f"row indices in [0, {M})")
 
-    # Equality system E @ u = b over u >= 0, E = A.T.  The two-phase
-    # start flips the sign of rows with b < 0 so that its artificials
-    # start feasible; the crash start needs no flip.
-    b = f.copy()
-    flip = np.zeros(N, dtype=bool) if crash else b < 0
-    b[flip] *= -1.0
-    scale = 1.0 + float(b.sum())
+    # Equality system E @ u = f over u >= 0, E = A.T; artificial i is
+    # the column artificial[i] * e_i.
+    artificial = np.ones(N)
+    scale = 1.0 + float(np.abs(f).sum())
 
     def stacked(numbers, tail=None):
-        """Columns ``numbers`` of the stacked ``[E | -E | I]``, C-ordered.
-
-        Read from the rows of ``A`` on demand: negating a mirror or a
-        flipped entry is exact, so the bits are those of a stored E.
-        ``tail`` joins as one more column of the same array.
-        """
+        """Columns ``numbers`` of ``[E | -E | diag(artificial)]``, read
+        from the rows of ``A``, C-ordered; ``tail`` joins as one more
+        column of the same array."""
         block = np.zeros((N, len(numbers) + (tail is not None)))
         real = numbers < rows
         a_rows = A[numbers[real] % M]
-        np.negative(a_rows, out=a_rows,
-                    where=(numbers[real] >= M)[:, None] ^ flip)
+        np.negative(a_rows, out=a_rows, where=(numbers[real] >= M)[:, None])
         block[:, np.flatnonzero(real)] = a_rows.T
-        block[numbers[~real] - rows, np.flatnonzero(~real)] = 1.0
+        slots = numbers[~real] - rows
+        block[slots, np.flatnonzero(~real)] = artificial[slots]
         if tail is not None:
             block[:, -1] = tail
         return block
@@ -330,35 +321,33 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         kept[picked] = True
 
     def stacked_columns():
-        """Stacked number of each tableau column, mirrors included."""
+        """Stacked number of each priced column, then the artificials."""
         stored = np.flatnonzero(kept)
         return np.concatenate([stored, M + stored, np.arange(rows, rows + N)])
 
     def tableau_at(basis_matrix):
-        """B^-1 [E | I | b] on the columns of E that the tableau stores.
-
-        The right-hand side is read from A on demand, in one array.
-        """
-        return np.linalg.solve(basis_matrix, stacked(
-            np.r_[np.flatnonzero(kept), rows:rows + N], b))
+        """B^-1 [E | f] on the columns of E that the tableau stores."""
+        return np.linalg.solve(basis_matrix, stacked(np.flatnonzero(kept), f))
 
     columns = stacked_columns()
     if crash:
-        # The tableau on the crash rows' basis B, whose last column u
-        # solves B u = b.  Each row j with u_j < 0 trades its basic
-        # column for the mirror, which negates tableau row j and leaves
-        # |u| as the basic solution.
+        # The tableau at the crash rows' basis B: u solves B u = f.
         try:
             tableau = tableau_at(stacked(picked))
         except np.linalg.LinAlgError as exc:
             raise SimplexError(f"singular crash rows: {exc}") from exc
-        negative = tableau[:, -1] < 0
+    else:
+        tableau = stacked(np.arange(M), f)  # at the artificial basis I
+    # Negate each row whose basic solution is negative: crash row j
+    # trades its column for the mirror, and artificial i becomes -e_i.
+    negative = tableau[:, -1] < 0
+    tableau[negative] *= -1.0
+    if crash:
         basis = np.searchsorted(columns, np.where(negative, picked + M,
                                                   picked))
-        tableau[negative] *= -1.0
         iters = 0
     else:
-        tableau = stacked(np.r_[0:M, rows:rows + N], b)
+        artificial[negative] = -1.0
         basis = np.arange(rows, rows + N)
         # Phase one: minimize the artificial total.  Artificials start
         # basic and may leave, but never re-enter.
@@ -385,11 +374,10 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         chosen = columns[basis]
         basis_matrix = stacked(chosen)
         try:
-            u = np.linalg.solve(basis_matrix, b)
+            u = np.linalg.solve(basis_matrix, f)
             w = np.linalg.solve(basis_matrix.T, costs[chosen])
         except np.linalg.LinAlgError as exc:
             raise SimplexError(f"singular optimal basis: {exc}") from exc
-        w[flip] *= -1.0
         value = float(costs[chosen] @ u)
         levels = np.abs(A @ w)
         residual = float(max(0.0, levels.max(initial=0.0) - 1.0))

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve_model import (DomainError, NumericError, sample_real_trace,
-                          tangent_vector)
+from .curve_model import (DomainError, NumericError, _integer_count,
+                          sample_real_trace, tangent_vector)
 from .lp import solve_sup_norm_lp
 
 #: Above this condition estimate the sample/basis pairing is rejected.
@@ -115,7 +115,7 @@ class PolynomialBasis:
             raise DomainError("sample array is empty")
         if not np.all(np.isfinite(points)):
             raise DomainError("samples must be finite")
-        if degree < 0:
+        if _integer_count(degree, "degree") < 0:
             raise DomainError("degree must be nonnegative")
         low = points.min(axis=0)
         high = points.max(axis=0)
@@ -203,7 +203,7 @@ class MarkovProblem:
         if not math.isclose(float(np.linalg.norm(v)), 1.0, rel_tol=0,
                             abs_tol=1e-9):
             raise DomainError("direction v must have unit Euclidean norm")
-        if self.degree < 0:
+        if _integer_count(self.degree, "degree") < 0:
             raise DomainError("degree must be nonnegative")
 
 
@@ -464,7 +464,7 @@ def scaling_study(germ, degrees, epsilons, density):
     cells in a row of the grid share one ColumnReduction (see
     _LastReduction).  Each cell keeps its own basis and derivative row.
     """
-    degrees = tuple(int(n) for n in degrees)
+    degrees = tuple(_integer_count(n, "degree") for n in degrees)
     epsilons = tuple(float(e) for e in epsilons)
     if not degrees or not epsilons:
         raise DomainError("degree and epsilon grids must be nonempty")

@@ -95,6 +95,19 @@ class TestPuiseuxBranch:
         with pytest.raises(DomainError, match="closed unit disk"):
             germ.evaluate(1.5)
 
+    @pytest.mark.parametrize("z", [
+        float("nan"),
+        complex(0.1, float("nan")),
+        [0.1, float("nan")],
+        np.array([0.2j, complex(float("inf"), 0.0)]),
+    ], ids=["nan", "nan_imaginary", "nan_in_list", "inf_in_array"])
+    def test_eval_rejects_non_finite_parameters(self, z):
+        # NaN passes the unit-disk check, which alone would let it
+        # through as NaN trace points.
+        germ = builtin_germs()["cusp_2_3"]
+        with pytest.raises(DomainError, match="parameter is not a number"):
+            germ.evaluate(z)
+
 
 #: The point class of each built-in germ.
 BUILTIN_POINT_CLASSES = {

@@ -81,8 +81,9 @@ def test_entering_column_without_positive_pivot_is_not_unbounded():
     # Column 1 prices in, but its only entry, like its mirror's (column
     # 3), is zero: the ratio test has no row.  Both phases are bounded
     # below, so this is a numerical breakdown, not the thin-sample
-    # unboundedness.  Column 4 is the artificial, which is never priced.
-    tableau = np.array([[1.0, 0.0, 1.0, 1.0]])
+    # unboundedness.  Number 4 is the artificial, which is neither
+    # stored nor priced.
+    tableau = np.array([[1.0, 0.0, 1.0]])
     basis = np.array([0])
     costs = np.array([0.0, -1.0, 0.0, -1.0, 0.0])
     with pytest.raises(SimplexError, match="more sample points") as info:
@@ -91,8 +92,9 @@ def test_entering_column_without_positive_pivot_is_not_unbounded():
 
 
 def test_pivot_budget_raises_pivot_limit(monkeypatch):
-    # The tableau has one row per coefficient and one column per
-    # constraint row, mirror and artificial: 11 and 2 * 2001 + 11.
+    # The tableau has one row per coefficient, and its basis numbering
+    # one column per constraint row, mirror and artificial: 11 and
+    # 2 * 2001 + 11.
     monkeypatch.setattr(lp, "MAX_ITERATIONS", 3)
     with pytest.raises(PivotLimitError, match="after 3 pivots on a tableau "
                        "of 11 rows and 4013 variable columns"):
@@ -105,8 +107,65 @@ def endpoint_crash(degree, count=2001):
 
 
 def stored_rows(tableau):
-    """How many constraint columns a [C | I | b] tableau stores."""
-    return tableau.shape[1] - 1 - tableau.shape[0]
+    """How many constraint columns a [C | b] tableau stores."""
+    return tableau.shape[1] - 1
+
+
+@pytest.mark.parametrize("count, first", [(201, 201), (2001, 7)],
+                         ids=["full", "row_generated"])
+def test_every_tableau_holds_its_stored_columns_and_the_rhs(monkeypatch,
+                                                            count, first):
+    # [C | b], with no block of artificial columns: the width is the
+    # stored constraint columns plus one, which the basis numbering of
+    # costs (columns, mirrors, then the m artificials) confirms.
+    pivot_loop = lp._pivot_loop
+    shapes = []
+
+    def recording(tableau, basis, costs, *args, **kwargs):
+        shapes.append((tableau.shape, len(costs)))
+        return pivot_loop(tableau, basis, costs, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "_pivot_loop", recording)
+    matrix, derivative, crash = endpoint_crash(6, count)
+    for rows, stored in ((None, count), (crash, first)):
+        shapes.clear()
+        solve_sup_norm_lp(matrix, derivative, crash_rows=rows)
+        assert shapes[0][0] == (7, stored + 1)
+        for (m, width), numbered in shapes:
+            assert numbered == 2 * (width - 1) + m
+
+
+def test_negated_artificial_in_the_final_basis_leaves_w_signed(monkeypatch):
+    # markov-scan's cusp_2_5 cell at degree 8, eps 0.25 and density 120,
+    # mirrored objective: phase one negates its tableau rows where the
+    # objective is negative, and one of them keeps its artificial basic
+    # to the end, as the column -e_i.  No coordinate of A is negated,
+    # so w needs no sign fix to reach the value and stay feasible.
+    germ = builtin_germs()["cusp_2_5"]
+    samples = sample_real_trace(germ, 0.25, 120)
+    chebyshev = markov_lp.PolynomialBasis.from_points(samples, 8)
+    reduction = markov_lp._reduce_columns(chebyshev.evaluate(samples))
+    objective = -reduction.project(chebyshev.derivative_row(
+        np.asarray(germ.basepoint), tangent_vector(germ)))
+    pivot_loop = lp._pivot_loop
+    final = {}
+
+    def recording(tableau, basis, costs, *args, **kwargs):
+        pivots = pivot_loop(tableau, basis, costs, *args, **kwargs)
+        final.update(basis=basis.copy(),
+                     priced=len(costs) - tableau.shape[0])
+        return pivots
+
+    monkeypatch.setattr(lp, "_pivot_loop", recording)
+    solution = solve_sup_norm_lp(reduction.matrix, objective)
+    chosen = final["basis"]
+    artificials = chosen[chosen >= final["priced"]] - final["priced"]
+    assert np.any(objective[artificials] < 0)
+    assert solution.value > 0.0
+    assert objective @ solution.coefficients == pytest.approx(
+        solution.value, rel=1e-9)
+    levels = reduction.matrix @ solution.coefficients
+    assert np.all(np.abs(levels) <= 1.0 + lp.FEASIBILITY_TOL)
 
 
 @pytest.mark.parametrize("degree", range(1, 11))
@@ -175,9 +234,10 @@ def test_empty_problem_rejected(constraints, objective, empty):
 
 @pytest.mark.parametrize("count", [201, 2001], ids=["full", "row_generated"])
 def test_solve_leaves_its_inputs_alone(count):
-    # The tableaus read their columns straight from A, and the two-phase
-    # start negates the coordinates where the objective is negative: an
-    # in-place flip would corrupt the caller's matrix.
+    # The tableaus read their columns straight from A and their last
+    # column from the objective, and the two-phase start negates its
+    # rows where the objective is negative: an in-place negation would
+    # corrupt the caller's arrays.
     matrix, derivative, crash = endpoint_crash(6, count)
     objective = derivative * np.where(np.arange(7) % 2, -1.0, 1.0)
     before = matrix.tobytes(), objective.tobytes()
@@ -305,8 +365,9 @@ def test_row_generation_matches_highs(name):
 
 def test_row_generated_solve_holds_no_copy_of_the_matrix():
     # The degree-12 planar LPs of green_cross_star, 6,400 x 26.  Copying
-    # A.T and [A.T | I] on every solve peaked at 3.8 times A; the stored
-    # rows alone, about a third of A, take less than half that.
+    # A.T and a tableau of all of its columns on every solve peaked at
+    # 3.8 times A; the stored rows alone, about a third of A, take less
+    # than half that.
     for constraints, objective, crash in planar_star_problems(12):
         tracemalloc.start()
         try:
@@ -357,23 +418,24 @@ def test_matches_vertex_enumeration_on_small_problems():
 def textbook_pivot_loop(tableau, basis, costs, tol, budget, target=None):
     """The plain dense tableau loop, which lp._pivot_loop must match bit
     for bit: fresh arrays on every pivot, 2-d fancy indexing and
-    ``np.outer``.  It stores every column: the tableau ``[C | I | b]``
-    is pivoted as the stacked ``[C | -C | I | b]``, with mirror j
-    numbered ``k + j`` in both.
+    ``np.outer``.  It stores every priced column: the tableau ``[C | b]``
+    is pivoted as the stacked ``[C | -C | b]``, with mirror j numbered
+    ``k + j`` in both.  The artificials, numbered after the mirrors,
+    are never stored.
     """
-    m, width = tableau.shape
-    stored = width - 1 - m
+    stored = tableau.shape[1] - 1
     stacked = np.hstack([tableau[:, :stored], -tableau[:, :stored],
                          tableau[:, stored:]])
     iterations = stacked_pivot_loop(stacked, basis, costs, tol, budget,
                                     target)
     tableau[:, :stored] = stacked[:, :stored]
-    tableau[:, stored:] = stacked[:, 2 * stored:]
+    tableau[:, -1] = stacked[:, -1]
     return iterations
 
 
 def stacked_pivot_loop(tableau, basis, costs, tol, budget, target):
-    """textbook_pivot_loop on a tableau that stores every column."""
+    """textbook_pivot_loop on a tableau that stores every priced
+    column."""
     m, width = tableau.shape
     n = width - 1
     body = tableau[:, :n]
@@ -394,9 +456,8 @@ def stacked_pivot_loop(tableau, basis, costs, tol, budget, target):
                 bland = True
         previous = objective
 
-        reduced = costs - costs[basis] @ body
-        # The last m columns are the artificials, which never enter.
-        reduced[n - m:] = 0.0
+        # The artificials, numbered from n on, never enter.
+        reduced = costs[:n] - costs[basis] @ body
         eligible = np.flatnonzero(reduced < -tol)
         if eligible.size == 0:
             return iterations

@@ -76,6 +76,24 @@ def looped_derivative_row(basis, x0, v):
     return row
 
 
+@pytest.mark.parametrize("call", [
+    lambda: PolynomialBasis.from_points(np.eye(2), 2.0),
+    lambda: MarkovProblem(samples=np.eye(2), x0=(0.0, 0.0), v=(1.0, 0.0),
+                          degree=2.0),
+    lambda: extremal_green.siciak_lp([0.0, 0.5, 0.5j], [0.2 + 0.1j], 2.5),
+    lambda: scaling_study(builtin_germs()["cusp_2_3"], (2.5, 3, 4),
+                          (0.5, 0.25), 40),
+    lambda: extremal_green.star_domination_check(
+        builtin_germs()["cusp_2_3"], 0.25, 8.5),
+], ids=["basis", "problem", "planar_siciak", "scaling_study",
+        "star_domination"])
+def test_non_integer_degree_rejected(call):
+    # Once a TypeError from range, or a silent truncation to degree 2 and
+    # to degrees (8, 12).
+    with pytest.raises(DomainError, match="degree must be an integer"):
+        call()
+
+
 class TestPolynomialBasis:
     def test_count_is_binomial(self):
         pts = np.random.default_rng(3).uniform(-1, 1, size=(40, 2))
