@@ -109,6 +109,15 @@ class SupNormSolution:
     ``|A @ w| <= 1`` by the recovered coefficient vector (nonnegative,
     ~0 at a clean optimum), and ``degenerate`` flags bases with
     zero-valued basic variables.
+
+    ``certified`` says that the fresh factorization of the final basis
+    passes the solver's own tests: no artificial column is basic, the
+    basic solution ``u`` has no entry below
+    ``-FEASIBILITY_TOL * (1 + sum|u|)``, and ``max_residual`` is at most
+    FEASIBILITY_TOL, so no constraint column would price in at ``w``.
+    The basis is then optimal by those tests, and by weak duality no
+    other basis of the same problem, nor the mirrored objective
+    ``-f``, has a larger value beyond tolerance.
     """
 
     value: float
@@ -117,6 +126,7 @@ class SupNormSolution:
     iterations: int
     max_residual: float
     degenerate: bool
+    certified: bool
 
 
 def _pivot_loop(tableau, basis, costs, tol, budget, target=None):
@@ -387,7 +397,8 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         # _pivot_loop clamps its basic solution, so only the fresh one
         # can show that a crash start ended on an infeasible basis.
         lowest = float(u.min())
-        if crash and lowest < -tol * (1.0 + float(np.abs(u).sum())):
+        infeasible = lowest < -tol * (1.0 + float(np.abs(u).sum()))
+        if crash and infeasible:
             if rejected or rebuilds == 3:
                 raise SimplexError(
                     "final basis is primal infeasible after a rebuild "
@@ -414,7 +425,8 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
 
     # The basis is unchanged since the last attempt solved for u.
     support = np.sort(chosen[chosen < rows])
-    degenerate = bool(np.any(chosen >= rows) or np.any(np.abs(u) <= tol))
+    artificial_basic = bool(np.any(chosen >= rows))
+    degenerate = artificial_basic or bool(np.any(np.abs(u) <= tol))
     return SupNormSolution(
         value=max(value, 0.0),
         coefficients=w,
@@ -422,4 +434,5 @@ def solve_sup_norm_lp(constraints, objective, crash_rows=None):
         iterations=iters,
         max_residual=residual,
         degenerate=degenerate,
+        certified=not (artificial_basic or infeasible or residual > tol),
     )

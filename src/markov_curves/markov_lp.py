@@ -195,6 +195,9 @@ class MarkovProblem:
     #: How markov_factor reduces the sample matrix, None for
     #: _reduce_columns.  Not a field: only a _StudyCell sets it.
     reduce_columns = None
+    #: Whether markov_factor stops at a certified forward solve.  Not
+    #: a field: only a _StudyCell sets it (see markov_factor).
+    one_orientation = False
 
     def __post_init__(self):
         if not np.all(np.isfinite(np.asarray(self.x0, dtype=float))):
@@ -367,7 +370,17 @@ def _bits(array):
 
 
 def markov_factor(problem):
-    """Solve the Markov LP; both objective orientations are taken.
+    """Solve the Markov LP in one or both objective orientations.
+
+    The forward objective ``+f`` is solved first.  A lone problem also
+    solves the mirrored ``-f`` and keeps the larger value.  A scaling
+    study cell stops at a forward solve that is ``certified`` (see
+    lp.SupNormSolution), since the mirrored one cannot beat it beyond
+    tolerance; otherwise it solves both as well.  Lone problems keep
+    both solves for verify's criterion 1: at degree 10 its certified
+    forward value is 99.999999999999957 and the mirrored one
+    99.999999999999972, and the slack of that row, about 3e-16, would
+    move by a third of itself.
 
     Fewer samples than basis dimensions are accepted (a curve's trace
     space is smaller than the ambient one): the sample matrix is reduced
@@ -393,15 +406,20 @@ def markov_factor(problem):
         basis.evaluate(samples))
     functional = reduction.project(basis.derivative_row(x0, v))
     # |A w| <= 1 is symmetric, so both have the same value in exact
-    # arithmetic, yet one solve alone is not safe.  Artificials that
-    # stay basic at zero after phase one can grow in phase two
-    # (lp.solve_sup_norm_lp), leaving a wrong basis: on parabola_regular
-    # (n=12, eps=0.125, density 300) the forward solve returns 0.0 and
-    # the mirrored one 184.0444695071.  Taking the larger value hides
-    # that defect until the simplex is repaired.
-    chosen = max((solve_sup_norm_lp(reduction.matrix, sign * functional)
-                  for sign in (1.0, -1.0)),
-                 key=lambda solution: solution.value)
+    # arithmetic, yet one uncertified solve alone is not safe.
+    # Artificials that stay basic at zero after phase one can grow in
+    # phase two (lp.solve_sup_norm_lp), leaving a wrong basis: on
+    # parabola_regular (n=12, eps=0.125, density 300) the forward solve
+    # returns 0.0 and the mirrored one 184.0444695071.  Taking the
+    # larger value hides that defect until the simplex is repaired.  A
+    # certified forward solve has no such defect, so a study cell stops
+    # there; a lone problem solves both (see the docstring).  Forward
+    # first in max, so a tie keeps it.
+    chosen = solve_sup_norm_lp(reduction.matrix, functional)
+    if not (problem.one_orientation and chosen.certified):
+        chosen = max((chosen, solve_sup_norm_lp(reduction.matrix,
+                                                -functional)),
+                     key=lambda solution: solution.value)
     return MarkovResult(factor=chosen.value,
                         coefficients=reduction.back_map @ chosen.coefficients,
                         basis=basis)
@@ -441,16 +459,24 @@ def fit_scaling(design):
 
 @dataclass(frozen=True)
 class _StudyCell(MarkovProblem):
-    """One scaling_study cell, reduced through the study's _LastReduction."""
+    """One scaling_study cell, reduced through the study's _LastReduction.
+
+    markov_factor stops at its forward solve when that is certified.
+    """
 
     reduce_columns: _LastReduction
+    one_orientation = True
 
 
 def scaling_study(germ, degrees, epsilons, density):
     """Markov factors over a (degree, epsilon) grid and their joint fit.
 
-    Returns the FitResult; its ``design`` holds every cell, and each
-    cell's factor is bit for bit markov_factor's on its samples.
+    Returns the FitResult; its ``design`` holds every cell.  A cell
+    whose forward solve is certified keeps that solve alone, so its
+    factor can differ from markov_factor's on the same samples in the
+    last bits; every other cell is bit for bit markov_factor's.  Each
+    epsilon must lie in (0, 1]: epsilon 0 would sample the basepoint
+    alone.
 
     Samples realize the trace ball parametrically: parameters run to
     eps along the star rays, so the geometric radius is eps**k at a
@@ -468,6 +494,9 @@ def scaling_study(germ, degrees, epsilons, density):
     epsilons = tuple(float(e) for e in epsilons)
     if not degrees or not epsilons:
         raise DomainError("degree and epsilon grids must be nonempty")
+    for eps in epsilons:
+        if not 0.0 < eps <= 1.0:
+            raise DomainError(f"epsilon must lie in (0, 1], got {eps:g}")
     direction = tangent_vector(germ)
     samples = {}
     reduce_columns = _LastReduction()

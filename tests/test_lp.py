@@ -174,11 +174,13 @@ def test_crash_start_reaches_the_phase_one_optimum(degree):
     assert sorted(set(crash)) == sorted(crash)
     assert len(crash) == degree + 1
     two_phase = solve_sup_norm_lp(matrix, derivative)
+    assert two_phase.certified
     for objective in (derivative, -derivative):
         solution = solve_sup_norm_lp(matrix, objective, crash_rows=crash)
         assert solution.value == pytest.approx(two_phase.value, rel=1e-12)
         assert solution.max_residual <= FEAS_TOL
         assert len(solution.support) == degree + 1
+        assert solution.certified
 
 
 @pytest.mark.parametrize("malformed", [

@@ -6,7 +6,7 @@ import random
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ import pytest
 from markov_curves import acceptance, extremal_green, markov_lp
 from markov_curves.curve_model import DomainError, builtin_germs, \
     sample_real_trace, tangent_vector
-from markov_curves.lp import UnboundedProblemError, solve_sup_norm_lp
+from markov_curves.lp import (FEASIBILITY_TOL, UnboundedProblemError,
+                              solve_sup_norm_lp)
 from markov_curves.markov_lp import (ConditioningError, MarkovProblem,
                                      NumericError, PolynomialBasis,
                                      TooFewPointsError, _chebyshev_table,
@@ -33,6 +34,24 @@ def reduce_samples(samples, degree):
     """The basis on the samples and the reduction of its sample matrix."""
     basis = PolynomialBasis.from_points(samples, degree)
     return basis, markov_lp._reduce_columns(basis.evaluate(samples))
+
+
+def derivative_lp(problem):
+    """The reduced constraint matrix and derivative functional that
+    markov_factor solves for ``problem``."""
+    basis, reduction = reduce_samples(problem.samples, problem.degree)
+    functional = reduction.project(basis.derivative_row(
+        np.asarray(problem.x0, dtype=float),
+        np.asarray(problem.v, dtype=float)))
+    return reduction.matrix, functional
+
+
+def germ_problem(germ_id, epsilon, density, degree):
+    """The lone MarkovProblem of one scaling-study cell."""
+    germ = builtin_germs()[germ_id]
+    return MarkovProblem(samples=sample_real_trace(germ, epsilon, density),
+                         x0=germ.basepoint, v=tuple(tangent_vector(germ)),
+                         degree=degree)
 
 
 def looped_derivative_table(u, degree):
@@ -350,6 +369,20 @@ class TestScalingStudy:
                           epsilons=(0.5, 0.25, 0.125, 0.0625), density=2)
         assert "scaling cell degree=" in str(info.value)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.25, 1.5, math.nan,
+                                         math.inf])
+    def test_epsilon_outside_unit_interval_rejected(self, monkeypatch,
+                                                    epsilon):
+        # epsilon 0 once sampled the basepoint alone and failed in the
+        # basis ("direction leaves the sampled slice").
+        sampled = []
+        monkeypatch.setattr(markov_lp, "sample_real_trace",
+                            lambda *args: sampled.append(args))
+        with pytest.raises(DomainError, match=r"epsilon must lie in"):
+            scaling_study(builtin_germs()["cusp_2_3"], (2, 3, 4),
+                          (0.5, 0.25, 0.125, epsilon), 40)
+        assert sampled == []
+
     def test_programming_errors_are_not_numeric_failures(self,
                                                           monkeypatch):
         def broken(problem):
@@ -397,16 +430,16 @@ class TestReductionReuse:
 
     @pytest.mark.parametrize("epsilons",
                              [DYADIC_EPSILONS, NON_DYADIC_EPSILONS])
-    def test_factors_match_per_cell_markov_factor_bit_for_bit(self,
-                                                              epsilons):
+    def test_factors_match_fresh_study_cells_bit_for_bit(self, epsilons):
         germ = builtin_germs()["cusp_2_3"]
         fit = scaling_study(germ, CUSP_DEGREES, epsilons, density=120)
         samples = {eps: sample_real_trace(germ, eps, 120)
                    for eps in epsilons}
         direction = tuple(tangent_vector(germ))
-        expected = [markov_factor(MarkovProblem(
+        expected = [markov_factor(markov_lp._StudyCell(
             samples=samples[eps], x0=germ.basepoint, v=direction,
-            degree=n)).factor for n in CUSP_DEGREES for eps in epsilons]
+            degree=n, reduce_columns=markov_lp._LastReduction())).factor
+            for n in CUSP_DEGREES for eps in epsilons]
         assert [row[:2] for row in fit.design] == \
             [(n, eps) for n in CUSP_DEGREES for eps in epsilons]
         assert np.array([row[2] for row in fit.design]).tobytes() == \
@@ -666,6 +699,121 @@ class TestCauchyDerivativeCheck:
             assert astuple(got) == astuple(want)
 
 
+def recorded_solves(monkeypatch):
+    """Record every solution markov_lp's solver returns, in order."""
+    solutions = []
+    original = markov_lp.solve_sup_norm_lp
+
+    def recording(constraints, objective):
+        solutions.append(original(constraints, objective))
+        return solutions[-1]
+
+    monkeypatch.setattr(markov_lp, "solve_sup_norm_lp", recording)
+    return solutions
+
+
+def basic_solution(constraints, objective, solution):
+    """The basic solution ``u`` at a full support: row j, or the
+    negated row for its mirror M + j, is one column of the basis."""
+    rows = constraints.shape[0]
+    support = solution.support
+    assert support.size == objective.size
+    signs = np.where(support < rows, 1.0, -1.0)
+    return np.linalg.solve((signs[:, None] * constraints[support % rows]).T,
+                           objective)
+
+
+def passes_sign_test(u):
+    return u.min() >= -FEASIBILITY_TOL * (1.0 + np.abs(u).sum())
+
+
+class TestCertificate:
+    """Solves that miss SupNormSolution.certified on the residual or on
+    the sign of u; TestPhaseTwoArtificials has one with a basic
+    artificial."""
+
+    def test_residual_fails_the_certificate(self):
+        constraints, functional = derivative_lp(
+            germ_problem("cusp_2_5", 0.25, 120, 6))
+        forward = solve_sup_norm_lp(constraints, functional)
+        assert passes_sign_test(
+            basic_solution(constraints, functional, forward))
+        assert forward.max_residual > FEASIBILITY_TOL
+        assert not forward.certified
+        # The mirrored value is larger, so the fallback matters here.
+        mirrored = solve_sup_norm_lp(constraints, -functional)
+        assert mirrored.value > forward.value * (1.0 + 1e-12)
+
+    def test_negative_basic_solution_fails_the_certificate(self):
+        constraints, functional = derivative_lp(
+            germ_problem("cusp_2_5", 0.125, 120, 6))
+        forward = solve_sup_norm_lp(constraints, functional)
+        assert forward.max_residual <= FEASIBILITY_TOL
+        assert not passes_sign_test(
+            basic_solution(constraints, functional, forward))
+        assert not forward.certified
+        mirrored = solve_sup_norm_lp(constraints, -functional)
+        assert mirrored.certified
+        assert mirrored.value > forward.value
+
+
+class TestOrientations:
+    """markov_factor solves both orientations unless a study cell's
+    forward solve is certified."""
+
+    def test_lone_problem_solves_both_orientations(self, monkeypatch):
+        solutions = recorded_solves(monkeypatch)
+        result = markov_factor(germ_problem("interval_interior", 0.5, 120,
+                                            6))
+        assert len(solutions) == 2
+        assert solutions[0].certified
+        assert result.factor == max(s.value for s in solutions)
+
+    @pytest.mark.parametrize("germ_id, epsilon, solves", [
+        ("interval_interior", 0.5, 1), ("cusp_2_5", 0.125, 2)])
+    def test_study_cell_stops_at_a_certified_forward_solve(
+            self, monkeypatch, germ_id, epsilon, solves):
+        # Degree 6, density 120: cusp_2_5's forward solve at eps 0.125
+        # has a negative basic solution.
+        problem = germ_problem(germ_id, epsilon, 120, 6)
+        cell = markov_lp._StudyCell(
+            samples=problem.samples, x0=problem.x0, v=problem.v,
+            degree=problem.degree,
+            reduce_columns=markov_lp._LastReduction())
+        solutions = recorded_solves(monkeypatch)
+        result = markov_factor(cell)
+        assert len(solutions) == solves
+        assert solutions[0].certified == (solves == 1)
+        assert result.factor == max(s.value for s in solutions)
+
+    def test_orientation_rule_is_not_a_field(self):
+        assert "one_orientation" not in {
+            field.name for field in fields(markov_lp._StudyCell)}
+
+    @pytest.mark.parametrize("density", [120, 300])
+    @pytest.mark.parametrize("germ_id", sorted(builtin_germs()))
+    def test_study_cells_match_markov_factor(self, monkeypatch, germ_id,
+                                             density):
+        # The scan workload's grid: cusp_2_5 and cusp_3_4 exceed
+        # CONDITION_LIMIT at degree 12.
+        germ = builtin_germs()[germ_id]
+        degrees = CUSP_DEGREES[:-1] if germ_id in ("cusp_2_5", "cusp_3_4") \
+            else CUSP_DEGREES
+        fit = scaling_study(germ, degrees, DYADIC_EPSILONS, density)
+        solutions = recorded_solves(monkeypatch)
+        for n, eps, factor, _ in fit.design:
+            solutions.clear()
+            expected = markov_factor(
+                germ_problem(germ_id, eps, density, n)).factor
+            if solutions[0].certified:
+                assert factor == solutions[0].value
+                assert math.isclose(factor, expected, rel_tol=1e-9,
+                                    abs_tol=0.0)
+            else:
+                assert np.float64(factor).tobytes() == \
+                    np.float64(expected).tobytes()
+
+
 class TestPhaseTwoArtificials:
     """A cell where the forward simplex solve alone ends on a wrong basis.
 
@@ -687,13 +835,17 @@ class TestPhaseTwoArtificials:
         result = markov_factor(self.problem())
         assert result.factor == pytest.approx(self.OPTIMUM, rel=1e-9)
 
+    def test_forward_solve_is_not_certified(self):
+        constraints, functional = derivative_lp(self.problem())
+        forward = solve_sup_norm_lp(constraints, functional)
+        # An artificial is basic: the support is short of a full basis.
+        assert forward.support.size < functional.size
+        assert not forward.certified
+        assert solve_sup_norm_lp(constraints, -functional).certified
+
     @pytest.mark.xfail(strict=True, reason="phase two lets basic "
                        "artificials grow; the forward solve returns 0.0")
     def test_forward_solve_reaches_optimum(self):
-        problem = self.problem()
-        x0 = np.asarray(problem.x0, dtype=float)
-        v = np.asarray(problem.v, dtype=float)
-        basis, reduction = reduce_samples(problem.samples, problem.degree)
-        functional = reduction.project(basis.derivative_row(x0, v))
-        forward = solve_sup_norm_lp(reduction.matrix, functional)
+        constraints, functional = derivative_lp(self.problem())
+        forward = solve_sup_norm_lp(constraints, functional)
         assert forward.value == pytest.approx(self.OPTIMUM, rel=1e-9)
