@@ -30,7 +30,7 @@ import numpy as np
 
 from .curve_model import (DomainError, NumericError, _integer_count,
                           sample_real_trace, tangent_vector)
-from .lp import solve_sup_norm_lp
+from .lp import SimplexError, solve_sup_norm_lp
 
 #: Above this condition estimate the sample/basis pairing is rejected.
 CONDITION_LIMIT = 1e12
@@ -342,15 +342,21 @@ class _LastReduction:
     matrix, which its caller must not change in place, and that
     matrix's ColumnReduction; both are dropped before a new matrix is
     reduced.
+
+    ``rows`` holds the rows (``support % M``) of the last certified
+    basis that a study cell ended on with the held reduction, or None;
+    markov_factor sets them and crash-starts the next cell from them.
+    They are dropped with the reduction.
     """
 
     def __init__(self):
         self._matrix = None
         self._reduction = None
+        self.rows = None
 
     def __call__(self, matrix):
         if not self._holds(matrix):
-            self._matrix = self._reduction = None
+            self._matrix = self._reduction = self.rows = None
             self._reduction = _reduce_columns(matrix)
             self._matrix = matrix
         return self._reduction
@@ -382,6 +388,17 @@ def markov_factor(problem):
     99.999999999999972, and the slack of that row, about 3e-16, would
     move by a third of itself.
 
+    A study cell whose _LastReduction holds the rows of a certified
+    basis first crash-starts ``+f`` from them, with no phase one, and
+    keeps that solve when it is certified.  Otherwise, or when that
+    solve raises a SimplexError, it takes the cold path above.  The
+    cells of a study that share a reduction differ only by a
+    power-of-two scale of ``f`` on the built-in germs, so the last
+    cell's basis is optimal again, and the warm solve takes few pivots
+    (188 over the scan workload's 193 warm cells).  The cold solves, of
+    lone problems and of cold cells, are the package's only phase-one
+    solves.
+
     Fewer samples than basis dimensions are accepted (a curve's trace
     space is smaller than the ambient one): the sample matrix is reduced
     to the columns they span, and ColumnReduction.project decides
@@ -402,24 +419,34 @@ def markov_factor(problem):
     # would leave permanently degenerate artificials in the simplex.
     # Curve ideal members have zero tangential derivative, so the
     # derivative survives the reduction whenever the samples resolve it.
-    reduction = (problem.reduce_columns or _reduce_columns)(
-        basis.evaluate(samples))
+    held = problem.reduce_columns
+    reduction = (held or _reduce_columns)(basis.evaluate(samples))
     functional = reduction.project(basis.derivative_row(x0, v))
-    # |A w| <= 1 is symmetric, so both have the same value in exact
-    # arithmetic, yet one uncertified solve alone is not safe.
-    # Artificials that stay basic at zero after phase one can grow in
-    # phase two (lp.solve_sup_norm_lp), leaving a wrong basis: on
-    # parabola_regular (n=12, eps=0.125, density 300) the forward solve
-    # returns 0.0 and the mirrored one 184.0444695071.  Taking the
-    # larger value hides that defect until the simplex is repaired.  A
-    # certified forward solve has no such defect, so a study cell stops
-    # there; a lone problem solves both (see the docstring).  Forward
-    # first in max, so a tie keeps it.
-    chosen = solve_sup_norm_lp(reduction.matrix, functional)
-    if not (problem.one_orientation and chosen.certified):
-        chosen = max((chosen, solve_sup_norm_lp(reduction.matrix,
-                                                -functional)),
-                     key=lambda solution: solution.value)
+    chosen = None
+    if held is not None and held.rows is not None:
+        try:
+            chosen = solve_sup_norm_lp(reduction.matrix, functional,
+                                       crash_rows=held.rows)
+        except SimplexError:
+            pass
+    if chosen is None or not chosen.certified:
+        # |A w| <= 1 is symmetric, so both have the same value in exact
+        # arithmetic, yet one uncertified solve alone is not safe.
+        # Artificials that stay basic at zero after phase one can grow
+        # in phase two (lp.solve_sup_norm_lp), leaving a wrong basis: on
+        # parabola_regular (n=12, eps=0.125, density 300) the forward
+        # solve returns 0.0 and the mirrored one 184.0444695071.  Taking
+        # the larger value hides that defect until the simplex is
+        # repaired.  A certified forward solve has no such defect, so a
+        # study cell stops there; a lone problem solves both (see the
+        # docstring).  Forward first in max, so a tie keeps it.
+        chosen = solve_sup_norm_lp(reduction.matrix, functional)
+        if not (problem.one_orientation and chosen.certified):
+            chosen = max((chosen, solve_sup_norm_lp(reduction.matrix,
+                                                    -functional)),
+                         key=lambda solution: solution.value)
+    if held is not None and chosen.certified:
+        held.rows = chosen.support % reduction.matrix.shape[0]
     return MarkovResult(factor=chosen.value,
                         coefficients=reduction.back_map @ chosen.coefficients,
                         basis=basis)
@@ -445,6 +472,8 @@ def fit_scaling(design):
         raise DomainError(
             "scaling fit needs at least 3 distinct degrees and 3 distinct "
             "epsilon values after excluding the largest epsilon")
+    if not all(math.isfinite(m) for _, _, m in used):
+        raise NumericError("non-finite Markov factor in the scaling grid")
     if any(m <= 0 for _, _, m in used):
         raise NumericError("nonpositive Markov factor in the scaling grid")
     rows = np.array([[math.log(n), math.log(1.0 / eps), 1.0]
@@ -461,7 +490,9 @@ def fit_scaling(design):
 class _StudyCell(MarkovProblem):
     """One scaling_study cell, reduced through the study's _LastReduction.
 
-    markov_factor stops at its forward solve when that is certified.
+    markov_factor crash-starts it from the last certified basis that
+    _LastReduction holds, and otherwise stops at its forward solve when
+    that is certified.
     """
 
     reduce_columns: _LastReduction
@@ -472,11 +503,14 @@ def scaling_study(germ, degrees, epsilons, density):
     """Markov factors over a (degree, epsilon) grid and their joint fit.
 
     Returns the FitResult; its ``design`` holds every cell.  A cell
-    whose forward solve is certified keeps that solve alone, so its
-    factor can differ from markov_factor's on the same samples in the
-    last bits; every other cell is bit for bit markov_factor's.  Each
-    epsilon must lie in (0, 1]: epsilon 0 would sample the basepoint
-    alone.
+    after the first on a reduction is crash-started from the last
+    certified basis on it and keeps that solve when it is certified
+    (see markov_factor).  Otherwise a cell whose forward solve is
+    certified keeps that solve alone, and every other cell is bit for
+    bit markov_factor's.  So a cell can differ from markov_factor's on
+    the same samples in the last bits wherever it kept a certified
+    solve.  Each epsilon must lie in (0, 1]: epsilon 0 would sample the
+    basepoint alone.
 
     Samples realize the trace ball parametrically: parameters run to
     eps along the star rays, so the geometric radius is eps**k at a

@@ -183,6 +183,40 @@ def test_crash_start_reaches_the_phase_one_optimum(degree):
         assert solution.certified
 
 
+def scan_lp(germ_id, degree, density):
+    """The reduced matrix and derivative functional of a markov-scan
+    cell at epsilon 0.5."""
+    germ = builtin_germs()[germ_id]
+    samples = sample_real_trace(germ, 0.5, density)
+    chebyshev = markov_lp.PolynomialBasis.from_points(samples, degree)
+    reduction = markov_lp._reduce_columns(chebyshev.evaluate(samples))
+    return reduction.matrix, reduction.project(chebyshev.derivative_row(
+        np.asarray(germ.basepoint), tangent_vector(germ)))
+
+
+@pytest.mark.parametrize("germ_id, degree, density, generated", [
+    ("cusp_2_3", 6, 120, False), ("interval_interior", 3, 300, True)],
+    ids=["full", "row_generated"])
+def test_crash_start_at_an_optimal_basis_takes_no_pivot(germ_id, degree,
+                                                        density, generated):
+    # How a scaling study's warm cell starts: from the rows of a
+    # certified optimum, for a power-of-two multiple of its objective.
+    constraints, objective = scan_lp(germ_id, degree, density)
+    count, size = constraints.shape
+    assert (count >= lp.ROW_GENERATION_CUT * size) == generated
+    optimum = solve_sup_norm_lp(constraints, objective)
+    assert optimum.certified
+    values = []
+    for scale in (4.0, 16.0):
+        solution = solve_sup_norm_lp(constraints, scale * objective,
+                                     crash_rows=optimum.support % count)
+        assert solution.iterations == 0
+        assert solution.certified
+        assert np.array_equal(solution.support, optimum.support)
+        values.append(solution.value)
+    assert values[1] == 4.0 * values[0]
+
+
 @pytest.mark.parametrize("malformed", [
     lambda crash: crash[:-1],
     lambda crash: np.r_[crash[:-1], 201],

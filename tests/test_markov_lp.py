@@ -6,7 +6,7 @@ import random
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ import pytest
 from markov_curves import acceptance, extremal_green, markov_lp
 from markov_curves.curve_model import DomainError, builtin_germs, \
     sample_real_trace, tangent_vector
-from markov_curves.lp import (FEASIBILITY_TOL, UnboundedProblemError,
-                              solve_sup_norm_lp)
+from markov_curves.lp import (FEASIBILITY_TOL, SimplexError,
+                              UnboundedProblemError, solve_sup_norm_lp)
 from markov_curves.markov_lp import (ConditioningError, MarkovProblem,
                                      NumericError, PolynomialBasis,
                                      TooFewPointsError, _chebyshev_table,
@@ -406,6 +406,17 @@ class TestScalingStudy:
         assert fit.alpha_deg == pytest.approx(1.7, abs=1e-3)
         assert fit.alpha_eps == pytest.approx(0.9, abs=1e-3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_non_finite_factor_rejected(self, bad):
+        # Both once slipped past the nonpositive test and gave a fit
+        # whose exponents were all NaN.
+        rows = [(n, eps, n * n / eps, True)
+                for n in (2, 3, 4) for eps in (0.5, 0.25, 0.125)]
+        rows[4] = rows[4][:2] + (bad, True)
+        with pytest.raises(NumericError, match="non-finite Markov factor"):
+            fit_scaling(rows)
+
 
 CUSP_DEGREES = (2, 3, 4, 6, 8, 12)
 DYADIC_EPSILONS = (0.5, 0.25, 0.125, 0.0625)
@@ -425,25 +436,46 @@ def counted_reductions(monkeypatch):
     return shapes
 
 
+def cold_cell_factors(germ, degrees, epsilons, density):
+    """Each grid cell solved as a fresh _StudyCell, with its own
+    _LastReduction and so no basis to start from: the cold path."""
+    samples = {eps: sample_real_trace(germ, eps, density)
+               for eps in epsilons}
+    direction = tuple(tangent_vector(germ))
+    return [markov_factor(markov_lp._StudyCell(
+        samples=samples[eps], x0=germ.basepoint, v=direction, degree=n,
+        reduce_columns=markov_lp._LastReduction())).factor
+        for n in degrees for eps in epsilons]
+
+
+def same_bits(first, second):
+    return np.float64(first).tobytes() == np.float64(second).tobytes()
+
+
 class TestReductionReuse:
     """scaling_study reduces each distinct sample matrix once, exactly."""
 
     @pytest.mark.parametrize("epsilons",
                              [DYADIC_EPSILONS, NON_DYADIC_EPSILONS])
-    def test_factors_match_fresh_study_cells_bit_for_bit(self, epsilons):
+    def test_factors_match_fresh_study_cells_bit_for_bit(self, monkeypatch,
+                                                         epsilons):
+        # A cell that kept a certified warm solve is within 1e-9 of the
+        # cold path; every other cell has its bits.
         germ = builtin_germs()["cusp_2_3"]
+        cells = recorded_cells(monkeypatch)
         fit = scaling_study(germ, CUSP_DEGREES, epsilons, density=120)
-        samples = {eps: sample_real_trace(germ, eps, 120)
-                   for eps in epsilons}
-        direction = tuple(tangent_vector(germ))
-        expected = [markov_factor(markov_lp._StudyCell(
-            samples=samples[eps], x0=germ.basepoint, v=direction,
-            degree=n, reduce_columns=markov_lp._LastReduction())).factor
-            for n in CUSP_DEGREES for eps in epsilons]
+        monkeypatch.undo()
+        expected = cold_cell_factors(germ, CUSP_DEGREES, epsilons, 120)
         assert [row[:2] for row in fit.design] == \
             [(n, eps) for n in CUSP_DEGREES for eps in epsilons]
-        assert np.array([row[2] for row in fit.design]).tobytes() == \
-            np.array(expected).tobytes()
+        assert any(map(kept_warm, cells))
+        for (_, _, factor, _), solves, cold in zip(fit.design, cells,
+                                                   expected):
+            if kept_warm(solves):
+                assert math.isclose(factor, cold, rel_tol=1e-9,
+                                    abs_tol=0.0)
+            else:
+                assert same_bits(factor, cold)
 
     def test_dyadic_grid_reduces_once_per_degree(self, monkeypatch):
         shapes = counted_reductions(monkeypatch)
@@ -704,12 +736,40 @@ def recorded_solves(monkeypatch):
     solutions = []
     original = markov_lp.solve_sup_norm_lp
 
-    def recording(constraints, objective):
-        solutions.append(original(constraints, objective))
+    def recording(constraints, objective, crash_rows=None):
+        solutions.append(original(constraints, objective,
+                                  crash_rows=crash_rows))
         return solutions[-1]
 
     monkeypatch.setattr(markov_lp, "solve_sup_norm_lp", recording)
     return solutions
+
+
+def recorded_cells(monkeypatch):
+    """One list per markov_factor call, in order, of the (warm,
+    solution) pairs of its solves; warm ones were crash-started."""
+    cells = []
+    solve = markov_lp.solve_sup_norm_lp
+    factor = markov_lp.markov_factor
+
+    def recording_solve(constraints, objective, crash_rows=None):
+        solution = solve(constraints, objective, crash_rows=crash_rows)
+        cells[-1].append((crash_rows is not None, solution))
+        return solution
+
+    def recording_factor(problem):
+        cells.append([])
+        return factor(problem)
+
+    monkeypatch.setattr(markov_lp, "solve_sup_norm_lp", recording_solve)
+    monkeypatch.setattr(markov_lp, "markov_factor", recording_factor)
+    return cells
+
+
+def kept_warm(solves):
+    """Whether a cell kept its warm solve: it is first, and certified."""
+    warm, solution = solves[0]
+    return warm and solution.certified
 
 
 def basic_solution(constraints, objective, solution):
@@ -799,19 +859,93 @@ class TestOrientations:
         germ = builtin_germs()[germ_id]
         degrees = CUSP_DEGREES[:-1] if germ_id in ("cusp_2_5", "cusp_3_4") \
             else CUSP_DEGREES
+        cells = recorded_cells(monkeypatch)
         fit = scaling_study(germ, degrees, DYADIC_EPSILONS, density)
-        solutions = recorded_solves(monkeypatch)
-        for n, eps, factor, _ in fit.design:
-            solutions.clear()
+        monkeypatch.undo()
+        for (n, eps, factor, _), solves in zip(fit.design, cells):
             expected = markov_factor(
                 germ_problem(germ_id, eps, density, n)).factor
-            if solutions[0].certified:
-                assert factor == solutions[0].value
+            # A warm solve that is not certified gives way to the cold
+            # path, whose first solve is the forward one.
+            if not kept_warm(solves):
+                solves = [pair for pair in solves if not pair[0]]
+            solution = solves[0][1]
+            if solution.certified:
+                assert factor == solution.value
                 assert math.isclose(factor, expected, rel_tol=1e-9,
                                     abs_tol=0.0)
             else:
-                assert np.float64(factor).tobytes() == \
-                    np.float64(expected).tobytes()
+                assert same_bits(factor, expected)
+
+
+class TestWarmStart:
+    """A study cell after the first on a reduction is crash-started from
+    the last certified basis on it, and keeps that solve if certified."""
+
+    def test_later_cells_of_a_degree_are_warm(self, monkeypatch):
+        cells = recorded_cells(monkeypatch)
+        fit = scaling_study(builtin_germs()["cusp_2_3"], CUSP_DEGREES,
+                            DYADIC_EPSILONS, density=120)
+        width = len(DYADIC_EPSILONS)
+        for start in range(0, len(cells), width):
+            first, *later = cells[start:start + width]
+            assert [warm for warm, _ in first] == [False]
+            row = fit.design[start + 1:start + width]
+            for (n, _, factor, _), solves in zip(row, later):
+                ((warm, solution),) = solves
+                assert warm and solution.certified
+                assert factor == solution.value
+                # At degree 12 (condition 4.8e8) the crash tableau reads
+                # reduced costs down to -6.7e-9 at the certified basis:
+                # three columns price in on that noise and leave again.
+                assert solution.iterations <= (3 if n == 12 else 0)
+            # eps halves and the factor grows 4-fold, exactly: at
+            # degree 12, 41721.651192398385 * 4 = 166886.60476959354.
+            factors = [cell[2] for cell in row]
+            assert factors[1:] == [4.0 * factor for factor in factors[:-1]]
+
+    @pytest.mark.parametrize("failure", ["uncertified", "raises"])
+    def test_failed_warm_solve_takes_the_cold_path(self, monkeypatch,
+                                                   failure):
+        germ = builtin_germs()["cusp_2_3"]
+        degrees = (2, 3, 4)
+        expected = cold_cell_factors(germ, degrees, DYADIC_EPSILONS, 120)
+        original = markov_lp.solve_sup_norm_lp
+        warm = []
+
+        def failing(constraints, objective, crash_rows=None):
+            solution = original(constraints, objective,
+                                crash_rows=crash_rows)
+            if crash_rows is None:
+                return solution
+            warm.append(solution)
+            if failure == "raises":
+                raise SimplexError("warm start failed")
+            return replace(solution, certified=False)
+
+        monkeypatch.setattr(markov_lp, "solve_sup_norm_lp", failing)
+        fit = scaling_study(germ, degrees, DYADIC_EPSILONS, density=120)
+        assert len(warm) == len(degrees) * (len(DYADIC_EPSILONS) - 1)
+        assert all(same_bits(row[2], cold)
+                   for row, cold in zip(fit.design, expected))
+
+    def test_matrix_one_bit_apart_gets_no_warm_start(self, monkeypatch):
+        problem = germ_problem("cusp_2_3", 0.5, 120, 4)
+        samples = np.asarray(problem.samples)
+        nudged = samples.copy()
+        nudged[5, 1] = np.nextafter(nudged[5, 1], np.inf)
+        reduce_columns = markov_lp._LastReduction()
+        cells = recorded_cells(monkeypatch)
+        for cell_samples in (samples, nudged, samples, samples.copy()):
+            markov_lp.markov_factor(markov_lp._StudyCell(
+                samples=cell_samples, x0=problem.x0, v=problem.v,
+                degree=problem.degree, reduce_columns=reduce_columns))
+        assert all(solution.certified for cell in cells
+                   for _, solution in cell)
+        assert [cell[0][0] for cell in cells] == [False, False, False,
+                                                  True]
+        reduce_columns(nudged)
+        assert reduce_columns.rows is None
 
 
 class TestPhaseTwoArtificials:
