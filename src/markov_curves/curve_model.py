@@ -172,6 +172,15 @@ def _integer_count(value, name):
             f"{name} must be an integer, not {value!r}") from None
 
 
+def _germ_integer(value, field, name):
+    """_integer_count for germ data, failing with a GermError at
+    ``field``: germ data is never truncated to an integer."""
+    try:
+        return _integer_count(value, name)
+    except DomainError as exc:
+        raise GermError(str(exc), field) from None
+
+
 def chebyshev_grid(a, b, count):
     """``count`` Chebyshev-distributed points of [a, b], endpoints included."""
     count = _integer_count(count, "count")
@@ -197,7 +206,8 @@ class TruncatedSeries:
     terms: tuple
 
     def __post_init__(self):
-        cleaned = tuple((int(e), complex(a)) for e, a in self.terms if a != 0)
+        cleaned = tuple((_germ_integer(e, e, "a series exponent"), complex(a))
+                        for e, a in self.terms if a != 0)
         previous = 0
         for e, _ in cleaned:
             if e < 1:
@@ -248,6 +258,7 @@ class PuiseuxBranch:
     tail: tuple  # TruncatedSeries for coordinates 2..n
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _germ_integer(self.k, "k", "k"))
         if self.k < 1:
             raise GermError("k must be a positive integer", "k")
         if self.c == 0:
@@ -316,7 +327,8 @@ class CurveGerm:
                 "basepoint dimension != ambient dimension", "basepoint")
         object.__setattr__(self, "basepoint", basepoint)
         for field in ("star_plus", "star_minus"):
-            star = tuple(int(l) for l in getattr(self, field))
+            star = tuple(_germ_integer(l, field, f"a {field} index")
+                         for l in getattr(self, field))
             if (any(not 0 <= l < k for l in star)
                     or any(x >= y for x, y in zip(star, star[1:]))):
                 raise GermError(

@@ -32,15 +32,11 @@ drift cannot leak into results.
 A problem of full column rank needs no phase one.  Given N independent
 crash rows ``a_j``, solving ``A_S.T u = f`` and taking the mirror
 wherever ``u_j < 0`` gives a basis whose basic solution is
-``|u| >= 0``: phase two starts there.  Every Siciak LP is solved by
-``markov_lp.ColumnReduction.peak``, which passes the reduction's
-``crash_rows``.  A scaling-study cell after the first on a reduction
-passes the rows of the last certified basis on it, where the next
-objective, a power-of-two multiple on the built-in germs, is optimal
-again.  Without crash rows the solver starts from artificials and
-drives them out in phase one, whose positive optimum is reported as
-unboundedness; ``markov_factor``'s cold solves are the only ones that
-take that path.
+``|u| >= 0``: phase two starts there.  ``crash_rows`` are the
+caller's: any N independent rows will do, and a basis close to the
+optimal one saves pivots.  Without crash rows the solver starts from
+artificials and drives them out in phase one, whose positive optimum
+is reported as unboundedness.
 
 At most N of the M rows are active at an optimum.  A crash-started
 problem with ``M >= ROW_GENERATION_CUT * N`` rows therefore solves by

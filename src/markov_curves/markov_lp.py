@@ -192,13 +192,6 @@ class MarkovProblem:
     v: tuple
     degree: int
 
-    #: How markov_factor reduces the sample matrix, None for
-    #: _reduce_columns.  Not a field: only a _StudyCell sets it.
-    reduce_columns = None
-    #: Whether markov_factor stops at a certified forward solve.  Not
-    #: a field: only a _StudyCell sets it (see markov_factor).
-    one_orientation = False
-
     def __post_init__(self):
         if not np.all(np.isfinite(np.asarray(self.x0, dtype=float))):
             raise DomainError("basepoint x0 must be finite")
@@ -333,39 +326,32 @@ def _reduce_columns(matrix):
     return ColumnReduction(matrix @ back_map, back_map, condition)
 
 
-class _LastReduction:
-    """_reduce_columns that reuses its last result for the same bits.
+class _Study:
+    """What a scaling study carries from one cell to the next.
 
-    The same input bits give the same SVD, so the reuse is exact.  Bits
-    are compared, not values: np.array_equal takes -0.0 for 0.0 and
-    finds a nan unequal to itself.  It holds a reference to the last
-    matrix, which its caller must not change in place, and that
-    matrix's ColumnReduction; both are dropped before a new matrix is
-    reduced.
-
-    ``rows`` holds the rows (``support % M``) of the last certified
-    basis that a study cell ended on with the held reduction, or None;
-    markov_factor sets them and crash-starts the next cell from them.
-    They are dropped with the reduction.
+    ``reduce`` is _reduce_columns that reuses its last result for the
+    same bits: the same input bits give the same SVD, so the reuse is
+    exact.  Bits are compared, not values: np.array_equal takes -0.0
+    for 0.0 and finds a nan unequal to itself.  The study holds a
+    reference to the last matrix, which its caller must not change in
+    place, and that matrix's ColumnReduction.  ``rows`` holds the rows
+    (``support % M``) of the last certified basis on that reduction, or
+    None; markov_factor sets them.  The reduction and the rows are
+    dropped before a new matrix is reduced.
     """
 
     def __init__(self):
-        self._matrix = None
-        self._reduction = None
-        self.rows = None
+        self._matrix = self._reduction = self.rows = None
 
-    def __call__(self, matrix):
-        if not self._holds(matrix):
+    def reduce(self, matrix):
+        last = self._matrix
+        if not (last is not None and last.dtype == matrix.dtype
+                and last.shape == matrix.shape
+                and _bits(last) == _bits(matrix)):
             self._matrix = self._reduction = self.rows = None
             self._reduction = _reduce_columns(matrix)
             self._matrix = matrix
         return self._reduction
-
-    def _holds(self, matrix):
-        last = self._matrix
-        return (last is not None and last.dtype == matrix.dtype
-                and last.shape == matrix.shape
-                and _bits(last) == _bits(matrix))
 
 
 def _bits(array):
@@ -378,26 +364,25 @@ def _bits(array):
 def markov_factor(problem):
     """Solve the Markov LP in one or both objective orientations.
 
-    The forward objective ``+f`` is solved first.  A lone problem also
-    solves the mirrored ``-f`` and keeps the larger value.  A scaling
-    study cell stops at a forward solve that is ``certified`` (see
-    lp.SupNormSolution), since the mirrored one cannot beat it beyond
-    tolerance; otherwise it solves both as well.  Lone problems keep
-    both solves for verify's criterion 1: at degree 10 its certified
-    forward value is 99.999999999999957 and the mirrored one
-    99.999999999999972, and the slack of that row, about 3e-16, would
-    move by a third of itself.
+    A problem without a study solves the forward objective ``+f`` and
+    the mirrored ``-f``, and keeps the larger value.  It keeps both for
+    verify's criterion 1: at degree 10 its certified forward value is
+    99.999999999999957 and the mirrored one 99.999999999999972, and the
+    slack of that row, about 3e-16, would move by a third of itself.
 
-    A study cell whose _LastReduction holds the rows of a certified
-    basis first crash-starts ``+f`` from them, with no phase one, and
-    keeps that solve when it is certified.  Otherwise, or when that
-    solve raises a SimplexError, it takes the cold path above.  The
-    cells of a study that share a reduction differ only by a
-    power-of-two scale of ``f`` on the built-in germs, so the last
-    cell's basis is optimal again, and the warm solve takes few pivots
-    (188 over the scan workload's 193 warm cells).  The cold solves, of
-    lone problems and of cold cells, are the package's only phase-one
-    solves.
+    A scaling_study cell (a _StudyCell) stops at its first solve that is
+    ``certified`` (see lp.SupNormSolution), since the mirrored one
+    cannot beat it beyond tolerance.  When its _Study holds the rows of
+    a certified basis on the cell's reduction, that first solve is
+    ``+f`` crash-started from them, with no phase one; the cells that
+    share a reduction differ only by a power-of-two scale of ``f`` on
+    the built-in germs, so the last basis is optimal again (188 pivots
+    over the scan workload's 193 warm cells).  A warm solve that is not
+    certified, or raises a SimplexError, gives way to the cold forward
+    solve, and an uncertified forward solve to both orientations, as
+    for a lone problem.  The cold solves are the package's only
+    phase-one solves.  So a cell can differ from a lone problem on the
+    same samples in the last bits wherever it kept a certified solve.
 
     Fewer samples than basis dimensions are accepted (a curve's trace
     space is smaller than the ambient one): the sample matrix is reduced
@@ -414,19 +399,21 @@ def markov_factor(problem):
     v = np.asarray(problem.v, dtype=float)
     samples = np.asarray(problem.samples, dtype=float)
     basis = PolynomialBasis.from_points(samples, problem.degree)
+    study = getattr(problem, "study", None)
     # Restriction to an algebraic curve can have a genuine kernel
     # (x**3 - y**2 vanishes identically on a (2,3) cusp trace), which
     # would leave permanently degenerate artificials in the simplex.
     # Curve ideal members have zero tangential derivative, so the
     # derivative survives the reduction whenever the samples resolve it.
-    held = problem.reduce_columns
-    reduction = (held or _reduce_columns)(basis.evaluate(samples))
+    matrix = basis.evaluate(samples)
+    reduction = (_reduce_columns(matrix) if study is None
+                 else study.reduce(matrix))
     functional = reduction.project(basis.derivative_row(x0, v))
     chosen = None
-    if held is not None and held.rows is not None:
+    if study is not None and study.rows is not None:
         try:
             chosen = solve_sup_norm_lp(reduction.matrix, functional,
-                                       crash_rows=held.rows)
+                                       crash_rows=study.rows)
         except SimplexError:
             pass
     if chosen is None or not chosen.certified:
@@ -437,16 +424,14 @@ def markov_factor(problem):
         # parabola_regular (n=12, eps=0.125, density 300) the forward
         # solve returns 0.0 and the mirrored one 184.0444695071.  Taking
         # the larger value hides that defect until the simplex is
-        # repaired.  A certified forward solve has no such defect, so a
-        # study cell stops there; a lone problem solves both (see the
-        # docstring).  Forward first in max, so a tie keeps it.
+        # repaired.  Forward first in max, so a tie keeps it.
         chosen = solve_sup_norm_lp(reduction.matrix, functional)
-        if not (problem.one_orientation and chosen.certified):
+        if study is None or not chosen.certified:
             chosen = max((chosen, solve_sup_norm_lp(reduction.matrix,
                                                     -functional)),
                          key=lambda solution: solution.value)
-    if held is not None and chosen.certified:
-        held.rows = chosen.support % reduction.matrix.shape[0]
+    if study is not None and chosen.certified:
+        study.rows = chosen.support % reduction.matrix.shape[0]
     return MarkovResult(factor=chosen.value,
                         coefficients=reduction.back_map @ chosen.coefficients,
                         basis=basis)
@@ -488,29 +473,19 @@ def fit_scaling(design):
 
 @dataclass(frozen=True)
 class _StudyCell(MarkovProblem):
-    """One scaling_study cell, reduced through the study's _LastReduction.
+    """One scaling_study cell and the _Study it belongs to."""
 
-    markov_factor crash-starts it from the last certified basis that
-    _LastReduction holds, and otherwise stops at its forward solve when
-    that is certified.
-    """
-
-    reduce_columns: _LastReduction
-    one_orientation = True
+    study: _Study
 
 
 def scaling_study(germ, degrees, epsilons, density):
     """Markov factors over a (degree, epsilon) grid and their joint fit.
 
-    Returns the FitResult; its ``design`` holds every cell.  A cell
-    after the first on a reduction is crash-started from the last
-    certified basis on it and keeps that solve when it is certified
-    (see markov_factor).  Otherwise a cell whose forward solve is
-    certified keeps that solve alone, and every other cell is bit for
-    bit markov_factor's.  So a cell can differ from markov_factor's on
-    the same samples in the last bits wherever it kept a certified
-    solve.  Each epsilon must lie in (0, 1]: epsilon 0 would sample the
-    basepoint alone.
+    Returns the FitResult; its ``design`` holds every cell.  The cells
+    share one _Study, so each may stop at a certified solve (see
+    markov_factor).  Each degree must be at least 1, since a constant
+    has no derivative, and each epsilon must lie in (0, 1]: epsilon 0
+    would sample the basepoint alone.
 
     Samples realize the trace ball parametrically: parameters run to
     eps along the star rays, so the geometric radius is eps**k at a
@@ -521,26 +496,28 @@ def scaling_study(germ, degrees, epsilons, density):
     Each epsilon is sampled once, on first use, and each distinct
     sample matrix is reduced once: on a quasi-homogeneous germ the
     dyadic epsilons of a degree give bitwise-equal matrices, and the
-    cells in a row of the grid share one ColumnReduction (see
-    _LastReduction).  Each cell keeps its own basis and derivative row.
+    cells in a row of the grid share one ColumnReduction.  Each cell
+    keeps its own basis and derivative row.
     """
     degrees = tuple(_integer_count(n, "degree") for n in degrees)
     epsilons = tuple(float(e) for e in epsilons)
     if not degrees or not epsilons:
         raise DomainError("degree and epsilon grids must be nonempty")
+    for n in degrees:
+        if n < 1:
+            raise DomainError(f"degree must be at least 1, got {n}")
     for eps in epsilons:
         if not 0.0 < eps <= 1.0:
             raise DomainError(f"epsilon must lie in (0, 1], got {eps:g}")
     direction = tangent_vector(germ)
     samples = {}
-    reduce_columns = _LastReduction()
+    study = _Study()
 
     def solve(n, eps):
         if eps not in samples:
             samples[eps] = sample_real_trace(germ, eps, density)
         problem = _StudyCell(samples=samples[eps], x0=germ.basepoint,
-                             v=tuple(direction), degree=n,
-                             reduce_columns=reduce_columns)
+                             v=tuple(direction), degree=n, study=study)
         try:
             return markov_factor(problem).factor
         except (NumericError, DomainError) as exc:

@@ -58,6 +58,39 @@ def test_non_integer_count_rejected(sample):
         sample()
 
 
+CUSP_TAIL = (TruncatedSeries(terms=((3, 1.0),)),)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: TruncatedSeries(terms=((2.5, 1.0),)), 2.5),
+    (lambda: TruncatedSeries(terms=((3.0, 1.0),)), 3.0),
+    (lambda: PuiseuxBranch(k=2.5, c=1.0, tail=CUSP_TAIL), "k"),
+    (lambda: PuiseuxBranch(k=2.0, c=1.0, tail=CUSP_TAIL), "k"),
+    (lambda: CurveGerm(basepoint=(0.0, 0.0),
+                       branch=PuiseuxBranch(k=2, c=1.0, tail=CUSP_TAIL),
+                       star_plus=(0.7,), star_minus=(0,)), "star_plus"),
+    (lambda: CurveGerm(basepoint=(0.0, 0.0),
+                       branch=PuiseuxBranch(k=2, c=1.0, tail=CUSP_TAIL),
+                       star_plus=(0,), star_minus=(0.0,)), "star_minus"),
+], ids=["exponent_fraction", "exponent_float", "k_fraction", "k_float",
+        "star_plus_fraction", "star_minus_float"])
+def test_non_integer_germ_data_rejected(build, field):
+    # Each was once truncated by int(): exponent 2.5 became 2, k = 2.5
+    # passed, and star (0.7,) became (0,).
+    with pytest.raises(GermError, match="must be an integer") as info:
+        build()
+    assert info.value.field == field
+
+
+def test_numpy_integer_germ_data_accepted():
+    branch = PuiseuxBranch(k=np.int64(2), c=1.0, tail=(
+        TruncatedSeries(terms=((np.int64(3), 1.0),)),))
+    germ = CurveGerm(basepoint=(0.0, 0.0), branch=branch,
+                     star_plus=(np.int64(0),), star_minus=(0,))
+    assert germ == builtin_germs()["cusp_2_3"]
+    assert type(germ.branch.k) is int
+
+
 class TestTruncatedSeries:
     def test_evaluates_like_a_sparse_polynomial(self):
         series = TruncatedSeries(terms=((3, 1.0), (5, -2.0)))

@@ -383,6 +383,18 @@ class TestScalingStudy:
                           (0.5, 0.25, 0.125, epsilon), 40)
         assert sampled == []
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_rejected(self, monkeypatch, degree):
+        # Degree 0 once solved every cell and failed in the fit
+        # ("nonpositive Markov factor"); degree -1 sampled first.
+        sampled = []
+        monkeypatch.setattr(markov_lp, "sample_real_trace",
+                            lambda *args: sampled.append(args))
+        with pytest.raises(DomainError, match=r"degree must be at least 1"):
+            scaling_study(builtin_germs()["cusp_2_3"], (2, 3, 4, degree),
+                          (0.5, 0.25, 0.125), 40)
+        assert sampled == []
+
     def test_programming_errors_are_not_numeric_failures(self,
                                                           monkeypatch):
         def broken(problem):
@@ -438,13 +450,13 @@ def counted_reductions(monkeypatch):
 
 def cold_cell_factors(germ, degrees, epsilons, density):
     """Each grid cell solved as a fresh _StudyCell, with its own
-    _LastReduction and so no basis to start from: the cold path."""
+    _Study and so no basis to start from: the cold path."""
     samples = {eps: sample_real_trace(germ, eps, density)
                for eps in epsilons}
     direction = tuple(tangent_vector(germ))
     return [markov_factor(markov_lp._StudyCell(
         samples=samples[eps], x0=germ.basepoint, v=direction, degree=n,
-        reduce_columns=markov_lp._LastReduction())).factor
+        study=markov_lp._Study())).factor
         for n in degrees for eps in epsilons]
 
 
@@ -513,32 +525,32 @@ class TestReductionReuse:
         else:
             other[1, 1] = np.nextafter(0.5, 1.0)
         shapes = counted_reductions(monkeypatch)
-        reduce_columns = markov_lp._LastReduction()
-        first = reduce_columns(matrix)
-        assert reduce_columns(matrix.copy()) is first
-        second = reduce_columns(other)
+        study = markov_lp._Study()
+        first = study.reduce(matrix)
+        assert study.reduce(matrix.copy()) is first
+        second = study.reduce(other)
         assert second is not first
         assert second.matrix is other
-        assert reduce_columns(matrix) is not second
+        assert study.reduce(matrix) is not second
         assert len(shapes) == 3
 
     def test_comparison_copies_no_matrix(self):
         samples = sample_real_trace(builtin_germs()["cusp_2_3"], 0.5, 300)
         matrix = PolynomialBasis.from_points(samples, 12).evaluate(samples)
         other = matrix.copy()
-        reduce_columns = markov_lp._LastReduction()
-        first = reduce_columns(matrix)
+        study = markov_lp._Study()
+        first = study.reduce(matrix)
         tracemalloc.start()
         try:
-            assert reduce_columns(other) is first
+            assert study.reduce(other) is first
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < matrix.nbytes / 8
 
     def test_old_reduction_is_dropped_before_the_next(self, monkeypatch):
-        reduce_columns = markov_lp._LastReduction()
-        old = weakref.ref(reduce_columns(np.eye(3)))
+        study = markov_lp._Study()
+        old = weakref.ref(study.reduce(np.eye(3)))
         alive = []
         original = markov_lp._reduce_columns
 
@@ -547,7 +559,7 @@ class TestReductionReuse:
             return original(matrix)
 
         monkeypatch.setattr(markov_lp, "_reduce_columns", recording)
-        reduce_columns(2.0 * np.eye(3))
+        study.reduce(2.0 * np.eye(3))
         assert alive == [False]
 
 
@@ -838,17 +850,30 @@ class TestOrientations:
         problem = germ_problem(germ_id, epsilon, 120, 6)
         cell = markov_lp._StudyCell(
             samples=problem.samples, x0=problem.x0, v=problem.v,
-            degree=problem.degree,
-            reduce_columns=markov_lp._LastReduction())
+            degree=problem.degree, study=markov_lp._Study())
         solutions = recorded_solves(monkeypatch)
         result = markov_factor(cell)
         assert len(solutions) == solves
         assert solutions[0].certified == (solves == 1)
         assert result.factor == max(s.value for s in solutions)
 
-    def test_orientation_rule_is_not_a_field(self):
-        assert "one_orientation" not in {
-            field.name for field in fields(markov_lp._StudyCell)}
+    def test_study_is_the_only_switch(self):
+        names = [field.name for field in fields(MarkovProblem)]
+        assert names == ["samples", "x0", "v", "degree"]
+        for name in ("reduce_columns", "one_orientation"):
+            assert not hasattr(MarkovProblem, name)
+            assert not hasattr(markov_lp._StudyCell, name)
+        assert [field.name for field in fields(markov_lp._StudyCell)] == \
+            names + ["study"]
+
+    def test_lone_calls_share_no_state(self, monkeypatch):
+        problem = germ_problem("interval_interior", 0.5, 120, 6)
+        cells = recorded_cells(monkeypatch)
+        first = markov_lp.markov_factor(problem)
+        second = markov_lp.markov_factor(problem)
+        assert [[warm for warm, _ in cell] for cell in cells] == \
+            [[False, False], [False, False]]
+        assert same_bits(first.factor, second.factor)
 
     @pytest.mark.parametrize("density", [120, 300])
     @pytest.mark.parametrize("germ_id", sorted(builtin_germs()))
@@ -934,18 +959,18 @@ class TestWarmStart:
         samples = np.asarray(problem.samples)
         nudged = samples.copy()
         nudged[5, 1] = np.nextafter(nudged[5, 1], np.inf)
-        reduce_columns = markov_lp._LastReduction()
+        study = markov_lp._Study()
         cells = recorded_cells(monkeypatch)
         for cell_samples in (samples, nudged, samples, samples.copy()):
             markov_lp.markov_factor(markov_lp._StudyCell(
                 samples=cell_samples, x0=problem.x0, v=problem.v,
-                degree=problem.degree, reduce_columns=reduce_columns))
+                degree=problem.degree, study=study))
         assert all(solution.certified for cell in cells
                    for _, solution in cell)
         assert [cell[0][0] for cell in cells] == [False, False, False,
                                                   True]
-        reduce_columns(nudged)
-        assert reduce_columns.rows is None
+        study.reduce(nudged)
+        assert study.rows is None
 
 
 class TestPhaseTwoArtificials:
