@@ -337,6 +337,13 @@ class CurveGerm:
             object.__setattr__(self, field, star)
         if not self.star_plus + self.star_minus:
             raise GermError("a germ needs at least one star", "star_plus")
+        # For even k the rotation by pi maps ray index l to l + k/2.
+        twins = [l for l in self.star_minus
+                 if k % 2 == 0 and (l + k // 2) % k in self.star_plus]
+        if twins:
+            raise GermError(
+                f"star_minus index {twins[0]} realizes the star_plus ray "
+                f"{(twins[0] + k // 2) % k} again", "star_minus")
         terms = [(1, k, self.branch.c, "c_re")]
         terms += [(j, e, a, f"term.{j}.{e}")
                   for j, series in enumerate(self.branch.tail, start=2)
@@ -409,17 +416,12 @@ def sample_real_trace(germ, epsilon, density):
     phi(t * e^{i*theta}) are checked to be real within
     ``REAL_TRACE_TOL * (1 + |Re|)`` and coerced.  Returns the (m, n)
     array of images, ray by ray.
-
-    epsilon = 0 degenerates to the single sample at the basepoint.
     """
-    if not (0.0 <= epsilon <= 1.0):
-        raise DomainError("epsilon must lie in [0, 1]")
+    if not (0.0 < epsilon <= 1.0):
+        raise DomainError("epsilon must lie in (0, 1]")
     density = _integer_count(density, "density")
     if density < 1:
         raise DomainError("density must be at least 1")
-    if epsilon == 0.0:
-        return np.asarray([germ.basepoint], dtype=float)
-
     grid = chebyshev_grid(0.0, epsilon, density)
     rows = []
     for theta in germ.ray_angles():

@@ -542,8 +542,6 @@ def star_domination_check(germ, epsilon, degree):
     conjugates.  On a germ with real coefficients their trace points
     are exact conjugates too, so siciak_lp solves each pair once.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("epsilon must lie in (0, 1]")
     degree = _integer_count(degree, "degree")
     degrees = (degree, degree + max(1, degree // 2))
     samples = sample_real_trace(germ, epsilon, STAR_DENSITY)

@@ -484,8 +484,8 @@ def scaling_study(germ, degrees, epsilons, density):
     Returns the FitResult; its ``design`` holds every cell.  The cells
     share one _Study, so each may stop at a certified solve (see
     markov_factor).  Each degree must be at least 1, since a constant
-    has no derivative, and each epsilon must lie in (0, 1]: epsilon 0
-    would sample the basepoint alone.
+    has no derivative, and each epsilon must lie in (0, 1], as for
+    sample_real_trace.
 
     Samples realize the trace ball parametrically: parameters run to
     eps along the star rays, so the geometric radius is eps**k at a
@@ -548,48 +548,6 @@ class CauchyDerivativeReport:
     slack: float
 
 
-@dataclass(frozen=True)
-class _CauchyCircle:
-    """What the disk-derivative bound needs of one (germ, basis, radius).
-
-    The derivative row at the basepoint and the basis matrix on the
-    image of the circle |z| = r do not depend on the polynomial, so a
-    battery of checks builds them once.
-    """
-
-    radius: float
-    order: int
-    constant: float
-    row: np.ndarray
-    matrix: np.ndarray
-
-    @classmethod
-    def on(cls, germ, basis, radius):
-        if not (0.0 < radius < 1.0):
-            raise DomainError("radius must lie in (0, 1)")
-        lead_norm = float(np.linalg.norm(germ.branch.leading_vector()))
-        circle = radius * np.exp(2j * math.pi
-                                 * np.arange(CAUCHY_QUAD_POINTS)
-                                 / CAUCHY_QUAD_POINTS)
-        return cls(radius=radius, order=germ.branch.k,
-                   constant=1.0 / lead_norm,
-                   row=basis.derivative_row(germ.basepoint,
-                                            tangent_vector(germ)),
-                   matrix=basis.evaluate(germ.evaluate(circle)))
-
-    def check(self, coefficients):
-        """The CauchyDerivativeReport of one coefficient vector."""
-        lhs = abs(float(self.row @ coefficients))
-        peak = float(np.abs(self.matrix @ coefficients).max())
-        bound = self.constant * peak / self.radius ** self.order
-        slack = bound - lhs
-        holds = lhs <= bound * (1.0 + 1e-9) + 1e-12
-        return CauchyDerivativeReport(lhs=lhs, bound=bound,
-                                      constant=self.constant,
-                                      order=self.order, holds=bool(holds),
-                                      slack=slack)
-
-
 def cauchy_derivative_check(germ, basis, coefficients, radius):
     """Check the disk-derivative bound for one polynomial.
 
@@ -599,4 +557,17 @@ def cauchy_derivative_check(germ, basis, coefficients, radius):
     the reported constant is 1/norm(L), exact for the leading-order
     extraction.
     """
-    return _CauchyCircle.on(germ, basis, radius).check(coefficients)
+    if not (0.0 < radius < 1.0):
+        raise DomainError("radius must lie in (0, 1)")
+    order = germ.branch.k
+    constant = 1.0 / float(np.linalg.norm(germ.branch.leading_vector()))
+    row = basis.derivative_row(germ.basepoint, tangent_vector(germ))
+    lhs = abs(float(row @ coefficients))
+    circle = radius * np.exp(2j * math.pi * np.arange(CAUCHY_QUAD_POINTS)
+                             / CAUCHY_QUAD_POINTS)
+    values = basis.evaluate(germ.evaluate(circle)) @ coefficients
+    bound = constant * float(np.abs(values).max()) / radius ** order
+    holds = lhs <= bound * (1.0 + 1e-9) + 1e-12
+    return CauchyDerivativeReport(lhs=lhs, bound=bound, constant=constant,
+                                  order=order, holds=bool(holds),
+                                  slack=bound - lhs)

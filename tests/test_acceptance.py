@@ -137,10 +137,22 @@ def test_acceptance_does_not_import_the_cli():
     assert completed.stdout.strip() == "False"
 
 
+def test_cli_import_loads_neither_numpy_polynomial_nor_random():
+    # numpy loads both lazily; importing numpy.polynomial costs about
+    # 0.75 MB of peak RSS, numpy.random about 5 MB, on every command.
+    source = Path(markov_curves.__file__).resolve().parents[1]
+    probe = ("import sys, markov_curves.experiments_cli; "
+             "print([name in sys.modules "
+             "for name in ('numpy.polynomial', 'numpy.random')])")
+    completed = subprocess.run([sys.executable, "-c", probe],
+                               cwd=source, capture_output=True, text=True,
+                               timeout=60, check=True)
+    assert completed.stdout.strip() == "[False, False]"
+
+
 def test_verify_does_not_import_numpy_random(tmp_path):
-    # Criterion 8 draws from the standard library's random module;
-    # numpy.random, imported lazily, would add about 5 MB to verify's
-    # peak RSS.
+    # No criterion draws random numbers; numpy.random, imported lazily,
+    # would add about 5 MB to verify's peak RSS.
     source = Path(markov_curves.__file__).resolve().parents[1]
     probe = ("import sys; from markov_curves.experiments_cli import main; "
              f"code = main(['verify', '--out-dir', {str(tmp_path)!r}]); "
@@ -149,3 +161,42 @@ def test_verify_does_not_import_numpy_random(tmp_path):
                                cwd=source, capture_output=True, text=True,
                                timeout=120, check=True)
     assert completed.stdout.splitlines()[-1] == "0 False"
+
+
+def recorded(monkeypatch, name):
+    """Wrap ``acceptance.<name>`` to keep each call's arguments and report."""
+    calls = []
+    check = getattr(acceptance, name)
+
+    def recording(*args):
+        calls.append((args, check(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(acceptance, name, recording)
+    return calls
+
+
+def test_bernstein_walsh_suite_is_tight(monkeypatch):
+    # T_2, T_5 and T_10 at 1.5, 2 and -3 meet cosh(n V) with equality.
+    calls = recorded(monkeypatch, "bernstein_walsh_check")
+    assert acceptance._bernstein_walsh_violations() == 0
+    assert len(calls) == 9
+    for _, report in calls:
+        assert abs(report.ratio - 1.0) <= 1e-6, report
+    # A Green value low by a relative 1e-6 fails every case.
+    green = acceptance.green_interval
+    monkeypatch.setattr(acceptance, "green_interval",
+                        lambda z: green(z) * (1.0 - 1e-6))
+    assert acceptance._bernstein_walsh_violations() == 9
+
+
+def test_cauchy_suite_is_tight(monkeypatch):
+    # The tangent coordinate gives p(phi(z)) = z**k: both sides are 1.
+    calls = recorded(monkeypatch, "cauchy_derivative_check")
+    assert acceptance._cauchy_violations() == 0
+    assert [args[0].branch.k for args, _ in calls] == [2, 2, 3]
+    for _, report in calls:
+        assert abs(report.lhs / report.bound - 1.0) <= 1e-6, report
+        # cauchy_derivative_check's test against a bound low by 1e-6.
+        low = report.bound * (1.0 - 1e-6)
+        assert not report.lhs <= low * (1.0 + 1e-9) + 1e-12, report

@@ -51,8 +51,8 @@ def test_chebyshev_grid_rejects_non_finite_endpoints(a, b):
     lambda: chebyshev_grid(0.0, 1.0, 2.5),
     lambda: chebyshev_grid(0.0, 1.0, 3.0),
     lambda: sample_real_trace(builtin_germs()["cusp_2_3"], 0.25, 10.0),
-    lambda: sample_real_trace(builtin_germs()["cusp_2_3"], 0.0, 2.5),
-], ids=["grid_fraction", "grid_float", "trace_float", "trace_at_zero"])
+    lambda: sample_real_trace(builtin_germs()["cusp_2_3"], 1.0, 2.5),
+], ids=["grid_fraction", "grid_float", "trace_float", "trace_at_one"])
 def test_non_integer_count_rejected(sample):
     with pytest.raises(DomainError, match="must be an integer"):
         sample()
@@ -189,9 +189,8 @@ class TestGermStars:
             self.germ((), ())
 
     def test_rotation_offsets_angles(self):
-        germ = self.germ((0, 1), (0, 1))
-        np.testing.assert_allclose(germ.ray_angles(),
-                                   [0.0, math.pi, math.pi, 2 * math.pi])
+        germ = self.germ((1,), (1,))
+        np.testing.assert_allclose(germ.ray_angles(), [math.pi, 2 * math.pi])
 
     def test_term_not_real_on_a_realized_ray(self):
         # On the ray at angle pi/2 of k = 4, z**5 picks up the phase i.
@@ -242,11 +241,11 @@ class TestSampleRealTrace:
         assert sample.shape == (4, 2)
         assert sample[:, 0].min() >= 0.0
 
-    def test_zero_epsilon_collapses_to_basepoint(self):
+    def test_zero_epsilon_rejected(self):
+        # epsilon 0 would sample the basepoint alone.
         germ = builtin_germs()["interval_interior"]
-        sample = sample_real_trace(germ, 0.0, 4)
-        assert sample.shape == (1, 2)
-        np.testing.assert_allclose(sample[0], [0.0, 0.0])
+        with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1\]"):
+            sample_real_trace(germ, 0.0, 4)
 
     def test_nonreal_trace_is_reported(self):
         # Caught where the germ is built, at the offending term's line.
@@ -353,6 +352,20 @@ class TestGermGrammar:
         with pytest.raises(FormatError):
             parse_germ_text(CUSP_TEXT.replace("star_plus = 0",
                                               "star_plus = 5"))
+
+    @pytest.mark.parametrize("plus, minus, message", [
+        ("0, 1", "0, 1", "star_minus index 0 realizes the star_plus ray 1"),
+        ("0", "1", "star_minus index 1 realizes the star_plus ray 0"),
+    ], ids=["both_rays_twice", "one_ray_twice"])
+    def test_minus_star_repeating_a_plus_ray_reports_line(self, plus, minus,
+                                                          message):
+        # At k = 2 the minus ray of index l is the plus ray l + 1 mod 2.
+        text = CUSP_TEXT.replace("star_plus = 0", f"star_plus = {plus}"
+                                 ).replace("star_minus = 0",
+                                           f"star_minus = {minus}")
+        with pytest.raises(FormatError, match=message) as info:
+            parse_germ_text(text)
+        assert info.value.line == 6
 
     def test_singular_class_requires_k_at_least_two(self):
         broken = CUSP_TEXT.replace("k = 2", "k = 1").replace(
